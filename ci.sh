@@ -11,6 +11,25 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# gate NAME BASELINE CMD...: runs `CMD --jobs 1 --json A` and
+# `CMD --jobs 4 --json B`, requires A and B to be byte-identical (the
+# worker pool must be invisible in the results), then requires B to match
+# the checked-in BASELINE bit for bit.
+gate() {
+    local name="$1" baseline="$2"
+    shift 2
+    local one four
+    one="$(mktemp)"
+    four="$(mktemp)"
+    "$@" --jobs 1 --json "$one" > /dev/null
+    "$@" --jobs 4 --json "$four" > /dev/null
+    cmp "$one" "$four" \
+        || { echo "$name report differs between --jobs 1 and --jobs 4" >&2; exit 1; }
+    cmp "$four" "$baseline" \
+        || { echo "$name report drifted from $baseline" >&2; exit 1; }
+    rm -f "$one" "$four"
+}
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
@@ -32,16 +51,6 @@ PMACC_BENCH_SAMPLES=1 PMACC_JOBS=1 cargo bench --offline -q -p pmacc-bench \
     --bench hotpath > /dev/null
 PMACC_BENCH_SAMPLES=1 PMACC_JOBS=1 cargo bench --offline -q -p pmacc-bench \
     --bench components > /dev/null
-
-# Smoke-run the parallel experiment path end to end: a quick-scale grid
-# fanned out over the pool (PMACC_JOBS=4 exercises the multi-worker code
-# even on small CI boxes) rendered to one figure, plus the JSON emitter.
-echo "==> reproduce --quick fig6 (parallel smoke run, 4 workers)"
-smoke_json="$(mktemp)"
-PMACC_JOBS=4 cargo run --release --offline -q -p pmacc-bench --bin reproduce -- \
-    --quick fig6 --json "$smoke_json" > /dev/null
-test -s "$smoke_json" || { echo "reproduce --json wrote nothing" >&2; exit 1; }
-rm -f "$smoke_json"
 
 # Calibration regression gate: a fresh quick-scale grid's key metrics
 # (normalized figure means, per-cell IPC, stall fractions, NVM writes by
@@ -89,19 +98,10 @@ if [[ "${PMACC_SKIP_SERVE:-0}" == "1" ]]; then
     echo "==> serve skipped (PMACC_SKIP_SERVE=1)"
 else
     echo "==> serve --quick (open-system service benchmark, jobs 1 vs 4)"
-    serve_one="$(mktemp)"
-    serve_four="$(mktemp)"
-    cargo run --release --offline -q -p pmacc-bench --bin serve -- \
-        --quick --jobs 1 --json "$serve_one" > /dev/null
-    cargo run --release --offline -q -p pmacc-bench --bin serve -- \
-        --quick --jobs 4 --json "$serve_four" > /dev/null
-    cmp "$serve_one" "$serve_four" \
-        || { echo "serve report differs between --jobs 1 and --jobs 4" >&2; exit 1; }
-    cmp "$serve_four" baselines/serve-quick.json \
-        || { echo "serve report drifted from baselines/serve-quick.json" >&2; exit 1; }
+    gate serve baselines/serve-quick.json \
+        cargo run --release --offline -q -p pmacc-bench --bin serve -- --quick
     cargo run --release --offline -q -p pmacc-bench --bin serve -- \
         --verify baselines/serve-quick.json
-    rm -f "$serve_one" "$serve_four"
 fi
 
 # Sharing-sweep gate: the quick-scale cross-core sharing experiment
@@ -119,17 +119,8 @@ if [[ "${PMACC_SKIP_SHARING:-0}" == "1" ]]; then
     echo "==> sharing skipped (PMACC_SKIP_SHARING=1)"
 else
     echo "==> reproduce --quick sharing (coherence sweep, jobs 1 vs 4)"
-    sharing_one="$(mktemp)"
-    sharing_four="$(mktemp)"
-    PMACC_JOBS=1 cargo run --release --offline -q -p pmacc-bench --bin reproduce -- \
-        --quick sharing --json "$sharing_one" > /dev/null
-    PMACC_JOBS=4 cargo run --release --offline -q -p pmacc-bench --bin reproduce -- \
-        --quick sharing --json "$sharing_four" > /dev/null
-    cmp "$sharing_one" "$sharing_four" \
-        || { echo "sharing report differs between --jobs 1 and --jobs 4" >&2; exit 1; }
-    cmp "$sharing_four" baselines/sharing-quick.json \
-        || { echo "sharing report drifted from baselines/sharing-quick.json" >&2; exit 1; }
-    rm -f "$sharing_one" "$sharing_four"
+    gate sharing baselines/sharing-quick.json \
+        cargo run --release --offline -q -p pmacc-bench --bin reproduce -- --quick sharing
 fi
 
 # Wear-sweep gate: the quick-scale endurance experiment (workload ×
@@ -147,17 +138,8 @@ if [[ "${PMACC_SKIP_WEAR:-0}" == "1" ]]; then
     echo "==> wear skipped (PMACC_SKIP_WEAR=1)"
 else
     echo "==> reproduce --quick wear (endurance sweep, jobs 1 vs 4)"
-    wear_one="$(mktemp)"
-    wear_four="$(mktemp)"
-    PMACC_JOBS=1 cargo run --release --offline -q -p pmacc-bench --bin reproduce -- \
-        --quick wear --json "$wear_one" > /dev/null
-    PMACC_JOBS=4 cargo run --release --offline -q -p pmacc-bench --bin reproduce -- \
-        --quick wear --json "$wear_four" > /dev/null
-    cmp "$wear_one" "$wear_four" \
-        || { echo "wear report differs between --jobs 1 and --jobs 4" >&2; exit 1; }
-    cmp "$wear_four" baselines/wear-quick.json \
-        || { echo "wear report drifted from baselines/wear-quick.json" >&2; exit 1; }
-    rm -f "$wear_one" "$wear_four"
+    gate wear baselines/wear-quick.json \
+        cargo run --release --offline -q -p pmacc-bench --bin reproduce -- --quick wear
 fi
 
 echo "==> ci.sh: all green"

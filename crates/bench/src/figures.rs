@@ -2,9 +2,10 @@
 //! listed in `DESIGN.md`.
 //!
 //! The figure renderers that *run* simulations (the ablation sweeps,
-//! recovery, mix, warm) take a [`pool::Options`] and submit their cells
-//! to the worker pool; renderers over an already-computed
-//! [`GridResults`] are pure formatting.
+//! recovery, mix, sharing, wear, warm) take a pool [`Options`] and fan
+//! their cells out through [`sweep`], then look each result up by key;
+//! renderers over an already-computed [`GridResults`] are pure
+//! formatting.
 
 use pmacc::energy::{energy_of, EnergyParams};
 use pmacc::hwcost::HwOverhead;
@@ -12,11 +13,11 @@ use pmacc::recovery::{check_recovery, recover, recovery_cost};
 use pmacc::scheme::sp::{self, SpMode};
 use pmacc::{RunConfig, RunReport, System};
 use pmacc_cpu::StallKind;
-use pmacc_types::{MachineConfig, SchemeKind, SimError, WriteCause};
+use pmacc_types::{MachineConfig, MemConfig, SchemeKind, SimError, WriteCause};
 use pmacc_workloads::{build, WorkloadKind};
 
-use crate::grid::{run_cell, run_cells, run_grid_opts, GridResults, Scale};
-use crate::pool::{self, Job, Options};
+use crate::grid::{run_cell, run_grid_opts, sweep, GridResults, Scale};
+use crate::pool::Options;
 use crate::table::{norm, FigTable};
 
 /// A named metric extracted from a [`RunReport`].
@@ -182,29 +183,14 @@ pub fn stalls(grid: &GridResults) -> FigTable {
 #[must_use]
 pub fn energy(grid: &GridResults) -> FigTable {
     let params = EnergyParams::dac17();
-    let mut cols = vec!["workload".to_string()];
-    cols.extend(SchemeKind::all().iter().map(|s| scheme_label(*s).to_string()));
-    let mut t = FigTable::new(
+    normalized_figure(
+        grid,
         "Extension: energy",
         "Memory-system energy, normalized to Optimal",
         "Caches + transaction cache + DRAM + NVM, with STT-RAM's ~4x \
          write/read energy asymmetry; SP's logging and flushing dominate.",
-        cols,
-    );
-    let metric = |r: &RunReport| energy_of(r, &params).total_nj();
-    for kind in WorkloadKind::all() {
-        let mut row = vec![kind.to_string()];
-        for scheme in SchemeKind::all() {
-            row.push(norm(grid.normalized(kind, scheme, metric)));
-        }
-        t.push_row(row);
-    }
-    let mut mean = vec!["**mean**".to_string()];
-    for scheme in SchemeKind::all() {
-        mean.push(norm(grid.mean_normalized(scheme, metric)));
-    }
-    t.push_row(mean);
-    t
+        |r: &RunReport| energy_of(r, &params).total_nj(),
+    )
 }
 
 /// Extension: NVM write endurance — how hard each scheme hammers its
@@ -261,56 +247,38 @@ pub fn recovery_table(scale: Scale, seed: u64, opts: &Options) -> Result<FigTabl
             "consistent?".into(),
         ],
     );
-    let params = scale.params(seed);
-    let schemes = [
-        SchemeKind::Sp,
-        SchemeKind::TxCache,
-        SchemeKind::NvLlc,
-        SchemeKind::Optimal,
-        SchemeKind::Eadr,
-    ];
-    // Each scheme's pair of runs (full, then crashed halfway) is an
-    // independent job; the two runs within a job stay sequential because
-    // the crash point depends on the full run's cycle count.
-    let jobs: Vec<Job<Result<(pmacc::recovery::RecoveryCost, bool), SimError>>> = schemes
-        .iter()
-        .map(|&scheme| {
+    // Each scheme's pair of runs (full, then crashed halfway) is one
+    // cell; the two runs within a cell stay sequential because the crash
+    // point depends on the full run's cycle count.
+    let rows = sweep(
+        SchemeKind::all(),
+        seed,
+        opts,
+        |scheme| format!("recovery/{scheme}"),
+        move |&scheme| {
             let machine = scale.machine().with_scheme(scheme);
-            Job::new(format!("recovery/{scheme}"), move || {
-                let total = {
-                    let mut sys = System::for_workload(
-                        machine.clone(),
-                        WorkloadKind::Rbtree,
-                        &params,
-                        &RunConfig::default(),
-                    )?;
-                    sys.run()?.cycles
-                };
-                let mut sys = System::for_workload(
-                    machine.clone(),
-                    WorkloadKind::Rbtree,
-                    &params,
-                    &RunConfig::default(),
-                )?;
-                sys.run_until(total / 2)?;
-                let state = sys.crash_state();
-                let cost = recovery_cost(&state, &machine);
-                let recovered = recover(&state);
-                let ok = check_recovery(&state, &recovered).is_ok();
-                Ok((cost, ok))
-            })
-        })
-        .collect();
-    let rows = pool::run_jobs(jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message));
-    for (scheme, row) in schemes.iter().zip(rows) {
-        let (cost, ok) = row?;
+            let params = scale.params(seed);
+            let total = run_cell(machine.clone(), WorkloadKind::Rbtree, scale, seed)?.cycles;
+            let mut sys = System::for_workload(
+                machine.clone(),
+                WorkloadKind::Rbtree,
+                &params,
+                &RunConfig::default(),
+            )?;
+            sys.run_until(total / 2)?;
+            let state = sys.crash_state();
+            let ok = check_recovery(&state, &recover(&state)).is_ok();
+            Ok::<_, SimError>((recovery_cost(&state, &machine), ok))
+        },
+    )?;
+    for scheme in SchemeKind::all() {
+        let (cost, ok) = &rows[&scheme];
         t.push_row(vec![
-            scheme_label(*scheme).into(),
+            scheme_label(scheme).into(),
             cost.words_scanned.to_string(),
             cost.words_replayed.to_string(),
             format!("{:.1} µs", cost.estimated_ns as f64 / 1000.0),
-            if ok { "yes" } else { "NO (by design)" }.into(),
+            if *ok { "yes" } else { "NO (by design)" }.into(),
         ]);
     }
     Ok(t)
@@ -343,30 +311,28 @@ pub fn mix(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimError
             "p-load latency (norm)".into(),
         ],
     );
-    let params = scale.params(seed);
     let schemes = [
         SchemeKind::Optimal,
         SchemeKind::Sp,
         SchemeKind::TxCache,
         SchemeKind::NvLlc,
     ];
-    let jobs: Vec<Job<Result<RunReport, SimError>>> = schemes
-        .iter()
-        .map(|&scheme| {
+    let reports = sweep(
+        schemes,
+        seed,
+        opts,
+        |scheme| format!("mix/{scheme}"),
+        move |&scheme| {
             let machine = scale.machine().with_scheme(scheme);
-            Job::new(format!("mix/{scheme}"), move || {
-                System::for_workload_mix(machine, &kinds, &params, &RunConfig::default())?.run()
-            })
-        })
-        .collect();
-    let reports = pool::run_jobs(jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message))
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-    let b = &reports[0]; // Optimal is submitted first.
-    for (scheme, r) in schemes.iter().zip(&reports) {
+            System::for_workload_mix(machine, &kinds, &scale.params(seed), &RunConfig::default())?
+                .run()
+        },
+    )?;
+    let b = &reports[&SchemeKind::Optimal];
+    for scheme in schemes {
+        let r = &reports[&scheme];
         t.push_row(vec![
-            scheme_label(*scheme).into(),
+            scheme_label(scheme).into(),
             norm(r.ipc() / b.ipc()),
             norm(r.throughput() / b.throughput()),
             norm(r.nvm_write_traffic() as f64 / b.nvm_write_traffic().max(1) as f64),
@@ -396,70 +362,33 @@ pub fn sharing(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimE
         WorkloadKind::Btree,
         WorkloadKind::Hashtable,
     ];
-    let fraction_label = |f: u8| match f {
-        0 => "0%",
-        1 => "12.5%",
-        2 => "25%",
-        4 => "50%",
-        _ => unreachable!("fractions are fixed above"),
-    };
-    let mut keys = Vec::new();
-    for kind in KINDS {
-        for fraction in FRACTIONS {
-            for scheme in SchemeKind::all() {
-                keys.push((kind, fraction, scheme));
-            }
-        }
-    }
-    let jobs: Vec<Job<Result<RunReport, SimError>>> = keys
-        .iter()
-        .map(|&(kind, fraction, scheme)| {
-            let machine = scale.machine().with_scheme(scheme);
-            let mut params = scale.params(seed);
-            params.sharing = fraction;
-            Job::new(format!("sharing/{kind}/sh{fraction}/{scheme}"), move || {
-                System::for_workload(machine, kind, &params, &RunConfig::default())?.run()
-            })
-        })
-        .collect();
-    let reports = pool::run_jobs(jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message));
-    let mut results = std::collections::BTreeMap::new();
-    for (key, report) in keys.iter().zip(reports) {
-        results.insert(*key, report?);
-    }
-    // Directory-stress subsection: the same sweep's SPS workload at 16
-    // cores, where the LLC sharer-bitmap directory is what keeps snoops
-    // O(sharers) instead of O(cores). Two fractions bracket the range
-    // (private vs heavily shared); every scheme runs so the normalized
-    // IPC column has its own 16-core Optimal base.
+    // Directory-stress subsection: the SPS workload at 16 cores, where
+    // the LLC sharer-bitmap directory is what keeps snoops O(sharers)
+    // instead of O(cores). Two fractions bracket the range (private vs
+    // heavily shared); every scheme runs so the normalized IPC column has
+    // its own 16-core Optimal base.
     const DIR_CORES: usize = 16;
     const DIR_FRACTIONS: [u8; 2] = [0, 4];
-    let mut dir_keys = Vec::new();
-    for fraction in DIR_FRACTIONS {
-        for scheme in SchemeKind::all() {
-            dir_keys.push((fraction, scheme));
-        }
-    }
-    let dir_jobs: Vec<Job<Result<RunReport, SimError>>> = dir_keys
-        .iter()
-        .map(|&(fraction, scheme)| {
+    let cores = scale.machine().cores;
+    // Keys are (cores, workload, fraction in eighths, scheme).
+    let keys = KINDS
+        .into_iter()
+        .flat_map(|kind| FRACTIONS.map(|fraction| (cores, kind, fraction)))
+        .chain(DIR_FRACTIONS.map(|fraction| (DIR_CORES, WorkloadKind::Sps, fraction)))
+        .flat_map(|(c, kind, fraction)| SchemeKind::all().map(|s| (c, kind, fraction, s)));
+    let results = sweep(
+        keys,
+        seed,
+        opts,
+        |(cores, kind, fraction, scheme)| format!("sharing/{kind}/{cores}c/sh{fraction}/{scheme}"),
+        move |&(cores, kind, fraction, scheme)| {
             let mut machine = scale.machine().with_scheme(scheme);
-            machine.cores = DIR_CORES;
+            machine.cores = cores;
             let mut params = scale.params(seed);
             params.sharing = fraction;
-            Job::new(format!("sharing/sps16/sh{fraction}/{scheme}"), move || {
-                System::for_workload(machine, WorkloadKind::Sps, &params, &RunConfig::default())?
-                    .run()
-            })
-        })
-        .collect();
-    let dir_reports = pool::run_jobs(dir_jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message));
-    let mut dir_results = std::collections::BTreeMap::new();
-    for (key, report) in dir_keys.iter().zip(dir_reports) {
-        dir_results.insert(*key, report?);
-    }
+            System::for_workload(machine, kind, &params, &RunConfig::default())?.run()
+        },
+    )?;
     let mut t = FigTable::new(
         "Extension: sharing",
         "Scaling across shared-line fractions (4 cores; sps also at 16)",
@@ -478,28 +407,55 @@ pub fn sharing(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimE
             "TC remote invals".into(),
         ],
     );
-    let conflicts = |r: &RunReport| -> u64 {
-        r.cores.iter().map(|c| c.tx_conflicts.value()).sum()
+    // The conflict columns: tx conflicts, snoop invals, shared fills and
+    // TC remote invals.
+    let counts = |r: &RunReport| -> [u64; 4] {
+        [
+            r.cores.iter().map(|c| c.tx_conflicts.value()).sum(),
+            r.hierarchy.coherence.remote_invalidations.value(),
+            r.hierarchy.coherence.shared_fills.value(),
+            r.tc.iter().map(|c| c.remote_invalidations.value()).sum(),
+        ]
     };
-    let tc_remote = |r: &RunReport| -> u64 {
-        r.tc.iter().map(|c| c.remote_invalidations.value()).sum()
+    // IPC normalized to Optimal at the same cores, workload and fraction.
+    let ipc_norm = |key @ (cores, kind, fraction, _)| {
+        let base = results[&(cores, kind, fraction, SchemeKind::Optimal)].ipc();
+        if base == 0.0 { 0.0 } else { results[&key].ipc() / base }
+    };
+    // One row function for the per-cell, mean and 16-core rows.
+    let row = |workload: String,
+               fraction: u8,
+               scheme: SchemeKind,
+               ipc: f64,
+               stall: String,
+               [cf, inv, fills, tcr]: [u64; 4]| {
+        vec![
+            workload,
+            format!("{}%", f64::from(fraction) * 12.5),
+            scheme_label(scheme).into(),
+            norm(ipc),
+            cf.to_string(),
+            stall,
+            inv.to_string(),
+            fills.to_string(),
+            tcr.to_string(),
+        ]
+    };
+    let cell_row = |workload: String, key @ (_, _, fraction, scheme)| {
+        let r = &results[&key];
+        row(
+            workload,
+            fraction,
+            scheme,
+            ipc_norm(key),
+            format!("{:.4}%", r.stall_fraction(StallKind::Conflict) * 100.0),
+            counts(r),
+        )
     };
     for kind in KINDS {
         for fraction in FRACTIONS {
-            let base = &results[&(kind, fraction, SchemeKind::Optimal)];
             for scheme in SchemeKind::all() {
-                let r = &results[&(kind, fraction, scheme)];
-                t.push_row(vec![
-                    kind.to_string(),
-                    fraction_label(fraction).into(),
-                    scheme_label(scheme).into(),
-                    norm(if base.ipc() == 0.0 { 0.0 } else { r.ipc() / base.ipc() }),
-                    conflicts(r).to_string(),
-                    format!("{:.4}%", r.stall_fraction(StallKind::Conflict) * 100.0),
-                    r.hierarchy.coherence.remote_invalidations.value().to_string(),
-                    r.hierarchy.coherence.shared_fills.value().to_string(),
-                    tc_remote(r).to_string(),
-                ]);
+                t.push_row(cell_row(kind.to_string(), (cores, kind, fraction, scheme)));
             }
         }
     }
@@ -507,46 +463,20 @@ pub fn sharing(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimE
     // summed over the three workloads).
     for fraction in FRACTIONS {
         for scheme in SchemeKind::all() {
-            let mut ipc = 0.0;
-            let (mut cf, mut inv, mut fills, mut tcr) = (0u64, 0u64, 0u64, 0u64);
-            for kind in KINDS {
-                let base = &results[&(kind, fraction, SchemeKind::Optimal)];
-                let r = &results[&(kind, fraction, scheme)];
-                ipc += if base.ipc() == 0.0 { 0.0 } else { r.ipc() / base.ipc() };
-                cf += conflicts(r);
-                inv += r.hierarchy.coherence.remote_invalidations.value();
-                fills += r.hierarchy.coherence.shared_fills.value();
-                tcr += tc_remote(r);
-            }
-            t.push_row(vec![
-                "**mean**".into(),
-                fraction_label(fraction).into(),
-                scheme_label(scheme).into(),
-                norm(ipc / KINDS.len() as f64),
-                cf.to_string(),
-                "-".into(),
-                inv.to_string(),
-                fills.to_string(),
-                tcr.to_string(),
-            ]);
+            let ipc: f64 = KINDS.iter().map(|&k| ipc_norm((cores, k, fraction, scheme))).sum();
+            let sum = KINDS.iter().fold([0u64; 4], |sum, &kind| {
+                let c = counts(&results[&(cores, kind, fraction, scheme)]);
+                std::array::from_fn(|i| sum[i] + c[i])
+            });
+            let n = KINDS.len() as f64;
+            t.push_row(row("**mean**".into(), fraction, scheme, ipc / n, "-".into(), sum));
         }
     }
     // 16-core directory-stress rows.
     for fraction in DIR_FRACTIONS {
-        let base = &dir_results[&(fraction, SchemeKind::Optimal)];
         for scheme in SchemeKind::all() {
-            let r = &dir_results[&(fraction, scheme)];
-            t.push_row(vec![
-                "sps (16c)".into(),
-                fraction_label(fraction).into(),
-                scheme_label(scheme).into(),
-                norm(if base.ipc() == 0.0 { 0.0 } else { r.ipc() / base.ipc() }),
-                conflicts(r).to_string(),
-                format!("{:.4}%", r.stall_fraction(StallKind::Conflict) * 100.0),
-                r.hierarchy.coherence.remote_invalidations.value().to_string(),
-                r.hierarchy.coherence.shared_fills.value().to_string(),
-                tc_remote(r).to_string(),
-            ]);
+            let key = (DIR_CORES, WorkloadKind::Sps, fraction, scheme);
+            t.push_row(cell_row("sps (16c)".into(), key));
         }
     }
     Ok(t)
@@ -629,34 +559,26 @@ pub fn wear(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
         gap_write_interval: 4,
         cell_write_budget: budget,
     };
+    let lvl_label = |l: bool| if l { "on" } else { "off" };
     let mut keys = Vec::new();
     for kind in KINDS {
         for leveling in LEVELS {
-            for scheme in SchemeKind::all() {
-                keys.push((kind, leveling, scheme));
-            }
+            keys.extend(SchemeKind::all().map(|scheme| (kind, leveling, scheme)));
         }
     }
-    let jobs: Vec<Job<Result<RunReport, SimError>>> = keys
-        .iter()
-        .map(|&(kind, leveling, scheme)| {
+    let results = sweep(
+        keys,
+        seed,
+        opts,
+        |&(kind, leveling, scheme)| format!("wear/{kind}/wl-{}/{scheme}", lvl_label(leveling)),
+        move |&(kind, leveling, scheme)| {
             let mut machine = scale.machine().with_scheme(scheme);
             if leveling {
                 machine.nvm.wear = leveled;
             }
-            let params = scale.params(seed);
-            let lvl = if leveling { "on" } else { "off" };
-            Job::new(format!("wear/{kind}/wl-{lvl}/{scheme}"), move || {
-                System::for_workload(machine, kind, &params, &RunConfig::default())?.run()
-            })
-        })
-        .collect();
-    let reports = pool::run_jobs(jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message));
-    let mut results = std::collections::BTreeMap::new();
-    for (key, report) in keys.iter().zip(reports) {
-        results.insert(*key, report?);
-    }
+            run_cell(machine, kind, scale, seed)
+        },
+    )?;
     let mut t = FigTable::new(
         "Extension: wear",
         "NVM endurance and start-gap wear leveling, per scheme",
@@ -687,7 +609,6 @@ pub fn wear(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
             "leveled lifetime (runs)".into(),
         ],
     );
-    let lvl_label = |l: bool| if l { "on" } else { "off" };
     let hot_lifetime = |r: &RunReport| {
         pmacc_mem::projected_lifetime_seconds(
             r.nvm.max_writes_per_line(),
@@ -771,6 +692,7 @@ pub fn warm(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
         ..RunConfig::default()
     };
     let grid = run_grid_opts(scale, seed, &rc, opts)?;
+    let schemes = [SchemeKind::Sp, SchemeKind::TxCache, SchemeKind::NvLlc];
     let mut t = FigTable::new(
         "Extension: warm",
         format!(
@@ -778,12 +700,10 @@ pub fn warm(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
         ),
         "Normalized to Optimal, as in Figures 6-10 but excluding the \
          cold-cache region.",
-        vec![
-            "metric".into(),
-            "SP".into(),
-            "TC (this work)".into(),
-            "NVLLC".into(),
-        ],
+        std::iter::once("metric")
+            .chain(schemes.map(scheme_label))
+            .map(String::from)
+            .collect(),
     );
     let metrics: [Metric; 4] = [
         ("IPC", RunReport::ipc),
@@ -792,12 +712,9 @@ pub fn warm(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
         ("persistent load latency", RunReport::persistent_load_latency),
     ];
     for (name, metric) in metrics {
-        t.push_row(vec![
-            name.into(),
-            norm(grid.mean_normalized(SchemeKind::Sp, metric)),
-            norm(grid.mean_normalized(SchemeKind::TxCache, metric)),
-            norm(grid.mean_normalized(SchemeKind::NvLlc, metric)),
-        ]);
+        let mut row = vec![name.to_string()];
+        row.extend(schemes.map(|s| norm(grid.mean_normalized(s, metric))));
+        t.push_row(row);
     }
     Ok(t)
 }
@@ -976,26 +893,23 @@ pub fn ablation_txcache_size(scale: Scale, seed: u64, opts: &Options) -> Result<
         ],
     );
     let sizes: [u64; 6] = [512, 1024, 2048, 4096, 8192, 16384];
-    let mut cells = Vec::new();
+    let kinds = [WorkloadKind::Sps, WorkloadKind::Rbtree];
+    let reports = sweep(
+        sizes.into_iter().flat_map(|size| kinds.map(|kind| (size, kind))),
+        seed,
+        opts,
+        |(size, kind)| format!("tc-size {size} B/{kind}"),
+        move |&(size, kind)| {
+            let mut machine = scale.machine().with_scheme(SchemeKind::TxCache);
+            machine.txcache.size_bytes = size;
+            run_cell(machine, kind, scale, seed)
+        },
+    )?;
+    let b_sps = reports[&(4096, WorkloadKind::Sps)].ipc();
+    let b_rb = reports[&(4096, WorkloadKind::Rbtree)].ipc();
     for size in sizes {
-        let mut machine = scale.machine().with_scheme(SchemeKind::TxCache);
-        machine.txcache.size_bytes = size;
-        for kind in [WorkloadKind::Sps, WorkloadKind::Rbtree] {
-            cells.push((format!("tc-size {size} B/{kind}"), machine.clone(), kind));
-        }
-    }
-    let reports = run_cells(cells, scale, seed, &RunConfig::default(), opts)?;
-    let rows: Vec<(u64, RunReport, RunReport)> = sizes
-        .iter()
-        .zip(reports.chunks_exact(2))
-        .map(|(&size, pair)| (size, pair[0].clone(), pair[1].clone()))
-        .collect();
-    let (b_sps, b_rb) = rows
-        .iter()
-        .find(|(s, _, _)| *s == 4096)
-        .map(|(_, a, b)| (a.ipc(), b.ipc()))
-        .expect("4 KB point present");
-    for (size, sps, rb) in rows {
+        let sps = &reports[&(size, WorkloadKind::Sps)];
+        let rb = &reports[&(size, WorkloadKind::Rbtree)];
         t.push_row(vec![
             format!("{} B", size),
             norm(sps.ipc() / b_sps),
@@ -1028,24 +942,22 @@ pub fn ablation_overflow(scale: Scale, seed: u64, opts: &Options) -> Result<FigT
             "COW NVM writes".into(),
         ],
     );
-    let thresholds = [0.5, 0.7, 0.9, 1.0];
-    let cells = thresholds
-        .iter()
-        .map(|&threshold| {
+    // Thresholds in percent of TC capacity.
+    let reports = sweep(
+        [50u32, 70, 90, 100],
+        seed,
+        opts,
+        |pct| format!("overflow {pct}%/rbtree"),
+        move |&pct| {
             let mut machine = scale.machine().with_scheme(SchemeKind::TxCache);
             machine.txcache.size_bytes = 512;
-            machine.txcache.overflow_threshold = threshold;
-            (
-                format!("overflow {:.0}%/rbtree", threshold * 100.0),
-                machine,
-                WorkloadKind::Rbtree,
-            )
-        })
-        .collect();
-    let reports = run_cells(cells, scale, seed, &RunConfig::default(), opts)?;
-    for (threshold, r) in thresholds.iter().zip(reports) {
+            machine.txcache.overflow_threshold = f64::from(pct) / 100.0;
+            run_cell(machine, WorkloadKind::Rbtree, scale, seed)
+        },
+    )?;
+    for (pct, r) in &reports {
         t.push_row(vec![
-            format!("{:.0}%", threshold * 100.0),
+            format!("{pct}%"),
             format!("{:.4}", r.ipc()),
             format!("{:.3}%", r.stall_fraction(StallKind::TxCacheFull) * 100.0),
             r.tc_overflows().to_string(),
@@ -1075,41 +987,38 @@ pub fn ablation_nvm_latency(scale: Scale, seed: u64, opts: &Options) -> Result<F
             "NVLLC (norm)".into(),
         ],
     );
-    let mut sweep: Vec<(String, pmacc_types::MemConfig)> = [38.0, 76.0, 152.0, 304.0]
-        .into_iter()
-        .map(|write_ns| {
+    // A device point is an STT-RAM write latency in ns, or `None` for PCM.
+    let device = move |point: Option<u32>| match point {
+        Some(write_ns) => {
             let mut nvm = scale.machine().nvm;
-            nvm.write_ns = write_ns;
+            nvm.write_ns = f64::from(write_ns);
             (format!("STT-RAM {write_ns} ns"), nvm)
-        })
-        .collect();
-    sweep.push((
-        "PCM 85/350 ns".to_string(),
-        pmacc_types::MemConfig::pcm(),
-    ));
+        }
+        None => ("PCM 85/350 ns".to_string(), MemConfig::pcm()),
+    };
+    let points = [Some(38), Some(76), Some(152), Some(304), None];
     let schemes = [
         SchemeKind::Optimal,
         SchemeKind::Sp,
         SchemeKind::TxCache,
         SchemeKind::NvLlc,
     ];
-    let mut cells = Vec::new();
-    for (label, nvm) in &sweep {
-        for scheme in schemes {
+    let reports = sweep(
+        points.into_iter().flat_map(|p| schemes.map(|s| (p, s))),
+        seed,
+        opts,
+        |&(point, scheme)| format!("nvm {}/{scheme}", device(point).0),
+        move |&(point, scheme)| {
             let mut machine = scale.machine().with_scheme(scheme);
-            machine.nvm = *nvm;
-            cells.push((format!("nvm {label}/{scheme}"), machine, WorkloadKind::Rbtree));
-        }
-    }
-    let reports = run_cells(cells, scale, seed, &RunConfig::default(), opts)?;
-    for ((label, _), point) in sweep.into_iter().zip(reports.chunks_exact(schemes.len())) {
-        let opt = point[0].ipc(); // Optimal is submitted first per point.
-        t.push_row(vec![
-            label,
-            norm(point[1].ipc() / opt),
-            norm(point[2].ipc() / opt),
-            norm(point[3].ipc() / opt),
-        ]);
+            machine.nvm = device(point).1;
+            run_cell(machine, WorkloadKind::Rbtree, scale, seed)
+        },
+    )?;
+    for point in points {
+        let opt = reports[&(point, SchemeKind::Optimal)].ipc();
+        let mut row = vec![device(point).0];
+        row.extend(schemes[1..].iter().map(|s| norm(reports[&(point, *s)].ipc() / opt)));
+        t.push_row(row);
     }
     Ok(t)
 }
@@ -1135,21 +1044,18 @@ pub fn ablation_coalesce(scale: Scale, seed: u64, opts: &Options) -> Result<FigT
             "overflows".into(),
         ],
     );
-    let modes = [false, true];
-    let cells = modes
-        .iter()
-        .map(|&coalesce| {
+    let reports = sweep(
+        [false, true],
+        seed,
+        opts,
+        |&coalesce| format!("coalesce {}/btree", if coalesce { "on" } else { "off" }),
+        move |&coalesce| {
             let mut machine = scale.machine().with_scheme(SchemeKind::TxCache);
             machine.txcache.coalesce = coalesce;
-            (
-                format!("coalesce {}/btree", if coalesce { "on" } else { "off" }),
-                machine,
-                WorkloadKind::Btree,
-            )
-        })
-        .collect();
-    let reports = run_cells(cells, scale, seed, &RunConfig::default(), opts)?;
-    for (coalesce, r) in modes.into_iter().zip(reports) {
+            run_cell(machine, WorkloadKind::Btree, scale, seed)
+        },
+    )?;
+    for (&coalesce, r) in &reports {
         let inserts: u64 = r.tc.iter().map(|s| s.inserts.value()).sum();
         let coalesced: u64 = r.tc.iter().map(|s| s.coalesced.value()).sum();
         t.push_row(vec![
@@ -1183,51 +1089,43 @@ pub fn ablation_sp_fencing(scale: Scale, seed: u64, opts: &Options) -> Result<Fi
             "NVM writes (vs Optimal)".into(),
         ],
     );
-    let params = scale.params(seed);
-    let machine = scale.machine();
-    // One job for the Optimal baseline, one per fencing mode: each SP
-    // job pre-instruments with the requested mode and runs under the SP
-    // runtime (which adds nothing beyond the instrumentation).
-    let mut jobs: Vec<Job<Result<RunReport, SimError>>> = Vec::new();
-    {
-        let machine = machine.clone().with_scheme(SchemeKind::Optimal);
-        jobs.push(Job::new("sp-fencing baseline/sps", move || {
-            run_cell(machine, WorkloadKind::Sps, scale, seed)
-        }));
-    }
-    let modes = [SpMode::Batched, SpMode::Strict];
-    for mode in modes {
-        let cfg = machine.clone().with_scheme(SchemeKind::Sp);
-        jobs.push(Job::new(format!("sp-fencing {mode:?}/sps"), move || {
-            let mut traces = Vec::new();
-            let mut initial = Vec::new();
-            for core in 0..cfg.cores {
-                let mut p = params;
-                p.seed = params.seed.wrapping_add(core as u64 * 0x9E37_79B9);
-                let w = build(WorkloadKind::Sps, &p);
-                let strided = pmacc::stride_trace(&w.trace, core);
-                traces.push(sp::instrument_with(core, &strided, mode));
-                initial.extend(
-                    w.initial
-                        .iter()
-                        .map(|&(a, v)| (pmacc::stride_word(a, core), v)),
-                );
+    // Keys are (scheme, strict fencing): the Optimal baseline and the
+    // default (batched) SP row are plain grid cells; the strict row
+    // instruments the same raw per-core traces with the Figure 2(b)
+    // fence placement.
+    let keys = [
+        (SchemeKind::Optimal, false),
+        (SchemeKind::Sp, false),
+        (SchemeKind::Sp, true),
+    ];
+    let reports = sweep(
+        keys,
+        seed,
+        opts,
+        |&(scheme, strict)| {
+            let mode = if strict { " strict" } else { "" };
+            format!("sp-fencing {scheme}{mode}/sps")
+        },
+        move |&(scheme, strict)| {
+            let machine = scale.machine().with_scheme(scheme);
+            if !strict {
+                return run_cell(machine, WorkloadKind::Sps, scale, seed);
             }
-            System::new_instrumented(cfg, traces, &initial, &RunConfig::default())?.run()
-        }));
-    }
-    let reports = pool::run_jobs(jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message))
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-    let opt = &reports[0];
-    for (mode, r) in modes.iter().zip(&reports[1..]) {
+            let kinds = vec![WorkloadKind::Sps; machine.cores];
+            let (raw, initial) = pmacc::strided_workloads(&kinds, &scale.params(seed))?;
+            let traces = raw
+                .iter()
+                .enumerate()
+                .map(|(core, trace)| sp::instrument_with(core, trace, SpMode::Strict))
+                .collect();
+            System::new_instrumented(machine, traces, &initial, &RunConfig::default())?.run()
+        },
+    )?;
+    let opt = &reports[&(SchemeKind::Optimal, false)];
+    for (label, strict) in [("batched (Fig. 3a, default)", false), ("strict (Fig. 2b)", true)] {
+        let r = &reports[&(SchemeKind::Sp, strict)];
         t.push_row(vec![
-            match mode {
-                SpMode::Batched => "batched (Fig. 3a, default)",
-                SpMode::Strict => "strict (Fig. 2b)",
-            }
-            .into(),
+            label.into(),
             norm(r.ipc() / opt.ipc()),
             norm(r.throughput() / opt.throughput()),
             norm(r.nvm_write_traffic() as f64 / opt.nvm_write_traffic() as f64),

@@ -3,9 +3,9 @@
 //!
 //! Every cell is one independent [`System`] run — a (workload, scheme)
 //! pair at a [`Scale`] and seed — so the grid fans out over the
-//! [`crate::pool`] worker pool: [`run_grid`] resolves the worker count
-//! from the environment (`PMACC_JOBS`, else all available cores) and
-//! [`run_grid_opts`] takes it explicitly. Results are keyed and ordered
+//! [`crate::pool`] worker pool through [`sweep`], the keyed fan-out
+//! every experiment (grid, ablations, extensions) shares; the worker
+//! count comes from [`Options`]. Results are keyed and ordered
 //! deterministically regardless of which worker finished first, so the
 //! same seed produces the same [`GridResults`] (and the same rendered
 //! `results.md`) at any job count.
@@ -28,6 +28,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use pmacc::{RunConfig, RunReport, System};
 
@@ -142,115 +143,95 @@ impl GridResults {
     }
 }
 
-/// Runs the full scheme × workload grid, with the worker count resolved
-/// from the environment (`PMACC_JOBS`, else available parallelism).
+/// Runs one [`crate::pool`] job per key and collects the results by key —
+/// the one fan-out every experiment goes through.
+///
+/// `label` names each cell in progress lines and panic reports; `cell`
+/// computes one key's result. The map is keyed, not positional, and the
+/// pool returns jobs in submission order, so the result is identical at
+/// any `opts.jobs` — the determinism regression test compares `jobs = 1`
+/// against `jobs = 4` bit for bit.
+///
+/// ```
+/// use pmacc_bench::grid::sweep;
+/// use pmacc_bench::pool::Options;
+///
+/// let squares = sweep([3u64, 1, 2], 0, &Options { jobs: 2, progress: false },
+///     |k| format!("square {k}"), |&k| Ok::<u64, String>(k * k))?;
+/// assert_eq!(squares.into_iter().collect::<Vec<_>>(), [(1, 1), (2, 4), (3, 9)]);
+/// # Ok::<(), String>(())
+/// ```
 ///
 /// # Errors
 ///
-/// Returns the first simulation error encountered (in cell submission
-/// order, which is deterministic).
-pub fn run_grid(scale: Scale, seed: u64, progress: bool) -> Result<GridResults, SimError> {
-    run_grid_with(scale, seed, progress, &RunConfig::default())
-}
-
-/// Runs the grid under explicit run options (e.g. a measurement warm-up).
-///
-/// # Errors
-///
-/// Returns the first simulation error encountered.
-pub fn run_grid_with(
-    scale: Scale,
-    seed: u64,
-    progress: bool,
-    run_cfg: &RunConfig,
-) -> Result<GridResults, SimError> {
-    let opts = Options {
-        progress,
-        ..Options::default()
-    };
-    run_grid_opts(scale, seed, run_cfg, &opts)
-}
-
-/// Runs the grid with an explicit worker count: every (workload, scheme)
-/// cell becomes one job on the [`crate::pool`] worker pool.
-///
-/// The result map is keyed, not positional, and the pool returns jobs in
-/// submission order, so `GridResults` is identical at any `opts.jobs` —
-/// the determinism regression test compares `jobs = 1` against
-/// `jobs = 4` bit for bit.
-///
-/// # Errors
-///
-/// Returns the first simulation error encountered, in cell submission
-/// order.
+/// Returns the error of the first failing cell in *key* order (not
+/// completion order, which would be racy).
 ///
 /// # Panics
 ///
-/// If a cell panics, the whole grid fails with a panic naming the
-/// offending `workload/scheme` cell and the seed, so it can be replayed
-/// serially (`--jobs 1`) or alone (`simulate --workload W --scheme S`).
+/// If a cell panics, the whole sweep fails with a panic naming the
+/// offending cell's label and `seed`, so it can be replayed serially
+/// (`--jobs 1`) or alone (`simulate --workload W --scheme S`).
+pub fn sweep<K, T, E, F>(
+    keys: impl IntoIterator<Item = K>,
+    seed: u64,
+    opts: &Options,
+    label: impl Fn(&K) -> String,
+    cell: F,
+) -> Result<BTreeMap<K, T>, E>
+where
+    K: Ord + Clone + Send + 'static,
+    T: Send + 'static,
+    E: Send + 'static,
+    F: Fn(&K) -> Result<T, E> + Send + Sync + 'static,
+{
+    let keys: Vec<K> = keys.into_iter().collect();
+    let cell = Arc::new(cell);
+    let jobs = keys
+        .iter()
+        .map(|key| {
+            let (key, cell) = (key.clone(), Arc::clone(&cell));
+            Job::new(label(&key), move || cell(&key))
+        })
+        .collect();
+    let results = pool::run_jobs(jobs, opts.jobs, opts.progress)
+        .unwrap_or_else(|p| panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message));
+    let by_key: BTreeMap<K, Result<T, E>> = keys.into_iter().zip(results).collect();
+    by_key.into_iter().map(|(key, r)| Ok((key, r?))).collect()
+}
+
+/// Runs the full scheme × workload grid: every (workload, scheme) cell
+/// is one [`sweep`] job, under `run_cfg` (e.g. a measurement warm-up).
+///
+/// # Errors
+///
+/// Returns the first simulation error, in cell key order.
+///
+/// # Panics
+///
+/// As [`sweep`]: a panicking cell fails the grid with the offending
+/// `workload/scheme` cell and the seed named.
 pub fn run_grid_opts(
     scale: Scale,
     seed: u64,
     run_cfg: &RunConfig,
     opts: &Options,
 ) -> Result<GridResults, SimError> {
-    let mut keys = Vec::new();
-    for kind in WorkloadKind::all() {
-        for scheme in SchemeKind::all() {
-            keys.push((kind, scheme));
-        }
-    }
-    let jobs: Vec<Job<Result<RunReport, SimError>>> = keys
-        .iter()
-        .map(|&(kind, scheme)| {
+    let keys = WorkloadKind::all()
+        .into_iter()
+        .flat_map(|kind| SchemeKind::all().map(|scheme| (kind, scheme)));
+    let run_cfg = *run_cfg;
+    let results = sweep(
+        keys,
+        seed,
+        opts,
+        |(kind, scheme)| format!("{kind}/{scheme}"),
+        move |&(kind, scheme)| {
             let machine = scale.machine().with_scheme(scheme);
-            let run_cfg = *run_cfg;
-            Job::new(format!("{kind}/{scheme}"), move || {
-                run_cell_with(machine, kind, scale, seed, &run_cfg)
-            })
-        })
-        .collect();
-    let reports = pool::run_jobs(jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("grid cell {} (seed {seed}) panicked: {}", p.label, p.message));
-    let mut results = BTreeMap::new();
-    for (key, report) in keys.into_iter().zip(reports) {
-        results.insert(key, report?);
-    }
+            System::for_workload(machine, kind, &scale.params(seed), &run_cfg)?.run()
+        },
+    )?;
     Ok(GridResults { results, scale })
-}
-
-/// Runs an arbitrary list of labelled cells — the ablation sweeps' shape
-/// — on the worker pool, returning reports in submission order.
-///
-/// # Errors
-///
-/// Returns the first simulation error encountered, in submission order.
-///
-/// # Panics
-///
-/// As [`run_grid_opts`]: a panicking cell fails the batch with the cell
-/// label and seed named.
-pub fn run_cells(
-    cells: Vec<(String, MachineConfig, WorkloadKind)>,
-    scale: Scale,
-    seed: u64,
-    run_cfg: &RunConfig,
-    opts: &Options,
-) -> Result<Vec<RunReport>, SimError> {
-    let jobs: Vec<Job<Result<RunReport, SimError>>> = cells
-        .into_iter()
-        .map(|(label, machine, kind)| {
-            let run_cfg = *run_cfg;
-            Job::new(label, move || {
-                run_cell_with(machine, kind, scale, seed, &run_cfg)
-            })
-        })
-        .collect();
-    pool::run_jobs(jobs, opts.jobs, opts.progress)
-        .unwrap_or_else(|p| panic!("cell {} (seed {seed}) panicked: {}", p.label, p.message))
-        .into_iter()
-        .collect()
 }
 
 /// Runs one cell of the grid (or an ablation variant of it).
@@ -264,24 +245,7 @@ pub fn run_cell(
     scale: Scale,
     seed: u64,
 ) -> Result<RunReport, SimError> {
-    run_cell_with(machine, kind, scale, seed, &RunConfig::default())
-}
-
-/// Runs one cell under explicit run options.
-///
-/// # Errors
-///
-/// Returns the simulation error, if any.
-pub fn run_cell_with(
-    machine: MachineConfig,
-    kind: WorkloadKind,
-    scale: Scale,
-    seed: u64,
-    run_cfg: &RunConfig,
-) -> Result<RunReport, SimError> {
-    let params = scale.params(seed);
-    let mut sys = System::for_workload(machine, kind, &params, run_cfg)?;
-    sys.run()
+    System::for_workload(machine, kind, &scale.params(seed), &RunConfig::default())?.run()
 }
 
 #[cfg(test)]

@@ -35,5 +35,5 @@ pub mod table;
 
 pub use crashgrid::{run_campaign, CampaignConfig, CampaignReport, CRASHGRID_SCHEMA};
 pub use serve::{run_serve, ServeCampaignConfig, ServeReport, SERVE_SCHEMA};
-pub use grid::{run_grid, GridResults, Scale};
+pub use grid::{GridResults, Scale};
 pub use table::FigTable;

@@ -49,5 +49,5 @@ mod txcache;
 
 pub use metrics::RunReport;
 pub use service::{ServeConfig, ServeCoreStats, SERVE_RETRY};
-pub use system::{stride_trace, stride_word, BoundaryClass, EngineStats, RunConfig, System};
+pub use system::{strided_workloads, BoundaryClass, EngineStats, RunConfig, System};
 pub use txcache::{EntryState, TcEntry, TcFullError, TcStats, TxCache};

@@ -450,7 +450,7 @@ impl System {
 
     /// Like [`System::new`] but the traces are taken as already
     /// instrumented (used by the SP-fencing ablation, which wants the
-    /// [`crate::scheme::sp::SpMode::Batched`] variant).
+    /// [`crate::scheme::sp::SpMode::Strict`] variant).
     ///
     /// # Errors
     ///
@@ -563,26 +563,8 @@ impl System {
         params: &WorkloadParams,
         run_cfg: &RunConfig,
     ) -> Result<Self, SimError> {
-        if cfg.cores > MAX_STRIDED_CORES {
-            return Err(ConfigError::new(format!(
-                "workload striding supports at most {MAX_STRIDED_CORES} cores"
-            ))
-            .into());
-        }
-        let mut traces = Vec::with_capacity(cfg.cores);
-        let mut initial = Vec::new();
-        for core in 0..cfg.cores {
-            let mut p = *params;
-            p.seed = stream_seed(params.seed, core as u64);
-            let w = build_shared(kind, &p);
-            traces.push(stride_trace(&w.trace, core));
-            initial.extend(
-                w.initial
-                    .iter()
-                    .map(|&(a, v)| (stride_word(a, core), v)),
-            );
-        }
-        System::new(cfg, traces, &initial, run_cfg)
+        let kinds = vec![kind; cfg.cores];
+        System::for_workload_mix(cfg, &kinds, params, run_cfg)
     }
 
     /// Builds a system where each core runs a *different* benchmark — a
@@ -608,21 +590,7 @@ impl System {
             ))
             .into());
         }
-        if cfg.cores > MAX_STRIDED_CORES {
-            return Err(ConfigError::new(format!(
-                "workload striding supports at most {MAX_STRIDED_CORES} cores"
-            ))
-            .into());
-        }
-        let mut traces = Vec::with_capacity(cfg.cores);
-        let mut initial = Vec::new();
-        for (core, kind) in kinds.iter().enumerate() {
-            let mut p = *params;
-            p.seed = stream_seed(params.seed, core as u64);
-            let w = build_shared(*kind, &p);
-            traces.push(stride_trace(&w.trace, core));
-            initial.extend(w.initial.iter().map(|&(a, v)| (stride_word(a, core), v)));
-        }
+        let (traces, initial) = strided_workloads(kinds, params)?;
         System::new(cfg, traces, &initial, run_cfg)
     }
 
@@ -2332,12 +2300,48 @@ fn tx_writes_of(trace: &Trace) -> Vec<Vec<(WordAddr, Word)>> {
     out
 }
 
+/// A memory image as (word, value) pairs.
+type InitialImage = Vec<(WordAddr, Word)>;
+
+/// The raw (uninstrumented) per-core traces and the initial memory image
+/// of a multiprogrammed run: core `c` runs an instance of `kinds[c]`
+/// built from its own seed stream and shifted into its private heap
+/// slice. This is the one place per-core seeds are derived; the
+/// [`System::for_workload`] constructors run its output, and harnesses
+/// that pre-instrument traces (e.g. the SP-fencing ablation) start from
+/// it.
+///
+/// # Errors
+///
+/// Returns a configuration error for more kinds than the striding scheme
+/// supports ([`pmacc_types::layout::MAX_STRIDED_CORES`]).
+pub fn strided_workloads(
+    kinds: &[WorkloadKind],
+    params: &WorkloadParams,
+) -> Result<(Vec<Trace>, InitialImage), SimError> {
+    if kinds.len() > MAX_STRIDED_CORES {
+        return Err(ConfigError::new(format!(
+            "workload striding supports at most {MAX_STRIDED_CORES} cores"
+        ))
+        .into());
+    }
+    let mut traces = Vec::with_capacity(kinds.len());
+    let mut initial = Vec::new();
+    for (core, kind) in kinds.iter().enumerate() {
+        let mut p = *params;
+        p.seed = stream_seed(params.seed, core as u64);
+        let w = build_shared(*kind, &p);
+        traces.push(stride_trace(&w.trace, core));
+        initial.extend(w.initial.iter().map(|&(a, v)| (stride_word(a, core), v)));
+    }
+    Ok((traces, initial))
+}
+
 /// Shifts a trace's heap addresses into `core`'s private 1 GiB slice —
-/// the transformation [`System::for_workload`] applies so per-core
-/// workload instances stay disjoint. Public for harnesses that need to
-/// pre-instrument traces (e.g. the SP-fencing ablation).
+/// the transformation [`strided_workloads`] applies so per-core
+/// workload instances stay disjoint.
 #[must_use]
-pub fn stride_trace(trace: &Trace, core: usize) -> Trace {
+fn stride_trace(trace: &Trace, core: usize) -> Trace {
     trace
         .ops()
         .iter()
@@ -2383,7 +2387,7 @@ fn stride_addr(addr: Addr, core: usize) -> Addr {
 
 /// Word-address counterpart of [`stride_trace`], for initial images.
 #[must_use]
-pub fn stride_word(w: WordAddr, core: usize) -> WordAddr {
+fn stride_word(w: WordAddr, core: usize) -> WordAddr {
     stride_addr(w.to_addr(), core).word()
 }
 

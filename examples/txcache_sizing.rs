@@ -5,8 +5,9 @@
 //! Sweeps the per-core TC capacity on the write-heavy `sps` benchmark and
 //! reports where stalls and copy-on-write overflows disappear. Every
 //! sweep point is an independent simulation, so the sweep fans out over
-//! the `pmacc_bench::pool` worker pool (`PMACC_JOBS` bounds the worker
-//! count); results print in size order regardless of completion order.
+//! the `pmacc_bench::pool` worker pool through `pmacc_bench::grid::sweep`
+//! (`PMACC_JOBS` bounds the worker count); results are keyed by size, so
+//! they print in size order regardless of completion order.
 //!
 //! ```text
 //! cargo run --release -p pmacc-bench --example txcache_sizing
@@ -14,10 +15,11 @@
 
 use std::error::Error;
 
-use pmacc::{RunConfig, RunReport, System};
-use pmacc_bench::pool::{run_jobs, Job};
+use pmacc::{RunConfig, System};
+use pmacc_bench::grid::sweep;
+use pmacc_bench::pool::Options;
 use pmacc_cpu::StallKind;
-use pmacc_types::{MachineConfig, SchemeKind, SimError};
+use pmacc_types::{MachineConfig, SchemeKind};
 use pmacc_workloads::{WorkloadKind, WorkloadParams};
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -25,26 +27,23 @@ fn main() -> Result<(), Box<dyn Error>> {
     params.num_ops = 2_000;
 
     let sizes = [256u64, 512, 1024, 2048, 4096, 8192];
-    let jobs: Vec<Job<Result<RunReport, SimError>>> = sizes
-        .iter()
-        .map(|&size| {
-            Job::new(format!("tc {size} B/sps"), move || {
-                let mut machine =
-                    MachineConfig::dac17_scaled().with_scheme(SchemeKind::TxCache);
-                machine.txcache.size_bytes = size;
-                System::for_workload(machine, WorkloadKind::Sps, &params, &RunConfig::default())?
-                    .run()
-            })
-        })
-        .collect();
-    let reports = run_jobs(jobs, pmacc_bench::pool::default_jobs(), false)?;
+    let reports = sweep(
+        sizes,
+        params.seed,
+        &Options::default(),
+        |size| format!("tc {size} B/sps"),
+        move |&size| {
+            let mut machine = MachineConfig::dac17_scaled().with_scheme(SchemeKind::TxCache);
+            machine.txcache.size_bytes = size;
+            System::for_workload(machine, WorkloadKind::Sps, &params, &RunConfig::default())?.run()
+        },
+    )?;
 
     println!(
         "{:>8} | {:>9} | {:>11} | {:>9} | {:>12}",
         "TC size", "IPC", "full stalls", "overflows", "drain writes"
     );
-    for (size, r) in sizes.iter().zip(reports) {
-        let r = r?;
+    for (size, r) in &reports {
         println!(
             "{:>6} B | {:>9.4} | {:>10.4}% | {:>9} | {:>12}",
             size,

@@ -3,12 +3,17 @@
 //! count, and a panicking cell must fail the whole batch with the
 //! offending cell named rather than tearing down a worker thread.
 //!
-//! This is the regression gate for `pmacc_bench::pool` — every
-//! (workload, scheme) cell owns its entire simulated machine, so the
-//! only way parallelism can change results is a shared-state bug.
+//! This is the regression gate for `pmacc_bench::pool` and the keyed
+//! `pmacc_bench::grid::sweep` over it — every (workload, scheme) cell
+//! owns its entire simulated machine, so the only way parallelism can
+//! change results is a shared-state bug.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use pmacc::RunConfig;
-use pmacc_bench::grid::{run_grid_opts, Scale};
+use pmacc_bench::grid::{run_grid_opts, sweep, Scale};
 use pmacc_bench::pool::{run_jobs, Job, Options};
 use pmacc_bench::report;
 use pmacc_types::SimError;
@@ -73,6 +78,26 @@ fn pool_preserves_submission_order_with_unequal_job_durations() {
         .collect();
     let out = run_jobs(jobs, 4, false).expect("no panics");
     assert_eq!(out, (0..8).collect::<Vec<_>>());
+
+    // The same shape through `sweep`: keyed results are identical at
+    // jobs 1 and jobs 4.
+    let keyed = |jobs| {
+        sweep(
+            (0..8u64).rev(),
+            42,
+            &Options { jobs, progress: false },
+            |i| format!("sleepy {i}"),
+            |&i| {
+                std::thread::sleep(Duration::from_millis((8 - i) * 15));
+                Ok::<u64, SimError>(i * i)
+            },
+        )
+        .expect("no errors")
+    };
+    let serial = keyed(1);
+    assert_eq!(serial, keyed(4));
+    let expect: Vec<(u64, u64)> = (0..8).map(|i| (i, i * i)).collect();
+    assert_eq!(serial.into_iter().collect::<Vec<_>>(), expect);
 }
 
 #[test]
@@ -91,6 +116,25 @@ fn pool_panic_names_the_offending_cell() {
         "panic payload lost: {}",
         err.message
     );
+
+    // Through `sweep`, the panic is re-raised naming the label and seed.
+    let payload = catch_unwind(AssertUnwindSafe(|| {
+        sweep(
+            ["rbtree/tc", "sps/nvllc", "btree/sp"],
+            42,
+            &Options { jobs: 4, progress: false },
+            |k| (*k).to_string(),
+            |&k| {
+                assert!(k != "sps/nvllc", "deadlock at cycle 1234");
+                Ok::<u64, SimError>(1)
+            },
+        )
+    }))
+    .expect_err("the panic must surface");
+    let message = payload.downcast_ref::<String>().expect("string payload");
+    assert!(message.contains("sps/nvllc"), "label lost: {message}");
+    assert!(message.contains("seed 42"), "seed lost: {message}");
+    assert!(message.contains("deadlock at cycle 1234"), "payload lost: {message}");
 }
 
 #[test]
@@ -106,4 +150,33 @@ fn pool_panic_does_not_lose_the_batch_silently() {
         })
         .collect();
     assert!(run_jobs(jobs, 2, false).is_err());
+
+    // A failing `sweep` returns the first error in *key* order, even
+    // when a later key fails first in wall-clock time: cell 1 fails only
+    // after cell 6 has failed.
+    let six_failed = Arc::new((Mutex::new(false), Condvar::new()));
+    let err = sweep(
+        0..8u64,
+        42,
+        &Options { jobs: 4, progress: false },
+        |i| format!("cell {i}"),
+        move |&i| {
+            let (failed, cv) = &*six_failed;
+            match i {
+                1 => {
+                    let guard = failed.lock().expect("flag lock");
+                    drop(cv.wait_while(guard, |f| !*f).expect("flag lock"));
+                    Err(format!("cell {i} failed late"))
+                }
+                6 => {
+                    *failed.lock().expect("flag lock") = true;
+                    cv.notify_all();
+                    Err(format!("cell {i} failed early"))
+                }
+                _ => Ok(i),
+            }
+        },
+    )
+    .expect_err("a failing cell must surface");
+    assert_eq!(err, "cell 1 failed late");
 }

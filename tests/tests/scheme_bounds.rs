@@ -6,25 +6,32 @@
 //! flushes, no drain stalls, no overflows — the counters that exist
 //! only because real persistence hardware is finite).
 
+use std::sync::OnceLock;
+
 use pmacc::RunConfig;
-use pmacc_bench::grid::{run_grid_opts, Scale};
+use pmacc_bench::figures;
+use pmacc_bench::grid::{run_grid_opts, GridResults, Scale};
 use pmacc_bench::pool::Options;
 use pmacc_cpu::StallKind;
 use pmacc_types::SchemeKind;
 use pmacc_workloads::WorkloadKind;
 
+const OPTS: Options = Options {
+    jobs: 4,
+    progress: false,
+};
+
+/// The seed-42 quick grid, built once and shared by every test here.
+fn quick_grid() -> &'static GridResults {
+    static GRID: OnceLock<GridResults> = OnceLock::new();
+    GRID.get_or_init(|| {
+        run_grid_opts(Scale::Quick, 42, &RunConfig::default(), &OPTS).expect("quick grid runs")
+    })
+}
+
 #[test]
 fn eadr_is_an_upper_bound_on_tc_across_the_quick_grid() {
-    let grid = run_grid_opts(
-        Scale::Quick,
-        42,
-        &RunConfig::default(),
-        &Options {
-            jobs: 4,
-            progress: false,
-        },
-    )
-    .expect("quick grid runs");
+    let grid = quick_grid();
 
     for kind in WorkloadKind::all() {
         let eadr = grid.get(kind, SchemeKind::Eadr);
@@ -92,4 +99,26 @@ fn eadr_is_an_upper_bound_on_tc_across_the_quick_grid() {
             );
         }
     }
+}
+
+/// Ablation E's batched row is the default SP configuration, so it must
+/// be exactly the grid's SP/sps cell: per-core workload seeds are derived
+/// in one place, whichever experiment builds the cell.
+#[test]
+fn sp_fencing_batched_row_is_the_grid_sp_cell() {
+    let grid = quick_grid();
+    let ablation = figures::ablation_sp_fencing(Scale::Quick, 42, &OPTS).expect("ablation runs");
+    let batched = ablation
+        .rows
+        .iter()
+        .find(|r| r[0].starts_with("batched"))
+        .expect("batched row");
+    let sp_sps = |fig: pmacc_bench::FigTable| {
+        let sp = fig.columns.iter().position(|c| c == "SP").expect("SP column");
+        let row = fig.rows.iter().find(|r| r[0] == "sps").expect("sps row");
+        row[sp].clone()
+    };
+    assert_eq!(batched[1], sp_sps(figures::fig6(grid)), "normalized IPC");
+    assert_eq!(batched[2], sp_sps(figures::fig7(grid)), "normalized throughput");
+    assert_eq!(batched[3], sp_sps(figures::fig9(grid)), "normalized NVM writes");
 }
