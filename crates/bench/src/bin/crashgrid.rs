@@ -174,10 +174,12 @@ fn main() -> ExitCode {
                 }
             }
             "--help" | "-h" => {
+                let mutations: Vec<&str> = Mutation::NAMES.iter().map(|&(_, n)| n).collect();
                 eprintln!(
                     "usage: crashgrid [--quick] [--seed N] [--jobs N] [--json FILE] \
                      [--schemes a,b] [--workloads a,b] [--cores 1,2] \
-                     [--mutate none|drop-committed-tc|skip-cow-replay] [--verify FILE]"
+                     [--mutate {}] [--verify FILE]",
+                    mutations.join("|")
                 );
                 return ExitCode::SUCCESS;
             }

@@ -34,17 +34,17 @@
 //! `pmacc-telemetry` under the [`CRASHGRID_SCHEMA`] tag; wall-clock time
 //! deliberately goes to stderr, never into the JSON.
 //!
-//! The [`Mutation`] knob deliberately breaks recovery (drop a committed
-//! transaction-cache entry, skip the COW redo) to prove the oracle and
-//! the minimizer have teeth — the campaign must catch and shrink the
-//! injected bug. CI runs the unmutated quick campaign via the
+//! The [`Mutation`] knob deliberately breaks recovery (each
+//! [`Mutation::NAMES`] entry damages one scheme's durable state) to prove
+//! the oracle and the minimizer have teeth — the campaign must catch and
+//! shrink the injected bug. CI runs the unmutated quick campaign via the
 //! `crashgrid` binary and gates on zero violations.
 
 use core::fmt;
 use std::collections::BTreeMap;
 use std::str::FromStr;
 
-use pmacc::recovery::{check_recovery, recover, CrashState};
+use pmacc::recovery::{check_recovery, recover, CrashState, DurableState};
 use pmacc::{BoundaryClass, RunConfig, System};
 use pmacc_telemetry::{Json, ToJson};
 use pmacc_types::rng::{stream_seed, Rng};
@@ -85,12 +85,22 @@ pub enum Mutation {
 }
 
 impl Mutation {
-    /// Applies the defect to a crash snapshot.
+    /// Every mutation with its command-line name, in declaration order —
+    /// the one table [`fmt::Display`], [`FromStr`] and the
+    /// `crashgrid --help` list read.
+    pub const NAMES: [(Mutation, &'static str); 4] = [
+        (Mutation::None, "none"),
+        (Mutation::DropCommittedTc, "drop-committed-tc"),
+        (Mutation::SkipCowReplay, "skip-cow-replay"),
+        (Mutation::KeepUncommittedEadr, "keep-uncommitted-eadr"),
+    ];
+
+    /// Applies the defect to a crash snapshot (a no-op on a scheme whose
+    /// durable state the defect does not touch).
     pub fn apply(self, state: &mut CrashState) {
-        match self {
-            Mutation::None => {}
-            Mutation::DropCommittedTc => {
-                for entries in &mut state.txcaches {
+        match (self, &mut state.durable) {
+            (Mutation::DropCommittedTc, DurableState::TxCache { txcaches, .. }) => {
+                for entries in txcaches {
                     if let Some(i) = entries
                         .iter()
                         .rposition(|e| e.state == pmacc::EntryState::Committed)
@@ -99,30 +109,24 @@ impl Mutation {
                     }
                 }
             }
-            Mutation::SkipCowReplay => {
-                for shadows in &mut state.cow {
-                    for s in shadows {
-                        s.committed = false;
-                    }
+            (Mutation::SkipCowReplay, DurableState::TxCache { cow, .. }) => {
+                for s in cow.iter_mut().flatten() {
+                    s.committed = false;
                 }
             }
-            Mutation::KeepUncommittedEadr => {
-                for undo in &mut state.eadr_undo {
-                    undo.clear();
+            (Mutation::KeepUncommittedEadr, DurableState::Eadr { undo }) => {
+                for log in undo {
+                    log.clear();
                 }
             }
+            _ => {}
         }
     }
 }
 
 impl fmt::Display for Mutation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Mutation::None => "none",
-            Mutation::DropCommittedTc => "drop-committed-tc",
-            Mutation::SkipCowReplay => "skip-cow-replay",
-            Mutation::KeepUncommittedEadr => "keep-uncommitted-eadr",
-        })
+        f.write_str(Mutation::NAMES[*self as usize].1)
     }
 }
 
@@ -130,13 +134,11 @@ impl FromStr for Mutation {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "none" => Ok(Mutation::None),
-            "drop-committed-tc" => Ok(Mutation::DropCommittedTc),
-            "skip-cow-replay" => Ok(Mutation::SkipCowReplay),
-            "keep-uncommitted-eadr" => Ok(Mutation::KeepUncommittedEadr),
-            other => Err(format!("unknown mutation `{other}`")),
-        }
+        Mutation::NAMES
+            .iter()
+            .find(|(_, name)| *name == s)
+            .map(|&(m, _)| m)
+            .ok_or_else(|| format!("unknown mutation `{s}`"))
     }
 }
 
@@ -258,7 +260,7 @@ impl CellSpec {
 pub struct CampaignConfig {
     /// Base seed; each cell derives its own jitter stream from it.
     pub seed: u64,
-    /// Schemes swept (all four by default — `Optimal` as a control).
+    /// Schemes swept (all five by default — `Optimal` as a control).
     pub schemes: Vec<SchemeKind>,
     /// Workloads swept.
     pub workloads: Vec<WorkloadKind>,
@@ -1177,13 +1179,9 @@ mod tests {
 
     #[test]
     fn mutation_parses_and_displays() {
-        for m in [
-            Mutation::None,
-            Mutation::DropCommittedTc,
-            Mutation::SkipCowReplay,
-            Mutation::KeepUncommittedEadr,
-        ] {
-            assert_eq!(m.to_string().parse::<Mutation>().unwrap(), m);
+        for (m, name) in Mutation::NAMES {
+            assert_eq!(m.to_string(), name);
+            assert_eq!(name.parse::<Mutation>().unwrap(), m);
         }
         assert!("bogus".parse::<Mutation>().is_err());
     }

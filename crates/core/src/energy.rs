@@ -6,8 +6,6 @@
 //! module prices a [`RunReport`]'s event counts with per-access energy
 //! constants from the STT-RAM/DRAM literature the paper builds on.
 
-use pmacc_types::WriteCause;
-
 use crate::metrics::RunReport;
 
 /// Per-access energy constants in picojoules (64-byte transfer for the
@@ -128,7 +126,6 @@ pub fn energy_of(report: &RunReport, params: &EnergyParams) -> EnergyReport {
     // Residual owed write-backs are priced like the writes they become;
     // TC drains and COW traffic are already in the completed counts.
     let nvm_writes = report.nvm_write_traffic();
-    let _ = WriteCause::all(); // breakdown available via RunReport::nvm_writes_by
 
     EnergyReport {
         caches_nj: (l1 as f64 * params.l1_pj

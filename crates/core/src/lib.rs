@@ -11,8 +11,9 @@
 //! The crate contains:
 //!
 //! * [`TxCache`] — the CAM-FIFO transaction cache of §4.1;
-//! * [`scheme`] — the four persistence schemes of §5 (`Optimal`, `SP`,
-//!   `TC`, `NVLLC`) as trace instrumentation plus runtime behaviour;
+//! * [`scheme`] — the five persistence schemes (the four of §5,
+//!   `Optimal`, `SP`, `TC` and `NVLLC`, plus the `eADR` upper bound) as
+//!   trace instrumentation plus runtime behaviour;
 //! * [`System`] — the full-system simulator (cores, hierarchy, transaction
 //!   caches, NVM/DRAM controllers) that produces the paper's figures;
 //! * [`recovery`] — crash injection, per-scheme recovery procedures and a
@@ -48,6 +49,6 @@ mod system;
 mod txcache;
 
 pub use metrics::RunReport;
-pub use service::{ServeConfig, ServeCoreStats, SERVE_RETRY};
+pub use service::{ServeConfig, ServeCoreStats};
 pub use system::{strided_workloads, BoundaryClass, EngineStats, RunConfig, System};
 pub use txcache::{EntryState, TcEntry, TcFullError, TcStats, TxCache};

@@ -4,14 +4,15 @@
 //! the STT-RAM transaction caches (data *and* state bits, Table 1), the
 //! NVLLC's committed lines, the durable COW areas and — under eADR —
 //! the flush-on-failure drain of every dirty cache line plus the per-core
-//! undo logs. Each scheme's
-//! recovery procedure rebuilds a consistent NVM image from those, and
+//! undo logs. Everything beside the NVM image is one [`DurableState`]
+//! variant, so a crash image holds only its own scheme's state. Each
+//! scheme's recovery procedure rebuilds a consistent NVM image from those, and
 //! [`check_recovery`] verifies the result equals replaying exactly the
 //! transactions that committed before the crash — all-or-nothing, in
 //! program order.
 
 use core::fmt;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use pmacc_mem::{Backing, WearSnapshot};
 use pmacc_types::{layout, Cycle, FxHashMap, SchemeKind, TxId, Word, WordAddr};
@@ -46,13 +47,43 @@ pub struct CowTxShadow {
     pub commit_seq: u64,
 }
 
+/// What the running scheme keeps durable beside the NVM image — one
+/// variant per scheme, so a crash image can only hold the state its own
+/// scheme persists (an eADR undo log inside a TC image is unrepresentable).
+#[derive(Debug, Clone)]
+pub enum DurableState {
+    /// No persistence support: the NVM image is all there is.
+    Optimal,
+    /// Software logging: the write-ahead logs live in the NVM image
+    /// itself, so nothing else survives.
+    Sp,
+    /// The transaction cache.
+    TxCache {
+        /// Per-core transaction-cache contents (STT-RAM), FIFO order.
+        txcaches: Vec<Vec<TcEntry>>,
+        /// Per-core COW-area shadows of overflowed transactions.
+        cow: Vec<Vec<CowTxShadow>>,
+    },
+    /// The nonvolatile LLC.
+    NvLlc {
+        /// Committed-line image (word granularity).
+        committed: FxHashMap<WordAddr, Word>,
+    },
+    /// Flush-on-failure caches.
+    Eadr {
+        /// Per-core undo log: the first-write pre-image of every heap
+        /// word the in-flight transaction has overwritten. Durable with
+        /// the drained caches: uncommitted stores *do* persist under
+        /// eADR, so rollback needs these pre-images.
+        undo: Vec<BTreeMap<WordAddr, Word>>,
+    },
+}
+
 /// Everything that survives a power failure, plus the checking oracle.
 #[derive(Debug, Clone)]
 pub struct CrashState {
     /// Crash cycle.
     pub cycle: Cycle,
-    /// Scheme that was running.
-    pub scheme: SchemeKind,
     /// Core count.
     pub cores: usize,
     /// Durable NVM image at the crash. With wear leveling off this is
@@ -68,12 +99,8 @@ pub struct CrashState {
     pub wear: Option<WearSnapshot>,
     /// NVM image at simulation start (for the checker's replay).
     pub initial_nvm: Backing,
-    /// Per-core transaction-cache contents (STT-RAM), FIFO order.
-    pub txcaches: Vec<Vec<TcEntry>>,
-    /// NVLLC committed-line image (word granularity).
-    pub nv_llc_committed: FxHashMap<WordAddr, Word>,
-    /// Per-core COW-area shadows.
-    pub cow: Vec<Vec<CowTxShadow>>,
+    /// The running scheme's durable state beside the NVM image.
+    pub durable: DurableState,
     /// Golden journal of committed transactions (oracle).
     pub journal: Vec<TxRecord>,
     /// Per-core transaction in flight at the crash (oracle): its identity
@@ -82,16 +109,21 @@ pub struct CrashState {
     /// became durable but `TX_END` had not retired — or not at all;
     /// recovering it partially is an atomicity violation.
     pub in_flight: Vec<Option<TxRecord>>,
-    /// Per-core eADR undo log: the first-write pre-image of every heap
-    /// word the core's in-flight transaction has overwritten, in address
-    /// order. Durable alongside the drained caches (the residual-energy
-    /// budget covers it), and empty for every other scheme — under eADR
-    /// uncommitted stores *do* persist, so rollback needs these
-    /// pre-images to restore the committed image.
-    pub eadr_undo: Vec<Vec<(WordAddr, Word)>>,
 }
 
 impl CrashState {
+    /// The scheme that was running.
+    #[must_use]
+    pub fn scheme(&self) -> SchemeKind {
+        match self.durable {
+            DurableState::Optimal => SchemeKind::Optimal,
+            DurableState::Sp => SchemeKind::Sp,
+            DurableState::TxCache { .. } => SchemeKind::TxCache,
+            DurableState::NvLlc { .. } => SchemeKind::NvLlc,
+            DurableState::Eadr { .. } => SchemeKind::Eadr,
+        }
+    }
+
     /// The durable NVM image in *logical* line space: reconstructs the
     /// remap from the wear snapshot's registers and inverts it, or
     /// returns the image as-is when leveling was off. This is the first
@@ -130,16 +162,24 @@ impl CrashState {
 #[must_use]
 pub fn recover(state: &CrashState) -> Backing {
     let mut nvm = state.logical_nvm();
-    match state.scheme {
-        SchemeKind::Optimal => {
-            // No persistence support: whatever reached the NVM is all
-            // there is.
-        }
-        SchemeKind::Sp => {
+    walk(state, &mut nvm);
+    nvm
+}
+
+/// The one recovery walk: applies the scheme's redo or rollback to `nvm`
+/// (the logical image) and counts the durable words it scanned and
+/// replayed. The machine-dependent scans are left to [`recovery_cost`].
+fn walk(state: &CrashState, nvm: &mut Backing) -> RecoveryCost {
+    let mut cost = RecoveryCost::default();
+    match &state.durable {
+        DurableState::Optimal => {}
+        DurableState::Sp => {
             // Parse each core's write-ahead log out of the NVM image and
             // redo the records of committed transactions, in log order.
+            // Every record and every (padded) commit marker is two words.
             for core in 0..state.cores {
                 let elems = sp::parse_log(core, &|w| nvm.read_word(w));
+                cost.words_scanned += 2 * elems.len() as u64;
                 let committed: Vec<u64> = elems
                     .iter()
                     .filter_map(|e| match e {
@@ -156,12 +196,13 @@ pub fn recover(state: &CrashState) -> Backing {
                     {
                         if committed.contains(serial) {
                             nvm.write_word(*addr, *value);
+                            cost.words_replayed += 1;
                         }
                     }
                 }
             }
         }
-        SchemeKind::TxCache => {
+        DurableState::TxCache { txcaches, cow } => {
             // Merge the durable sources of *all* cores — committed
             // transaction-cache entries (FIFO order within a transaction)
             // and committed COW shadows — and redo them in ascending
@@ -172,11 +213,11 @@ pub fn recover(state: &CrashState) -> Backing {
             // transactions wrote the same shared line, the replay lands
             // the writes in the order the transactions serialized. A
             // transaction is entirely in one source: overflowing to the
-            // COW path discards its TC entries.
-            let mut by_seq: std::collections::BTreeMap<u64, Vec<(WordAddr, Word)>> =
-                std::collections::BTreeMap::new();
-            for core in 0..state.cores {
-                for e in &state.txcaches[core] {
+            // COW path discards its TC entries. Each shadow record is an
+            // address + value pair, plus a two-word commit record.
+            let mut by_seq: BTreeMap<u64, Vec<(WordAddr, Word)>> = BTreeMap::new();
+            for (entries, shadows) in txcaches.iter().zip(cow) {
+                for e in entries {
                     if e.state == EntryState::Committed {
                         let bucket = by_seq.entry(e.commit_seq).or_default();
                         for (i, v) in e.values.iter().enumerate() {
@@ -186,7 +227,8 @@ pub fn recover(state: &CrashState) -> Backing {
                         }
                     }
                 }
-                for s in &state.cow[core] {
+                for s in shadows {
+                    cost.words_scanned += 2 * s.records.len() as u64 + 2;
                     if s.committed {
                         by_seq
                             .entry(s.commit_seq)
@@ -195,35 +237,39 @@ pub fn recover(state: &CrashState) -> Backing {
                     }
                 }
             }
-            for (_, writes) in by_seq {
-                for (w, v) in writes {
-                    nvm.write_word(w, v);
-                }
+            for (w, v) in by_seq.into_values().flatten() {
+                nvm.write_word(w, v);
+                cost.words_replayed += 1;
             }
         }
-        SchemeKind::NvLlc => {
+        DurableState::NvLlc { committed } => {
             // The nonvolatile LLC's committed lines are part of the
-            // persistence domain: overlay them.
-            for (&w, &v) in &state.nv_llc_committed {
+            // persistence domain: overlay them. Recovery only walks the
+            // tag array to discard uncommitted lines; no data moves, so
+            // nothing counts as replayed.
+            for (&w, &v) in committed {
                 nvm.write_word(w, v);
             }
         }
-        SchemeKind::Eadr => {
+        DurableState::Eadr { undo } => {
             // The flush-on-failure drain persisted every dirty line —
             // including the stores of transactions that never committed.
-            // Roll those back with the durable undo log: each in-flight
-            // transaction's first-write pre-images restore exactly the
-            // committed image (the conflict gate serializes cross-core
-            // writers of a line, so a pre-image is always the latest
-            // committed value of its word).
-            for undo in &state.eadr_undo {
-                for &(w, v) in undo {
+            // Roll those back with the durable undo log (address +
+            // pre-image word per record): each in-flight transaction's
+            // first-write pre-images restore exactly the committed image
+            // (the conflict gate serializes cross-core writers of a line,
+            // so a pre-image is always the latest committed value of its
+            // word).
+            for log in undo {
+                cost.words_scanned += 2 * log.len() as u64;
+                cost.words_replayed += log.len() as u64;
+                for (&w, &v) in log {
                     nvm.write_word(w, v);
                 }
             }
         }
     }
-    nvm
+    cost
 }
 
 /// The work a scheme's recovery procedure performs after a crash —
@@ -249,70 +295,20 @@ pub fn recovery_cost(
     machine: &pmacc_types::MachineConfig,
 ) -> RecoveryCost {
     use pmacc_types::WORDS_PER_LINE;
-    let mut cost = RecoveryCost::default();
-    match state.scheme {
-        SchemeKind::Optimal => {}
-        SchemeKind::Sp => {
-            // The log walk reads logical addresses, so under wear
-            // leveling the image is un-remapped first (the cost of that
-            // register-driven translation is not charged — it is pure
-            // address arithmetic, not device traffic).
-            let nvm = state.logical_nvm();
-            for core in 0..state.cores {
-                let elems = sp::parse_log(core, &|w| nvm.read_word(w));
-                let mut committed = Vec::new();
-                for e in &elems {
-                    match e {
-                        LogElem::Commit { serial } => committed.push(*serial),
-                        LogElem::Record { .. } => cost.words_scanned += 2,
-                    }
-                }
-                cost.words_scanned += 2 * committed.len() as u64; // markers
-                for e in &elems {
-                    if let LogElem::Record { serial, .. } = e {
-                        if committed.contains(serial) {
-                            cost.words_replayed += 1;
-                        }
-                    }
-                }
-            }
+    // The walk reads logical addresses, so under wear leveling the image
+    // is un-remapped first (the cost of that register-driven translation
+    // is not charged — it is pure address arithmetic, not device traffic).
+    let mut cost = walk(state, &mut state.logical_nvm());
+    cost.words_scanned += match &state.durable {
+        // The whole STT-RAM array of every core is read out once.
+        DurableState::TxCache { txcaches, .. } => {
+            txcaches.len() as u64 * machine.txcache.entries() as u64 * WORDS_PER_LINE as u64
         }
-        SchemeKind::TxCache => {
-            for entries in &state.txcaches {
-                // The whole STT-RAM array is read out once.
-                cost.words_scanned +=
-                    machine.txcache.entries() as u64 * WORDS_PER_LINE as u64;
-                for e in entries {
-                    if e.state == EntryState::Committed {
-                        cost.words_replayed +=
-                            e.values.iter().filter(|v| v.is_some()).count() as u64;
-                    }
-                }
-            }
-            for shadows in &state.cow {
-                for s in shadows {
-                    cost.words_scanned += 2 * s.records.len() as u64 + 2;
-                    if s.committed {
-                        cost.words_replayed += s.records.len() as u64;
-                    }
-                }
-            }
-        }
-        SchemeKind::NvLlc => {
-            // The NV-LLC is already in the persistence domain: recovery
-            // walks the tag array to discard uncommitted lines; no data
-            // moves.
-            cost.words_scanned += machine.llc.lines();
-        }
-        SchemeKind::Eadr => {
-            // Walk each core's durable undo log (address + pre-image word
-            // per record) and write the pre-images back.
-            for undo in &state.eadr_undo {
-                cost.words_scanned += 2 * undo.len() as u64;
-                cost.words_replayed += undo.len() as u64;
-            }
-        }
-    }
+        // The NV-LLC is already in the persistence domain: recovery walks
+        // its tag array.
+        DurableState::NvLlc { .. } => machine.llc.lines(),
+        DurableState::Optimal | DurableState::Sp | DurableState::Eadr { .. } => 0,
+    };
     let lines_scanned = cost.words_scanned.div_ceil(WORDS_PER_LINE as u64);
     let lines_replayed = cost.words_replayed.div_ceil(WORDS_PER_LINE as u64);
     cost.estimated_ns = (lines_scanned as f64 * machine.nvm.read_ns
@@ -375,18 +371,14 @@ pub fn check_recovery(state: &CrashState, recovered: &Backing) -> Result<(), Rec
     }
     // The alternative image with a core's in-flight transaction applied.
     let mut with_in_flight = expected.clone();
-    let mut in_flight_words: Vec<WordAddr> = Vec::new();
     for rec in state.in_flight.iter().flatten() {
         for &(w, v) in &rec.writes {
             if w >= heap_base {
                 with_in_flight.insert(w, v);
-                in_flight_words.push(w);
                 touched.push(w);
             }
         }
     }
-    in_flight_words.sort();
-    in_flight_words.dedup();
     // Also examine every heap word the recovered image knows about, so
     // stray uncommitted writes are caught.
     touched.extend(recovered.iter().map(|(w, _)| w).filter(|w| *w >= heap_base));
@@ -407,15 +399,14 @@ pub fn check_recovery(state: &CrashState, recovered: &Backing) -> Result<(), Rec
     }
     // Try to explain mismatches with in-flight transactions, one whole
     // transaction at a time.
-    if !mismatches.is_empty() && !in_flight_words.is_empty() {
+    if !mismatches.is_empty() {
         for rec in state.in_flight.iter().flatten() {
-            let words: Vec<WordAddr> = {
-                let mut v: Vec<WordAddr> =
-                    rec.writes.iter().map(|&(w, _)| w).filter(|w| *w >= heap_base).collect();
-                v.sort();
-                v.dedup();
-                v
-            };
+            let words: BTreeSet<WordAddr> = rec
+                .writes
+                .iter()
+                .map(|&(w, _)| w)
+                .filter(|w| *w >= heap_base)
+                .collect();
             // Accept this transaction only if *all* its words match the
             // post-transaction image.
             let all_match = words
@@ -444,35 +435,30 @@ mod tests {
         layout::persistent_heap_base().offset(i * 8).word()
     }
 
-    fn base_state(scheme: SchemeKind) -> CrashState {
+    fn base_state(durable: DurableState) -> CrashState {
         CrashState {
             cycle: 100,
-            scheme,
             cores: 1,
             nvm: Backing::new(),
             wear: None,
             initial_nvm: Backing::new(),
-            txcaches: vec![Vec::new()],
-            nv_llc_committed: FxHashMap::default(),
-            cow: vec![Vec::new()],
+            durable,
             journal: Vec::new(),
             in_flight: vec![None],
-            eadr_undo: vec![Vec::new()],
         }
     }
 
-    #[test]
-    fn optimal_recovery_is_identity() {
-        let mut st = base_state(SchemeKind::Optimal);
-        st.nvm.write_word(heap_word(0), 42);
-        let rec = recover(&st);
-        assert_eq!(rec.read_word(heap_word(0)), 42);
+    fn tc_state(txcache: Vec<TcEntry>, cow: Vec<CowTxShadow>) -> CrashState {
+        base_state(DurableState::TxCache {
+            txcaches: vec![txcache],
+            cow: vec![cow],
+        })
     }
 
-    #[test]
-    fn tc_recovery_replays_committed_discards_active() {
-        let mut st = base_state(SchemeKind::TxCache);
-        let mut committed = TcEntry {
+    /// A committed transaction-cache entry for transaction 0 holding
+    /// `values` in the first words of heap line 0.
+    fn committed_entry(values: &[Word]) -> TcEntry {
+        let mut e = TcEntry {
             state: EntryState::Committed,
             tx: TxId::new(0, 0),
             line: heap_word(0).line(),
@@ -480,14 +466,36 @@ mod tests {
             issued: false,
             commit_seq: 1,
         };
-        committed.values[0] = Some(7);
+        for (slot, &v) in e.values.iter_mut().zip(values) {
+            *slot = Some(v);
+        }
+        e
+    }
+
+    fn eadr_state(undo: &[(WordAddr, Word)]) -> CrashState {
+        base_state(DurableState::Eadr {
+            undo: vec![undo.iter().copied().collect()],
+        })
+    }
+
+    #[test]
+    fn optimal_recovery_is_identity() {
+        let mut st = base_state(DurableState::Optimal);
+        st.nvm.write_word(heap_word(0), 42);
+        let rec = recover(&st);
+        assert_eq!(rec.read_word(heap_word(0)), 42);
+    }
+
+    #[test]
+    fn tc_recovery_replays_committed_discards_active() {
+        let committed = committed_entry(&[7]);
         let mut active = committed;
         active.state = EntryState::Active;
         active.tx = TxId::new(0, 1);
         active.values[0] = Some(99);
         active.line = heap_word(8).line();
         active.commit_seq = 0;
-        st.txcaches[0] = vec![committed, active];
+        let mut st = tc_state(vec![committed, active], Vec::new());
         st.journal.push(TxRecord {
             tx: TxId::new(0, 0),
             commit_cycle: 50,
@@ -501,19 +509,23 @@ mod tests {
 
     #[test]
     fn tc_recovery_redoes_committed_cow() {
-        let mut st = base_state(SchemeKind::TxCache);
-        st.cow[0].push(CowTxShadow {
-            tx: TxId::new(0, 0),
-            records: vec![(heap_word(1), 5)],
-            committed: true,
-            commit_seq: 1,
-        });
-        st.cow[0].push(CowTxShadow {
-            tx: TxId::new(0, 1),
-            records: vec![(heap_word(2), 6)],
-            committed: false,
-            commit_seq: 0,
-        });
+        let mut st = tc_state(
+            Vec::new(),
+            vec![
+                CowTxShadow {
+                    tx: TxId::new(0, 0),
+                    records: vec![(heap_word(1), 5)],
+                    committed: true,
+                    commit_seq: 1,
+                },
+                CowTxShadow {
+                    tx: TxId::new(0, 1),
+                    records: vec![(heap_word(2), 6)],
+                    committed: false,
+                    commit_seq: 0,
+                },
+            ],
+        );
         st.journal.push(TxRecord {
             tx: TxId::new(0, 0),
             commit_cycle: 10,
@@ -527,8 +539,9 @@ mod tests {
 
     #[test]
     fn nvllc_recovery_overlays_committed_lines() {
-        let mut st = base_state(SchemeKind::NvLlc);
-        st.nv_llc_committed.insert(heap_word(3), 11);
+        let mut st = base_state(DurableState::NvLlc {
+            committed: [(heap_word(3), 11)].into_iter().collect(),
+        });
         st.journal.push(TxRecord {
             tx: TxId::new(0, 0),
             commit_cycle: 10,
@@ -541,7 +554,8 @@ mod tests {
 
     #[test]
     fn eadr_recovery_rolls_back_uncommitted_drained_stores() {
-        let mut st = base_state(SchemeKind::Eadr);
+        // The undo log holds the first-write pre-images.
+        let mut st = eadr_state(&[(heap_word(0), 7), (heap_word(1), 0)]);
         // A committed transaction wrote word 0 = 7 (drained to NVM), then
         // an in-flight one overwrote it with 99 and wrote word 1 = 55;
         // the flush-on-failure drain persisted both uncommitted stores.
@@ -557,8 +571,6 @@ mod tests {
         });
         st.nvm.write_word(heap_word(0), 99);
         st.nvm.write_word(heap_word(1), 55);
-        // The undo log holds the first-write pre-images.
-        st.eadr_undo[0] = vec![(heap_word(0), 7), (heap_word(1), 0)];
         let rec = recover(&st);
         assert_eq!(rec.read_word(heap_word(0)), 7, "rolled back to committed");
         assert_eq!(rec.read_word(heap_word(1)), 0, "rolled back to initial");
@@ -568,7 +580,7 @@ mod tests {
         // transaction applied, which the checker's all-or-nothing
         // acceptance allows.
         let mut mutated = st.clone();
-        mutated.eadr_undo[0].clear();
+        mutated.durable = eadr_state(&[]).durable;
         let rec = recover(&mutated);
         check_recovery(&mutated, &rec).unwrap();
         // But at a mid-transaction crash only a prefix of the write set
@@ -576,18 +588,18 @@ mod tests {
         // leaves a torn image the checker must reject — this is what the
         // crashgrid `keep-uncommitted-eadr` mutation exercises end to end.
         let mut partial = st.clone();
-        partial.eadr_undo[0] = vec![(heap_word(0), 7)];
+        partial.durable = eadr_state(&[(heap_word(0), 7)]).durable;
         partial.nvm.write_word(heap_word(1), 0);
         let rec = recover(&partial);
         check_recovery(&partial, &rec).unwrap();
-        partial.eadr_undo[0].clear();
+        partial.durable = eadr_state(&[]).durable;
         let rec = recover(&partial);
         check_recovery(&partial, &rec).unwrap_err();
     }
 
     #[test]
     fn checker_catches_lost_committed_write() {
-        let mut st = base_state(SchemeKind::Optimal);
+        let mut st = base_state(DurableState::Optimal);
         st.journal.push(TxRecord {
             tx: TxId::new(0, 0),
             commit_cycle: 10,
@@ -601,7 +613,7 @@ mod tests {
 
     #[test]
     fn checker_catches_torn_transaction() {
-        let mut st = base_state(SchemeKind::Optimal);
+        let mut st = base_state(DurableState::Optimal);
         // Uncommitted write leaked to NVM (no journal entry).
         st.nvm.write_word(heap_word(4), 123);
         let rec = recover(&st);
@@ -611,7 +623,7 @@ mod tests {
 
     #[test]
     fn checker_ignores_log_area_noise() {
-        let mut st = base_state(SchemeKind::Optimal);
+        let mut st = base_state(DurableState::Optimal);
         // Scratch writes below the heap are scheme-private.
         st.nvm
             .write_word(Addr::nvm_base().word(), 0xDEAD);
@@ -624,37 +636,63 @@ mod tests {
         use pmacc_types::MachineConfig;
         let machine = MachineConfig::small();
         // Optimal recovers nothing.
-        let opt = base_state(SchemeKind::Optimal);
+        let opt = base_state(DurableState::Optimal);
         assert_eq!(recovery_cost(&opt, &machine), RecoveryCost::default());
         // TC scans its array and replays committed words.
-        let mut tc_state = base_state(SchemeKind::TxCache);
-        let mut e = TcEntry {
-            state: EntryState::Committed,
-            tx: TxId::new(0, 0),
-            line: heap_word(0).line(),
-            values: [None; 8],
-            issued: false,
-            commit_seq: 1,
-        };
-        e.values[0] = Some(1);
-        e.values[1] = Some(2);
-        tc_state.txcaches[0] = vec![e];
-        let c = recovery_cost(&tc_state, &machine);
+        let c = recovery_cost(&tc_state(vec![committed_entry(&[1, 2])], Vec::new()), &machine);
         assert_eq!(c.words_replayed, 2);
         assert!(c.words_scanned >= machine.txcache.entries() as u64 * 8);
         assert!(c.estimated_ns > 0);
         // NVLLC only walks tags.
-        let nv = base_state(SchemeKind::NvLlc);
+        let nv = base_state(DurableState::NvLlc {
+            committed: FxHashMap::default(),
+        });
         let c = recovery_cost(&nv, &machine);
         assert_eq!(c.words_replayed, 0);
         assert_eq!(c.words_scanned, machine.llc.lines());
+        // SP walks its log: one committed transaction (two records and a
+        // marker) and one uncommitted record. Every record and marker
+        // scans two words; only the committed records replay.
+        let mut sp = base_state(DurableState::Sp);
+        let log = [
+            (sp::encode_record(0, heap_word(0).to_addr()), 5),
+            (sp::encode_record(0, heap_word(1).to_addr()), 6),
+            (sp::encode_commit(0), 0),
+            (sp::encode_record(1, heap_word(2).to_addr()), 7),
+        ];
+        let log_base = layout::log_area_base(0);
+        for (i, (meta, value)) in log.into_iter().enumerate() {
+            let at = log_base.offset(i as u64 * 16);
+            sp.nvm.write_word(at.word(), meta);
+            sp.nvm.write_word(at.offset(8).word(), value);
+        }
+        sp.journal.push(TxRecord {
+            tx: TxId::new(0, 0),
+            commit_cycle: 10,
+            writes: vec![(heap_word(0), 5), (heap_word(1), 6)],
+        });
+        let c = recovery_cost(&sp, &machine);
+        assert_eq!((c.words_scanned, c.words_replayed), (2 * 4, 2));
+        assert_eq!(
+            c.estimated_ns,
+            (machine.nvm.read_ns + machine.nvm.write_ns) as u64,
+            "one line scanned, one line replayed"
+        );
+        let rec = recover(&sp);
+        assert_eq!(rec.read_word(heap_word(2)), 0, "uncommitted record dropped");
+        check_recovery(&sp, &rec).unwrap();
+        // eADR walks each undo record (address + pre-image) and writes
+        // every pre-image back.
+        let undo = [(heap_word(0), 7), (heap_word(1), 0), (heap_word(2), 3)];
+        let c = recovery_cost(&eadr_state(&undo), &machine);
+        assert_eq!((c.words_scanned, c.words_replayed), (2 * 3, 3));
     }
 
     #[test]
     fn recovery_inverts_the_wear_remap() {
         use pmacc_mem::WearMap;
         use pmacc_types::WearConfig;
-        let mut st = base_state(SchemeKind::Optimal);
+        let mut st = base_state(DurableState::Optimal);
         // Rotate a small region through a full start-gap cycle so the
         // mapping is a genuine shift (every line on a different row).
         let mut m = WearMap::new(&WearConfig {
@@ -690,7 +728,7 @@ mod tests {
 
     #[test]
     fn later_commits_overwrite_earlier_ones_in_expectation() {
-        let mut st = base_state(SchemeKind::Optimal);
+        let mut st = base_state(DurableState::Optimal);
         st.journal.push(TxRecord {
             tx: TxId::new(0, 0),
             commit_cycle: 1,

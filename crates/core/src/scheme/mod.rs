@@ -9,9 +9,12 @@
 //!    `NVLLC` and `eADR` run the raw trace, because their persistence
 //!    support (none / transaction cache / nonvolatile LLC / residual-energy
 //!    cache drain) is in hardware.
-//! 2. **Runtime behaviour** — how the system layer routes stores, commits
-//!    and LLC evictions. That half lives in [`crate::System`], keyed by
-//!    [`SchemeKind`].
+//! 2. **Runtime behaviour** — how the system layer routes stores, commits,
+//!    LLC misses and LLC evictions. That half lives in [`crate::System`]:
+//!    one enum variant per scheme holds that scheme's runtime state, and
+//!    every routing decision matches on it. A crash turns the variant into
+//!    the matching [`crate::recovery::DurableState`], which
+//!    [`crate::recovery::recover`] walks.
 
 pub mod sp;
 

@@ -4,8 +4,9 @@
 //! store first appends a `log(address, new value)` record, each record is
 //! written back with `clwb`; at commit an `sfence` orders the log, a
 //! commit marker is logged and persisted (`pcommit`+`sfence` in the
-//! figure), and only then do the actual data stores execute — followed by
-//! data-line flushes and a final fence so the log could be truncated.
+//! figure), and only then do the actual data stores execute. The data
+//! lines are never flushed: they persist via normal write-back, and the
+//! log is never truncated.
 //!
 //! The log is real simulated memory: records live in the per-core log
 //! area of [`pmacc_types::layout`] and recovery *parses the NVM image*,
@@ -24,7 +25,6 @@
 
 use pmacc_cpu::{Op, Trace};
 use pmacc_types::{layout, Addr, Word, WordAddr, WORD_BYTES};
-
 
 const COMMIT_BIT: Word = 1 << 63;
 const ADDR_MASK: Word = (1 << 40) - 1;
@@ -106,9 +106,8 @@ pub enum SpMode {
     Batched,
     /// Pessimistic write-order control, as Figure 2(b) depicts: every log
     /// record is made durable (`clwb` + `sfence`) before execution
-    /// proceeds, and the transaction's data lines are flushed and fenced
-    /// after commit so the log could be truncated. Used by the SP-fencing
-    /// ablation.
+    /// proceeds. Commit and the in-place data stores are as in
+    /// [`SpMode::Batched`]. Used by the SP-fencing ablation.
     Strict,
 }
 
@@ -173,16 +172,11 @@ pub fn instrument_with(core: usize, trace: &Trace, mode: SpMode) -> Trace {
                 log_store(&mut out, &mut cursor, encode_commit(serial), 0);
                 out.push(Op::PCommit);
                 // In-place data stores now that the transaction is
-                // durable; Figure 3(a) ends here. Strict mode additionally
-                // flushes the data lines so the log could be truncated.
-                let mut lines = Vec::new();
+                // durable; Figure 3(a) ends here. The data lines persist
+                // via normal write-back in both modes.
                 for (addr, value) in pending.drain(..) {
                     out.push(Op::Store { addr, value });
-                    if !lines.contains(&addr.line()) {
-                        lines.push(addr.line());
-                    }
                 }
-                let _ = lines; // data lines persist via normal write-back
                 out.push(Op::TxEnd);
                 serial += 1;
                 in_tx = false;

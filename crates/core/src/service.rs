@@ -19,10 +19,10 @@ use pmacc_cpu::{CoreStats, StallKind};
 use pmacc_telemetry::Log2Histogram;
 use pmacc_types::Cycle;
 
-/// Default for [`ServeConfig::retry`]: cycles a core waits before
-/// re-testing admission when the transaction cache or the NVM write
-/// queue is saturated.
-pub const SERVE_RETRY: Cycle = 32;
+/// Cycles a deferred request waits before re-testing admission when the
+/// transaction cache or the NVM write queue is saturated (the
+/// backpressure polling interval).
+pub(crate) const SERVE_RETRY: Cycle = 32;
 
 /// Open-system service configuration for one run.
 #[derive(Debug, Clone)]
@@ -44,9 +44,6 @@ pub struct ServeConfig {
     /// many cycles after its arrival is shed (its transaction is skipped
     /// and counted in [`ServeCoreStats::shed`]). Zero disables shedding.
     pub max_wait: Cycle,
-    /// Cycles a deferred request waits before re-testing admission
-    /// (backpressure polling interval). Defaults to [`SERVE_RETRY`].
-    pub retry: Cycle,
 }
 
 impl ServeConfig {
@@ -59,7 +56,6 @@ impl ServeConfig {
             tc_high: 0.75,
             nvm_write_high: 0.85,
             max_wait: 0,
-            retry: SERVE_RETRY,
         }
     }
 }
@@ -152,7 +148,6 @@ pub(crate) struct ServeState {
     pub tc_high: f64,
     pub nvm_write_high: f64,
     pub max_wait: Cycle,
-    pub retry: Cycle,
 }
 
 #[cfg(test)]

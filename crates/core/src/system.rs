@@ -12,7 +12,7 @@
 //! simulated crash; everything else dies with it.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use pmacc_cache::{Access, Eviction, Hierarchy, HierarchyOpts, Level, Mshr, WriteBackBuffer};
 use pmacc_cpu::{CoreStats, Op, StallKind, StoreBuffer, Trace, TxRegs};
@@ -21,13 +21,13 @@ use pmacc_mem::{Backing, Completion, MemController, SchedPolicy};
 use pmacc_types::rng::stream_seed;
 use pmacc_types::{
     layout, AccessKind, Addr, ConfigError, Counter, Cycle, FxHashMap, LineAddr, MachineConfig,
-    MemRegion, MemReq, ReqId, SchemeKind, SimError, TxId, Word, WordAddr, WORDS_PER_LINE,
-    WORD_BYTES,
+    MemRegion, MemReq, ReqId, SchemeKind, SimError, TxId, Word, WordAddr, WriteCause,
+    WORDS_PER_LINE, WORD_BYTES,
 };
 use pmacc_workloads::{build_shared, WorkloadKind, WorkloadParams};
 
 use crate::metrics::RunReport;
-use crate::recovery::{CowTxShadow, CrashState, TxRecord};
+use crate::recovery::{CowTxShadow, CrashState, DurableState, TxRecord};
 use crate::scheme;
 use crate::service::{self, ReqTiming, ServeConfig, ServeCore, ServeCoreStats, ServeState};
 use crate::txcache::TxCache;
@@ -39,23 +39,21 @@ const STEP_OPS: usize = 64;
 const STEP_CYCLES: Cycle = 256;
 /// Forced unpins start after this many pin-blocked retries.
 const PIN_RETRY_LIMIT: u32 = 8;
+/// Abort with [`SimError::Deadlock`] beyond this many cycles.
+const MAX_CYCLES: Cycle = 20_000_000_000;
+/// Retry interval when an NVLLC fill finds its LLC set fully pinned (a
+/// remote commit is what unpins the set, so the blocked core polls).
+const PIN_RETRY: Cycle = 64;
+/// Poll interval for a transactional store serialized behind a remote
+/// core's conflicting active transaction. The common wake-up is *exact* —
+/// [`System`] re-checks every Conflict-blocked core the moment a
+/// transaction commit retires — so this interval only paces the
+/// deadlock-cycle detector, which has no commit event to ride on.
+const CONFLICT_RETRY: Cycle = 64;
 
 /// Run-level options.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
-    /// Abort with [`SimError::Deadlock`] beyond this many cycles.
-    pub max_cycles: Cycle,
-    /// Retry interval when an NVLLC fill finds its LLC set fully pinned
-    /// (a remote commit is what unpins the set, so the blocked core
-    /// polls).
-    pub pin_retry: Cycle,
-    /// Poll interval for a transactional store serialized behind a
-    /// remote core's conflicting active transaction. The common wake-up
-    /// is *exact* — [`System`] re-checks every Conflict-blocked core the
-    /// moment a transaction commit retires — so this interval only
-    /// paces the deadlock-cycle detector, which has no commit event to
-    /// ride on.
-    pub conflict_retry: Cycle,
     /// Committed transactions (across all cores) to treat as warm-up:
     /// when reached, every statistic resets so the report covers only the
     /// warmed region. Zero measures from a cold start (the recorded
@@ -80,9 +78,6 @@ pub struct RunConfig {
 impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
-            max_cycles: 20_000_000_000,
-            pin_retry: 64,
-            conflict_retry: 64,
             warmup_commits: 0,
             sample_period: 32_768,
             record_boundaries: false,
@@ -256,10 +251,6 @@ struct CoreCtx {
     tx_writes: Vec<(WordAddr, Word)>,
     tx_lines: Vec<LineAddr>,
     txend: Option<(TxId, Option<TxEndPhase>)>,
-    // Copy-on-write fall-back state (TC overflow).
-    cow_active: bool,
-    cow_pending: usize,
-    cow_cursor: u64,
     pin_retries: u32,
     /// One-shot pass issued by the deadlock-avoidance rule: the next
     /// conflict check on this core is skipped so the lowest-index member
@@ -290,9 +281,6 @@ impl CoreCtx {
             tx_writes: Vec::new(),
             tx_lines: Vec::new(),
             txend: None,
-            cow_active: false,
-            cow_pending: 0,
-            cow_cursor: 0,
             pin_retries: 0,
             conflict_exempt: false,
             pcommit: None,
@@ -332,6 +320,55 @@ impl CoreCtx {
     }
 }
 
+/// One core's copy-on-write fall-back state (TC overflow).
+#[derive(Debug, Clone, Default)]
+struct CowCore {
+    /// Shadows of overflowed transactions, in issue order.
+    shadows: Vec<CowTxShadow>,
+    /// Outstanding home-location installs per overflowed transaction:
+    /// its shadow is freed when the count reaches zero, and the core's
+    /// TC drains wait while any install is outstanding.
+    installs: FxHashMap<TxId, usize>,
+    /// The running transaction has overflowed to the COW area.
+    active: bool,
+    /// Shadow writes issued but not yet durable.
+    pending: usize,
+    /// Next free word offset in the core's COW area.
+    cursor: u64,
+}
+
+/// The running scheme's own state: the one place each scheme's runtime
+/// bookkeeping lives, so no run carries another scheme's fields.
+/// [`System::crash_state`] turns it into the matching [`DurableState`].
+#[derive(Debug)]
+enum SchemeState {
+    Optimal,
+    Sp,
+    /// Per-core COW overflow state (the TC arrays themselves are
+    /// `System::tcs`, which every scheme reports).
+    TxCache(Vec<CowCore>),
+    /// The NVLLC committed-line image (word granularity).
+    NvLlc(FxHashMap<WordAddr, Word>),
+    /// Per core, the first-write pre-image of every persistent word the
+    /// in-flight transaction has overwritten. Under eADR an uncommitted
+    /// store is durable the moment it is written, so rollback after a
+    /// crash needs these pre-images; the log is modeled as part of the
+    /// residual-energy-protected domain. Cleared at commit.
+    Eadr(Vec<BTreeMap<WordAddr, Word>>),
+}
+
+impl SchemeState {
+    fn new(scheme: SchemeKind, cores: usize) -> Self {
+        match scheme {
+            SchemeKind::Optimal => SchemeState::Optimal,
+            SchemeKind::Sp => SchemeState::Sp,
+            SchemeKind::TxCache => SchemeState::TxCache(vec![CowCore::default(); cores]),
+            SchemeKind::NvLlc => SchemeState::NvLlc(FxHashMap::default()),
+            SchemeKind::Eadr => SchemeState::Eadr(vec![BTreeMap::new(); cores]),
+        }
+    }
+}
+
 /// The simulated machine plus the traces it executes.
 ///
 /// See the crate-level docs for a quickstart; [`System::for_workload`]
@@ -352,11 +389,7 @@ pub struct System {
     dram_backing: Backing,
     initial_nvm: Backing,
     volatile: FxHashMap<WordAddr, Word>,
-    nv_llc_committed: FxHashMap<WordAddr, Word>,
-    cow_shadow: Vec<Vec<CowTxShadow>>,
-    /// Outstanding home-location installs per overflowed transaction;
-    /// its COW-area shadow is freed (truncated) when this reaches zero.
-    cow_installs: FxHashMap<(usize, TxId), usize>,
+    scheme: SchemeState,
     /// Oracle: per core, per transaction serial, the persistent data
     /// writes the transaction performs — derived statically from the
     /// traces, so it is independent of how far execution got (SP's commit
@@ -378,14 +411,6 @@ pub struct System {
     /// `line` is in `cores[c].tx_lines`; the conflict check reads this map
     /// instead of scanning every remote core's write-set list.
     tx_writers: FxHashMap<LineAddr, u64>,
-    /// eADR only: per core, the first-write pre-image of every persistent
-    /// word the in-flight transaction has overwritten. Under eADR an
-    /// uncommitted store is durable the moment it is written, so rollback
-    /// after a crash needs these pre-images; the log is modeled as part
-    /// of the residual-energy-protected domain and exported by
-    /// [`System::crash_state`]. Cleared at commit; empty for every other
-    /// scheme.
-    eadr_undo: Vec<FxHashMap<WordAddr, Word>>,
     /// Cycle at which measurement started (after warm-up, if any).
     measure_start: Cycle,
     warmup_done: bool,
@@ -501,14 +526,11 @@ impl System {
             nvm_backing,
             dram_backing,
             volatile,
-            nv_llc_committed: FxHashMap::default(),
-            cow_shadow: vec![Vec::new(); cfg.cores],
-            cow_installs: FxHashMap::default(),
+            scheme: SchemeState::new(cfg.scheme, cfg.cores),
             durable_word_seq: FxHashMap::default(),
             shared_word_base: layout::shared_pool_base().word().raw(),
             shared_word_end: layout::extended_heap_base().word().raw(),
             tx_writers: FxHashMap::default(),
-            eadr_undo: vec![FxHashMap::default(); cfg.cores],
             tx_write_table,
             measure_start: 0,
             warmup_done: false,
@@ -684,7 +706,6 @@ impl System {
             tc_high: cfg.tc_high,
             nvm_write_high: cfg.nvm_write_high,
             max_wait: cfg.max_wait,
-            retry: cfg.retry,
         });
         Ok(())
     }
@@ -721,79 +742,68 @@ impl System {
     /// later serials stay aligned with the recovery oracle's write
     /// table).
     fn serve_gate(&mut self, c: usize) -> bool {
-        let (k, arrival, max_wait) = {
-            let Some(s) = self.serve.as_ref() else {
-                return false;
-            };
-            let sc = &s.cores[c];
-            if sc.cur.is_some() {
-                return false;
-            }
-            let Some(&arr) = sc.arrivals.get(sc.next_req) else {
-                return false;
-            };
-            (sc.next_req, arr, s.max_wait)
+        // Queue pressure depends only on the TC and the NVM queue, which
+        // nothing below touches.
+        let pressure = self.serve_pressure(c);
+        let Some(s) = self.serve.as_mut() else {
+            return false;
         };
-        let now = self.cores[c].time;
+        let max_wait = s.max_wait;
+        let sc = &mut s.cores[c];
+        if sc.cur.is_some() {
+            return false;
+        }
+        let Some(&arrival) = sc.arrivals.get(sc.next_req) else {
+            return false;
+        };
+        let core = &mut self.cores[c];
+        let now = core.time;
         if now < arrival {
             // No request yet: the core idles (batching in
             // `handle_core_step` turns a long idle into an event-queue
             // jump, not a spin).
-            self.cores[c].time = arrival;
+            core.time = arrival;
             return true;
         }
         if max_wait > 0 && now - arrival > max_wait {
             // Admission control: the request waited past its deadline.
-            let end = {
-                let s = self.serve.as_ref().expect("serve state checked above");
-                s.cores[c]
-                    .starts
-                    .get(k + 1)
-                    .copied()
-                    .unwrap_or_else(|| self.traces[c].len())
-            };
-            self.cores[c].idx = end;
-            self.cores[c].regs.skip();
-            let s = self.serve.as_mut().expect("serve state checked above");
-            s.cores[c].stats.shed += 1;
-            s.cores[c].next_req += 1;
+            let next = sc.starts.get(sc.next_req + 1).copied();
+            core.idx = next.unwrap_or_else(|| self.traces[c].len());
+            core.regs.skip();
+            sc.stats.shed += 1;
+            sc.next_req += 1;
             return true;
         }
-        if self.serve_pressure(c) {
+        if pressure {
             // Backpressure: hold the request and retry shortly.
-            let retry = self.serve.as_ref().expect("serve state checked above").retry;
-            self.cores[c].time = now + retry;
-            let s = self.serve.as_mut().expect("serve state checked above");
-            s.cores[c].stats.backpressure_events += 1;
-            s.cores[c].stats.backpressure_cycles += retry;
+            core.time = now + service::SERVE_RETRY;
+            sc.stats.backpressure_events += 1;
+            sc.stats.backpressure_cycles += service::SERVE_RETRY;
             return true;
         }
         // Admit: timestamp the request and snapshot the stall baselines
         // for completion-time attribution.
-        let stalls = service::stall_snapshot(&self.cores[c].stats);
-        let s = self.serve.as_mut().expect("serve state checked above");
-        s.cores[c].cur = Some(ReqTiming {
+        sc.cur = Some(ReqTiming {
             arrival,
             admitted: now,
-            stalls,
+            stalls: service::stall_snapshot(&core.stats),
         });
-        s.cores[c].next_req += 1;
+        sc.next_req += 1;
         false
     }
 
     /// Books a completed request's sojourn/wait/service times and its
     /// stall attribution (no-op outside service mode).
     fn serve_complete(&mut self, c: usize) {
-        if self.serve.is_none() {
-            return;
-        }
-        let now = self.cores[c].time;
-        let end_stalls = service::stall_snapshot(&self.cores[c].stats);
-        let s = self.serve.as_mut().expect("checked above");
-        let Some(req) = s.cores[c].cur.take() else {
+        let Some(sc) = self.serve.as_mut().map(|s| &mut s.cores[c]) else {
             return;
         };
-        let st = &mut s.cores[c].stats;
+        let Some(req) = sc.cur.take() else {
+            return;
+        };
+        let now = self.cores[c].time;
+        let end_stalls = service::stall_snapshot(&self.cores[c].stats);
+        let st = &mut sc.stats;
         st.completed += 1;
         st.latency.record(now.saturating_sub(req.arrival));
         st.wait.record(req.admitted.saturating_sub(req.arrival));
@@ -873,14 +883,14 @@ impl System {
     ///
     /// Returns [`SimError::Deadlock`] if the cycle bound is exceeded.
     pub fn run_until(&mut self, limit: Cycle) -> Result<(), SimError> {
-        if limit < Cycle::MAX && limit >= self.clock && limit <= self.run_cfg.max_cycles {
+        if limit < Cycle::MAX && limit >= self.clock && limit <= MAX_CYCLES {
             self.push_event(limit, Event::Wake);
         }
         while let Some(Reverse((t, _, _))) = self.events.peek().copied() {
             if t > limit {
                 break;
             }
-            if t > self.run_cfg.max_cycles {
+            if t > MAX_CYCLES {
                 return Err(SimError::Deadlock {
                     cycle: t,
                     what: "max cycle bound exceeded".into(),
@@ -970,15 +980,15 @@ impl System {
             s.cycles = c.time.saturating_sub(self.measure_start);
             cores.push(s);
         }
-        let residual_nvm_lines = match self.cfg.scheme {
+        let residual_nvm_lines = match self.scheme {
             // Dropped on eviction: the TC path already persisted them.
-            SchemeKind::TxCache => 0,
+            SchemeState::TxCache(_) => 0,
             // Uncommitted (pinned/tagged) lines are not owed to the NVM.
-            SchemeKind::NvLlc => self.hier.residual_persistent_dirty_lines(true),
+            SchemeState::NvLlc(_) => self.hier.residual_persistent_dirty_lines(true),
             // eADR caches are ordinary write-back caches in normal
             // operation (the drain only happens at power loss), so their
             // dirty lines are still owed to the NVM like Optimal's.
-            SchemeKind::Optimal | SchemeKind::Sp | SchemeKind::Eadr => {
+            SchemeState::Optimal | SchemeState::Sp | SchemeState::Eadr(_) => {
                 self.hier.residual_persistent_dirty_lines(false)
             }
         };
@@ -1017,51 +1027,61 @@ impl System {
     #[must_use]
     pub fn crash_state(&self) -> CrashState {
         let wear = self.nvm.wear_snapshot();
-        // eADR: residual energy drains every dirty persistent line in
-        // L1/L2/LLC to the NVM at power loss, so the crash image sees
-        // them as-if-flushed — committed or not. The memory-controller
-        // queues were already inside the ADR domain, so write-backs still
-        // in flight (queued, or parked awaiting queue room) drain first,
-        // oldest request id to newest — a line evicted twice lands its
-        // newest snapshot last — and the cache drain lands newest of all.
-        // The whole drain operates on logical line addresses (same path
-        // as a write-back), so it composes *before* the wear remap
-        // translates the image into device rows.
         let mut logical = self.nvm_backing.clone();
-        if self.cfg.scheme == SchemeKind::Eadr {
-            let mut pending: Vec<(ReqId, LineAddr, [Word; WORDS_PER_LINE])> = self
-                .origins
-                .iter()
-                .filter_map(|(&id, origin)| match origin {
-                    Origin::Writeback { line, words } if line.is_persistent() => {
-                        Some((id, *line, *words))
-                    }
-                    _ => None,
-                })
-                .collect();
-            pending.sort_unstable_by_key(|&(id, _, _)| id);
-            for (_, line, words) in pending {
-                logical.write_line(line, &words);
+        let durable = match &self.scheme {
+            SchemeState::Optimal => DurableState::Optimal,
+            SchemeState::Sp => DurableState::Sp,
+            SchemeState::TxCache(cow) => DurableState::TxCache {
+                txcaches: self.tcs.iter().map(TxCache::entries_fifo).collect(),
+                cow: cow.iter().map(|k| k.shadows.clone()).collect(),
+            },
+            SchemeState::NvLlc(committed) => DurableState::NvLlc {
+                committed: committed.clone(),
+            },
+            SchemeState::Eadr(undo) => {
+                // Residual energy drains every dirty persistent line in
+                // L1/L2/LLC to the NVM at power loss, so the crash image
+                // sees them as-if-flushed — committed or not. The
+                // memory-controller queues were already inside the ADR
+                // domain, so write-backs still in flight (queued, or
+                // parked awaiting queue room) drain first, oldest request
+                // id to newest — a line evicted twice lands its newest
+                // snapshot last — and the cache drain lands newest of
+                // all. The whole drain operates on logical line addresses
+                // (same path as a write-back), so it composes *before*
+                // the wear remap translates the image into device rows.
+                let mut pending: Vec<(ReqId, LineAddr, [Word; WORDS_PER_LINE])> = self
+                    .origins
+                    .iter()
+                    .filter_map(|(&id, origin)| match origin {
+                        Origin::Writeback { line, words } if line.is_persistent() => {
+                            Some((id, *line, *words))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                pending.sort_unstable_by_key(|&(id, _, _)| id);
+                for (_, line, words) in pending {
+                    logical.write_line(line, &words);
+                }
+                for line in self.hier.dirty_persistent_lines() {
+                    let words = self.snapshot_volatile(line);
+                    logical.write_line(line, &words);
+                }
+                DurableState::Eadr { undo: undo.clone() }
             }
-            for line in self.hier.dirty_persistent_lines() {
-                let words = self.snapshot_volatile(line);
-                logical.write_line(line, &words);
-            }
-        }
+        };
         let nvm = match &wear {
             Some(snap) => snap.to_device(&logical),
             None => logical,
         };
         CrashState {
             cycle: self.clock,
-            scheme: self.cfg.scheme,
             cores: self.cfg.cores,
             nvm,
             wear,
             initial_nvm: self.initial_nvm.clone(),
-            txcaches: self.tcs.iter().map(|t| t.entries_fifo()).collect(),
-            nv_llc_committed: self.nv_llc_committed.clone(),
-            cow: self.cow_shadow.clone(),
+            durable,
             journal: self.journal.clone(),
             in_flight: (0..self.cores.len())
                 .map(|c| {
@@ -1072,16 +1092,6 @@ impl System {
                         commit_cycle: self.clock,
                         writes: self.oracle_writes(c, tx),
                     })
-                })
-                .collect(),
-            eadr_undo: self
-                .eadr_undo
-                .iter()
-                .map(|m| {
-                    let mut v: Vec<(WordAddr, Word)> =
-                        m.iter().map(|(&w, &val)| (w, val)).collect();
-                    v.sort_unstable_by_key(|&(w, _)| w);
-                    v
                 })
                 .collect(),
         }
@@ -1145,13 +1155,8 @@ impl System {
             Some(StallKind::Fence) => self.try_finish_fence(c),
             Some(StallKind::TxCacheFull) => self.try_resume_tc(c),
             Some(StallKind::PinBlocked) => {
-                self.cores[c].blocked = None;
-                let t = self.clock.max(self.cores[c].time);
-                let started = self.cores[c].stall_started;
-                self.cores[c]
-                    .stats
-                    .add_stall(StallKind::PinBlocked, t.saturating_sub(started));
-                self.cores[c].time = t;
+                let now = self.clock.max(self.cores[c].time);
+                self.cores[c].end_stall(now);
                 self.handle_core_step(c);
             }
             Some(StallKind::Conflict) => {
@@ -1174,17 +1179,12 @@ impl System {
                     // Commit retirement wakes conflict-blocked cores
                     // exactly ([`System::finish_txend`]); this periodic
                     // retry only paces the deadlock detector above.
-                    let at = self.clock + self.run_cfg.conflict_retry;
+                    let at = self.clock + CONFLICT_RETRY;
                     self.push_event(at, Event::CoreStep(c));
                     return;
                 }
-                self.cores[c].blocked = None;
-                let t = self.clock.max(self.cores[c].time);
-                let started = self.cores[c].stall_started;
-                self.cores[c]
-                    .stats
-                    .add_stall(StallKind::Conflict, t.saturating_sub(started));
-                self.cores[c].time = t;
+                let now = self.clock.max(self.cores[c].time);
+                self.cores[c].end_stall(now);
                 self.handle_core_step(c);
             }
             _ => {}
@@ -1228,8 +1228,11 @@ impl System {
                 self.do_store(c, addr, meta, StoreKind::Log)
             }
             Op::Flush { addr } => self.do_flush(c, addr),
-            Op::Fence => self.do_fence(c),
-            Op::PCommit => self.do_pcommit(c),
+            Op::Fence => self.do_fence(c, None),
+            // Snapshot: wait for everything the NVM controller has
+            // accepted so far (later arrivals from other cores are not
+            // our problem).
+            Op::PCommit => self.do_fence(c, Some(self.nvm.writes_accepted())),
         }
     }
 
@@ -1237,16 +1240,9 @@ impl System {
         (line.raw() & 3) as usize
     }
 
-    /// Takes a one-cycle slot on `line`'s LLC bank, returning the wait.
-    fn llc_port_take(&mut self, line: LineAddr, t: Cycle) -> Cycle {
-        let b = Self::llc_bank(line);
-        let wait = self.llc_port_free[b].saturating_sub(t);
-        self.llc_port_free[b] = self.llc_port_free[b].max(t) + 1;
-        wait
-    }
-
-    /// Holds `line`'s LLC bank for `dur` cycles (NVLLC commit bursts),
-    /// returning the wait before the hold could start.
+    /// Holds `line`'s LLC bank for `dur` cycles (one per ordinary access;
+    /// the full STT-RAM write for NVLLC commit bursts), returning the
+    /// wait before the hold could start.
     fn llc_port_hold(&mut self, line: LineAddr, t: Cycle, dur: Cycle) -> Cycle {
         let b = Self::llc_bank(line);
         let wait = self.llc_port_free[b].saturating_sub(t);
@@ -1287,61 +1283,49 @@ impl System {
             Ok(out) => {
                 self.note_invalidations(&out.invalidated);
                 self.route_evictions(out.evictions);
-                match out.hit {
-                    Some(Level::L1) => {
-                        let lat = self.lat_l1;
-                        self.finish_load(c, lat, persistent);
+                let pre = self.lat_l1 + self.lat_l2;
+                let lat = match out.hit {
+                    Some(Level::L1) => self.lat_l1,
+                    Some(Level::L2) => pre,
+                    Some(Level::Llc) | None => {
+                        pre + self.llc_port_hold(line, t + pre, 1) + self.lat_llc
                     }
-                    Some(Level::L2) => {
-                        let lat = self.lat_l1 + self.lat_l2;
-                        self.finish_load(c, lat, persistent);
-                    }
-                    Some(Level::Llc) => {
-                        let pre = self.lat_l1 + self.lat_l2;
-                        let wait = self.llc_port_take(line, t + pre);
-                        let lat = pre + wait + self.lat_llc;
-                        self.finish_load(c, lat, persistent);
-                    }
-                    None => {
-                        let pre = self.lat_l1 + self.lat_l2;
-                        let wait = self.llc_port_take(line, t + pre);
-                        let pre = pre + wait + self.lat_llc;
-                        // Under the TC scheme an LLC miss on a persistent
-                        // line probes the transaction cache *in parallel*
-                        // with the NVM request (§3); a hit serves the fill
-                        // at CAM latency without touching the NVM.
-                        if self.cfg.scheme == SchemeKind::TxCache && persistent {
-                            let hit = self.tc_probe_any(line);
-                            if hit {
-                                self.finish_load(c, pre + self.lat_tc, persistent);
-                                self.cores[c].pin_retries = 0;
-                                return;
-                            }
-                        }
-                        // Fill from memory.
-                        let arrival = t + pre;
-                        self.cores[c].begin_stall(StallKind::Load);
-                        self.cores[c].pending_load = Some((line, arrival, t, persistent));
-                        let region = line.region();
-                        if self.ctrl(region).can_accept(AccessKind::Read) {
-                            self.issue_load_fill(c, line, arrival);
-                        } else {
-                            let at = self.clock + 16;
-                            self.push_event(at, Event::CoreStep(c));
-                        }
+                };
+                if out.hit.is_some() {
+                    self.finish_load(c, lat, persistent);
+                } else if self.tc_probe_any(line) {
+                    self.finish_load(c, lat + self.lat_tc, persistent);
+                } else {
+                    // Fill from memory.
+                    let arrival = t + lat;
+                    self.cores[c].begin_stall(StallKind::Load);
+                    self.cores[c].pending_load = Some((line, arrival, t, persistent));
+                    if self.ctrl(line.region()).can_accept(AccessKind::Read) {
+                        self.issue_load_fill(c, line, arrival);
+                    } else {
+                        let at = self.clock + 16;
+                        self.push_event(at, Event::CoreStep(c));
                     }
                 }
             }
         }
     }
 
-    /// Broadcasts an LLC-miss probe to every core's transaction cache,
+    /// Under the TC scheme an LLC miss on a persistent line probes the
+    /// transaction cache *in parallel* with the NVM request (§3); a hit
+    /// serves the fill at CAM latency without touching the NVM. Returns
+    /// whether such a probe hit.
+    ///
+    /// The probe is broadcast to every core's transaction cache,
     /// stopping at the first hit (as `iter().any` would). A TC whose
     /// presence filter says the line cannot be buffered skips the CAM
     /// search entirely but still counts the broadcast as a probe miss —
     /// the probe statistics feed both the report and the energy model, so
     /// the filter must be invisible to them.
     fn tc_probe_any(&mut self, line: LineAddr) -> bool {
+        if !line.is_persistent() || !matches!(self.scheme, SchemeState::TxCache(_)) {
+            return false;
+        }
         for tc in &mut self.tcs {
             if tc.contains_line(line) {
                 if tc.probe(line).is_some() {
@@ -1404,8 +1388,8 @@ impl System {
         let persistent = addr.is_persistent();
         let in_tx = self.cores[c].regs.in_tx();
         let tx = self.cores[c].regs.current();
-        let tc_route =
-            self.cfg.scheme == SchemeKind::TxCache && persistent && in_tx && kind == StoreKind::Data;
+        let tx_data = persistent && in_tx && kind == StoreKind::Data;
+        let tc_route = tx_data && matches!(self.scheme, SchemeState::TxCache(_));
 
         // Cross-core conflict serialization, checked before any other
         // side effect so the retried op is idempotent: a transactional
@@ -1415,13 +1399,13 @@ impl System {
         // writes reach the persistence domain (§3's program-order rule,
         // lifted across cores). Inert without sharing — striped cores
         // never hold the same line.
-        if persistent && in_tx && kind == StoreKind::Data {
+        if tx_data {
             if self.cores[c].conflict_exempt {
                 self.cores[c].conflict_exempt = false;
             } else if self.conflicting_core(c, addr.line()).is_some() {
                 self.cores[c].stats.tx_conflicts.inc();
                 self.cores[c].begin_stall(StallKind::Conflict);
-                let at = self.clock.max(self.cores[c].time) + self.run_cfg.conflict_retry;
+                let at = self.clock.max(self.cores[c].time) + CONFLICT_RETRY;
                 self.push_event(at, Event::CoreStep(c));
                 return;
             }
@@ -1429,7 +1413,7 @@ impl System {
 
         // The transaction cache may need to stall *before* any other side
         // effect so that the retried op is idempotent.
-        if tc_route && !self.cores[c].cow_active {
+        if tc_route && !self.cow(c).active {
             if self.tcs[c].overflow_triggered() {
                 self.overflow_to_cow(c, tx.expect("in tx"));
             } else if self.tcs[c].is_full() {
@@ -1444,13 +1428,8 @@ impl System {
         let line = addr.line();
         // NVLLC tags transactional persistent stores so the hierarchy can
         // pin them; the TC scheme needs no tagging (hierarchy unmodified).
-        let tag = if self.cfg.scheme == SchemeKind::NvLlc && persistent && in_tx {
-            tx
-        } else {
-            None
-        };
         let mut acc = Access::store(line);
-        if let Some(t) = tag {
+        if let (SchemeState::NvLlc(_), true, Some(t)) = (&self.scheme, persistent, tx) {
             acc = acc.with_tx(t);
         }
         let outcome = match self.hier.access(c, acc) {
@@ -1471,10 +1450,10 @@ impl System {
         // pre-image is what rollback restores if the transaction never
         // commits. The conflict gate above serialized cross-core writers
         // of this line, so the pre-image is the latest committed value.
-        if self.cfg.scheme == SchemeKind::Eadr && persistent && in_tx && kind == StoreKind::Data {
+        if let (SchemeState::Eadr(undo), true) = (&mut self.scheme, tx_data) {
             let w = addr.word();
             let pre = self.volatile.get(&w).copied().unwrap_or(0);
-            self.eadr_undo[c].entry(w).or_insert(pre);
+            undo[c].entry(w).or_insert(pre);
         }
 
         // Functional: architectural memory state.
@@ -1486,24 +1465,15 @@ impl System {
         let cost = match outcome.hit {
             Some(Level::L1) => 1,
             Some(Level::L2) => self.lat_l2,
-            Some(Level::Llc) => {
-                let w = self.llc_port_take(line, t);
-                self.lat_l2 + w + self.lat_llc
-            }
-            None => {
-                let w = self.llc_port_take(line, t);
-                let mut fill = self.lat_l2 + w + self.lat_llc;
-                let region = line.region();
-                if self.cfg.scheme == SchemeKind::TxCache
-                    && persistent
-                    && self.tc_probe_any(line)
-                {
-                    // The parallel TC probe serves the fill.
-                    fill += self.lat_tc;
+            hit => {
+                let llc = self.lat_l2 + self.llc_port_hold(line, t, 1) + self.lat_llc;
+                if hit.is_some() {
+                    llc
+                } else if self.tc_probe_any(line) {
+                    llc + self.lat_tc
                 } else {
-                    fill += self.ctrl(region).read_estimate();
+                    llc + self.ctrl(line.region()).read_estimate()
                 }
-                fill
             }
         };
         self.cores[c].drain_sb();
@@ -1529,7 +1499,7 @@ impl System {
 
         // Scheme-specific persistent-store handling.
         if tc_route {
-            if self.cores[c].cow_active {
+            if self.cow(c).active {
                 self.cow_write(c, tx.expect("in tx"), addr.word(), value);
             } else {
                 self.tcs[c]
@@ -1537,7 +1507,7 @@ impl System {
                     .expect("fullness checked above");
             }
         }
-        if persistent && in_tx && kind == StoreKind::Data {
+        if tx_data {
             self.cores[c].tx_writes.push((addr.word(), value));
             // Every scheme tracks the written lines: NVLLC commits them,
             // and the conflict check above reads them on remote cores
@@ -1627,7 +1597,7 @@ impl System {
                 let words = self.snapshot_volatile(victim);
                 self.post_write(
                     victim,
-                    pmacc_types::WriteCause::Cow,
+                    WriteCause::Cow,
                     Origin::Writeback {
                         line: victim,
                         words,
@@ -1637,7 +1607,7 @@ impl System {
             self.cores[c].pin_retries = 0;
         }
         self.cores[c].begin_stall(StallKind::PinBlocked);
-        let at = self.clock.max(self.cores[c].time) + self.run_cfg.pin_retry;
+        let at = self.clock.max(self.cores[c].time) + PIN_RETRY;
         self.push_event(at, Event::CoreStep(c));
     }
 
@@ -1655,7 +1625,7 @@ impl System {
             self.cores[c].pending_flushes += 1;
             self.post_write(
                 line,
-                pmacc_types::WriteCause::Flush,
+                WriteCause::Flush,
                 Origin::FlushAck {
                     core: c,
                     words,
@@ -1666,21 +1636,12 @@ impl System {
         self.cores[c].idx += 1;
     }
 
-    fn do_fence(&mut self, c: usize) {
+    /// An `sfence`, or with a durable-count target a `pcommit`.
+    fn do_fence(&mut self, c: usize, pcommit: Option<u64>) {
         self.cores[c].stats.ops.inc();
         self.cores[c].charge(1, self.cfg.core.issue_width);
         self.cores[c].idx += 1;
-        self.cores[c].begin_stall(StallKind::Fence);
-        self.try_finish_fence(c);
-    }
-
-    fn do_pcommit(&mut self, c: usize) {
-        self.cores[c].stats.ops.inc();
-        self.cores[c].charge(1, self.cfg.core.issue_width);
-        self.cores[c].idx += 1;
-        // Snapshot: wait for everything the controller has accepted so
-        // far (later arrivals from other cores are not our problem).
-        self.cores[c].pcommit = Some(self.nvm.writes_accepted());
+        self.cores[c].pcommit = pcommit;
         self.cores[c].begin_stall(StallKind::Fence);
         self.try_finish_fence(c);
     }
@@ -1721,13 +1682,16 @@ impl System {
         if self.cores[c].txend.is_none() {
             let tx = self.cores[c].regs.end();
             self.cores[c].txend = Some((tx, None));
-            match self.cfg.scheme {
+            match &mut self.scheme {
                 // eADR commits are free: every store is already durable,
                 // so TX_END only has to publish the commit (retire the
                 // journal entry and release the conflict gate) — same
                 // instant-retirement path as Optimal and SP.
-                SchemeKind::Optimal | SchemeKind::Sp | SchemeKind::Eadr => self.finish_txend(c),
-                SchemeKind::TxCache => {
+                SchemeState::Optimal | SchemeState::Sp | SchemeState::Eadr(_) => {
+                    self.finish_txend(c);
+                }
+                SchemeState::TxCache(cow) => {
+                    let cow_active = cow[c].active;
                     // The commit order is the journal index this
                     // transaction takes: `finish_txend` pushes it within
                     // this same event in the non-COW case. In the COW
@@ -1739,7 +1703,7 @@ impl System {
                     self.tcs[c].commit(tx, seq);
                     let at = self.clock.max(self.cores[c].time);
                     self.schedule_tc_drain(c, at);
-                    if self.cores[c].cow_active {
+                    if cow_active {
                         self.cores[c].begin_stall(StallKind::TxCacheFull);
                         self.cores[c].txend = Some((tx, Some(TxEndPhase::WaitCowData)));
                         self.try_resume_tc(c);
@@ -1747,7 +1711,12 @@ impl System {
                         self.finish_txend(c);
                     }
                 }
-                SchemeKind::NvLlc => {
+                SchemeState::NvLlc(committed) => {
+                    // Functional: the transaction's values are now
+                    // committed in the nonvolatile LLC.
+                    for &(w, v) in &self.cores[c].tx_writes {
+                        committed.insert(w, v);
+                    }
                     // Blocking commit flush: push the transaction's dirty
                     // lines from L1/L2 into the nonvolatile LLC, occupying
                     // the LLC write port (the §5.2 "bursts of traffic").
@@ -1772,11 +1741,6 @@ impl System {
                         self.cores[c].stats.add_stall(StallKind::CommitFlush, t - t0);
                         self.cores[c].time = t;
                     }
-                    // Functional: these values are now committed in the
-                    // nonvolatile LLC.
-                    for &(w, v) in &self.cores[c].tx_writes {
-                        self.nv_llc_committed.insert(w, v);
-                    }
                     self.finish_txend(c);
                 }
             }
@@ -1792,7 +1756,9 @@ impl System {
         self.clear_tx_lines(c);
         // The committed transaction's eADR undo pre-images are dead: its
         // stores are now the committed image.
-        self.eadr_undo[c].clear();
+        if let SchemeState::Eadr(undo) = &mut self.scheme {
+            undo[c].clear();
+        }
         // This retirement is exactly when a remote core stalled on one of
         // this transaction's lines may proceed, so wake Conflict-blocked
         // cores now instead of leaving them to the periodic retry
@@ -1856,7 +1822,7 @@ impl System {
         // to the NVM in program order". An overflowed transaction's COW
         // installs are earlier in program order than anything still in
         // the FIFO, so drains wait until the installs are durable.
-        if self.cow_installs.keys().any(|(core, _)| *core == c) {
+        if !self.cow(c).installs.is_empty() {
             return; // the last install completion re-arms the drain
         }
         let mut issued = 0;
@@ -1882,8 +1848,8 @@ impl System {
                     seq: entry.commit_seq,
                 },
             );
-            let req = MemReq::write(id, entry.line, Some(c), pmacc_types::WriteCause::TxCacheDrain)
-                .with_tx(entry.tx);
+            let req =
+                MemReq::write(id, entry.line, Some(c), WriteCause::TxCacheDrain).with_tx(entry.tx);
             self.nvm.enqueue(req, self.clock).expect("checked can_accept");
             self.tcs[c].mark_issued(slot);
             issued += 1;
@@ -1900,16 +1866,16 @@ impl System {
         // free entry, or a COW'd transaction waiting out its commit.
         match self.cores[c].txend {
             Some((tx, Some(TxEndPhase::WaitCowData))) => {
-                if self.cores[c].cow_pending == 0 {
+                let cow = self.cow(c);
+                if cow.pending == 0 {
                     // All shadow data durable: persist the commit record.
+                    let line = layout::cow_area_base(c)
+                        .offset(cow.cursor * WORD_BYTES)
+                        .line();
+                    cow.cursor += 8;
                     let id = self.req_id();
                     self.origins.insert(id, Origin::CowRecord { core: c, tx });
-                    let line = layout::cow_area_base(c)
-                        .offset(self.cores[c].cow_cursor * WORD_BYTES)
-                        .line();
-                    self.cores[c].cow_cursor += 8;
-                    let req =
-                        MemReq::write(id, line, Some(c), pmacc_types::WriteCause::Cow).with_tx(tx);
+                    let req = MemReq::write(id, line, Some(c), WriteCause::Cow).with_tx(tx);
                     if self.nvm.enqueue(req, self.clock).is_err() {
                         self.wb_pending.push(req);
                     }
@@ -1932,9 +1898,18 @@ impl System {
         }
     }
 
+    /// Core `c`'s COW overflow state; the overflow path runs only under
+    /// the TC scheme.
+    fn cow(&mut self, c: usize) -> &mut CowCore {
+        match &mut self.scheme {
+            SchemeState::TxCache(cow) => &mut cow[c],
+            _ => unreachable!("the COW overflow path runs only under TC"),
+        }
+    }
+
     fn overflow_to_cow(&mut self, c: usize, tx: TxId) {
         self.tcs[c].stats.overflows.inc();
-        self.cores[c].cow_active = true;
+        self.cow(c).active = true;
         // Migrate the transaction's buffered entries to the COW area.
         let entries = self.tcs[c].entries_fifo();
         let mut moved = Vec::new();
@@ -1958,25 +1933,29 @@ impl System {
         // may complete out of order across banks, but the commit record is
         // only written after every shadow ack, so a committed shadow is
         // always fully durable and must replay in program order.
-        if let Some(last) = self.cow_shadow[c].last_mut().filter(|s| s.tx == tx && !s.committed)
+        let cow = self.cow(c);
+        if let Some(last) = cow
+            .shadows
+            .last_mut()
+            .filter(|s| s.tx == tx && !s.committed)
         {
             last.records.push((word, value));
         } else {
-            self.cow_shadow[c].push(CowTxShadow {
+            cow.shadows.push(CowTxShadow {
                 tx,
                 records: vec![(word, value)],
                 committed: false,
                 commit_seq: 0,
             });
         }
+        let line = layout::cow_area_base(c)
+            .offset(cow.cursor * WORD_BYTES)
+            .line();
+        cow.cursor += 2;
+        cow.pending += 1;
         let id = self.req_id();
         self.origins.insert(id, Origin::CowData { core: c });
-        let line = layout::cow_area_base(c)
-            .offset(self.cores[c].cow_cursor * WORD_BYTES)
-            .line();
-        self.cores[c].cow_cursor += 2;
-        self.cores[c].cow_pending += 1;
-        let req = MemReq::write(id, line, Some(c), pmacc_types::WriteCause::Cow).with_tx(tx);
+        let req = MemReq::write(id, line, Some(c), WriteCause::Cow).with_tx(tx);
         if self.nvm.enqueue(req, self.clock.max(self.cores[c].time)).is_err() {
             self.wb_pending.push(req);
         }
@@ -1996,45 +1975,39 @@ impl System {
         out
     }
 
-    fn snapshot_committed(&self, line: LineAddr) -> [Word; WORDS_PER_LINE] {
-        // NVLLC write-backs carry the *committed* version of the line.
-        let mut out = [0; WORDS_PER_LINE];
-        for (i, w) in line.words().enumerate() {
-            out[i] = self
-                .nv_llc_committed
-                .get(&w)
-                .copied()
-                .unwrap_or_else(|| self.nvm_backing.read_word(w));
-        }
-        out
-    }
-
     fn route_evictions(&mut self, evictions: Vec<Eviction>) {
         for ev in evictions {
             if !ev.dirty {
                 continue;
             }
-            let persistent = ev.line.is_persistent();
-            if persistent && self.cfg.scheme == SchemeKind::TxCache {
-                // §3: dirty persistent LLC evictions are simply dropped —
-                // the transaction cache is the only persistent path.
-                self.dropped_llc_writes.inc();
-                continue;
-            }
-            let words = if persistent && self.cfg.scheme == SchemeKind::NvLlc {
-                self.snapshot_committed(ev.line)
-            } else {
-                self.snapshot_volatile(ev.line)
+            let words = match &self.scheme {
+                SchemeState::TxCache(_) if ev.line.is_persistent() => {
+                    // §3: dirty persistent LLC evictions are simply
+                    // dropped — the transaction cache is the only
+                    // persistent path.
+                    self.dropped_llc_writes.inc();
+                    continue;
+                }
+                // NVLLC write-backs carry the *committed* version of the
+                // line.
+                SchemeState::NvLlc(committed) if ev.line.is_persistent() => {
+                    std::array::from_fn(|i| {
+                        let w = ev.line.word(i);
+                        let durable = || self.nvm_backing.read_word(w);
+                        committed.get(&w).copied().unwrap_or_else(durable)
+                    })
+                }
+                _ => self.snapshot_volatile(ev.line),
             };
             self.post_write(
                 ev.line,
-                pmacc_types::WriteCause::Eviction,
+                WriteCause::Eviction,
                 Origin::Writeback { line: ev.line, words },
             );
         }
     }
 
-    fn post_write(&mut self, line: LineAddr, cause: pmacc_types::WriteCause, origin: Origin) {
+    fn post_write(&mut self, line: LineAddr, cause: WriteCause, origin: Origin) {
         let id = self.req_id();
         self.origins.insert(id, origin);
         let req = MemReq::write(id, line, None, cause);
@@ -2171,7 +2144,7 @@ impl System {
             Origin::CowData { core } => {
                 // The shadow copy (already recorded at issue, in program
                 // order) is durable now.
-                self.cores[core].cow_pending -= 1;
+                self.cow(core).pending -= 1;
                 if self.cores[core].blocked == Some(StallKind::TxCacheFull) {
                     self.cores[core].time = self.cores[core].time.max(comp.done_at);
                     self.try_resume_tc(core);
@@ -2182,27 +2155,21 @@ impl System {
                 // The journal index this transaction takes: its
                 // `finish_txend` runs below, within this same event.
                 let seq = self.journal.len() as u64 + 1;
-                if let Some(s) = self.cow_shadow[core]
-                    .iter_mut()
-                    .rev()
-                    .find(|s| s.tx == tx)
-                {
-                    s.committed = true;
-                    s.commit_seq = seq;
-                }
+                let cow = self.cow(core);
                 // Install the shadow copies in their home locations; the
                 // shadow is truncated once every install is durable.
-                let records: Vec<(WordAddr, Word)> = self
-                    .cow_shadow[core]
-                    .iter()
-                    .rev()
-                    .find(|s| s.tx == tx)
-                    .map(|s| s.records.clone())
-                    .unwrap_or_default();
+                let records = match cow.shadows.iter_mut().rev().find(|s| s.tx == tx) {
+                    Some(s) => {
+                        s.committed = true;
+                        s.commit_seq = seq;
+                        s.records.clone()
+                    }
+                    None => Vec::new(),
+                };
                 if records.is_empty() {
-                    self.cow_shadow[core].retain(|s| s.tx != tx);
+                    cow.shadows.retain(|s| s.tx != tx);
                 } else {
-                    self.cow_installs.insert((core, tx), records.len());
+                    cow.installs.insert(tx, records.len());
                 }
                 for (w, v) in records {
                     let id = self.req_id();
@@ -2216,8 +2183,7 @@ impl System {
                             seq,
                         },
                     );
-                    let req =
-                        MemReq::write(id, w.line(), Some(core), pmacc_types::WriteCause::Cow);
+                    let req = MemReq::write(id, w.line(), Some(core), WriteCause::Cow);
                     if self.nvm.enqueue(req, self.clock).is_err() {
                         self.wb_pending.push(req);
                     }
@@ -2225,7 +2191,7 @@ impl System {
                 let wake = self.nvm.next_wake().unwrap_or(self.clock);
                 self.schedule_mem_poke(MemRegion::Nvm, wake.max(self.clock));
                 // The overflowed transaction is durable; finish TX_END.
-                self.cores[core].cow_active = false;
+                self.cow(core).active = false;
                 self.cores[core].time = self.cores[core].time.max(comp.done_at);
                 self.cores[core].end_stall(comp.done_at);
                 self.finish_txend(core);
@@ -2241,13 +2207,14 @@ impl System {
             } => {
                 self.record_boundary(BoundaryClass::CowCommit);
                 self.durable_write(word, value, seq);
-                if let Some(n) = self.cow_installs.get_mut(&(core, tx)) {
+                let cow = self.cow(core);
+                if let Some(n) = cow.installs.get_mut(&tx) {
                     *n -= 1;
                     if *n == 0 {
                         // Every home copy is durable: free the COW area
                         // and release the core's drain barrier.
-                        self.cow_installs.remove(&(core, tx));
-                        self.cow_shadow[core].retain(|s| s.tx != tx);
+                        cow.installs.remove(&tx);
+                        cow.shadows.retain(|s| s.tx != tx);
                         self.schedule_tc_drain(core, self.clock);
                     }
                 }
@@ -2513,8 +2480,9 @@ mod tests {
     #[test]
     fn all_schemes_run_to_completion() {
         for scheme in SchemeKind::all() {
-            let (report, _) = run_simple(scheme);
+            let (report, sys) = run_simple(scheme);
             assert_eq!(report.total_committed(), 40, "{scheme}: 20 tx x 2 cores");
+            assert_eq!(sys.crash_state().scheme(), scheme);
             assert!(report.cycles > 0);
             assert!(report.ipc() > 0.0);
         }
@@ -2596,7 +2564,7 @@ mod tests {
     fn tc_scheme_persists_through_the_side_path() {
         let (report, sys) = run_simple(SchemeKind::TxCache);
         assert!(
-            report.nvm.writes_with_cause(pmacc_types::WriteCause::TxCacheDrain) > 0,
+            report.nvm.writes_with_cause(WriteCause::TxCacheDrain) > 0,
             "committed entries drain to NVM"
         );
         // After quiescing, all committed values are durable.
@@ -2613,7 +2581,7 @@ mod tests {
     #[test]
     fn sp_scheme_writes_log_traffic() {
         let (report, _) = run_simple(SchemeKind::Sp);
-        assert!(report.nvm.writes_with_cause(pmacc_types::WriteCause::Flush) > 0);
+        assert!(report.nvm.writes_with_cause(WriteCause::Flush) > 0);
         assert!(
             report.nvm.writes() > 20,
             "log + data flushes generate NVM writes"
@@ -2830,7 +2798,9 @@ mod tests {
             state.cycle, 500,
             "the snapshot is stamped with the requested crash cycle"
         );
-        assert_eq!(state.txcaches.len(), 2);
+        assert!(
+            matches!(&state.durable, DurableState::TxCache { txcaches, .. } if txcaches.len() == 2)
+        );
     }
 
     #[test]

@@ -559,7 +559,7 @@ fn heap_word(i: u8) -> WordAddr {
 
 #[test]
 fn crash_snapshot_recovers_through_ring_wrap_holes() {
-    use pmacc::recovery::{check_recovery, recover, CrashState, TxRecord};
+    use pmacc::recovery::{check_recovery, recover, CrashState, DurableState, TxRecord};
     pmacc_prop::check("crash_snapshot_recovers_through_ring_wrap_holes", |g| {
         // 2–5 entries: a few hundred ops wrap the ring many times over.
         let entries = g.gen_range(2u64..6);
@@ -646,17 +646,16 @@ fn crash_snapshot_recovers_through_ring_wrap_holes() {
             });
             let state = CrashState {
                 cycle: step as u64,
-                scheme: pmacc_types::SchemeKind::TxCache,
                 cores: 1,
                 nvm: nvm.clone(),
                 wear: None,
                 initial_nvm: pmacc_mem::Backing::new(),
-                txcaches: vec![snapshot],
-                nv_llc_committed: pmacc_types::FxHashMap::default(),
-                cow: vec![Vec::new()],
+                durable: DurableState::TxCache {
+                    txcaches: vec![snapshot],
+                    cow: vec![Vec::new()],
+                },
                 journal: journal.clone(),
                 in_flight: vec![in_flight],
-                eadr_undo: vec![Vec::new()],
             };
             let recovered = recover(&state);
             check_recovery(&state, &recovered).unwrap_or_else(|e| {
