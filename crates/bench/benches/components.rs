@@ -62,11 +62,7 @@ fn bench_hierarchy(c: &mut Harness) {
 
 fn bench_memctrl(c: &mut Harness) {
     c.bench_function("memctrl_enqueue_advance", |b| {
-        let mut ctrl = MemController::new(
-            MemRegion::Nvm,
-            MemConfig::nvm_dac17(),
-            Default::default(),
-        );
+        let mut ctrl = MemController::new(MemRegion::Nvm, MemConfig::nvm_dac17());
         let mut t = 0u64;
         let mut id = 0u64;
         b.iter(|| {

@@ -30,198 +30,81 @@
 //! point, 1 otherwise.
 
 use std::process::ExitCode;
-use std::str::FromStr;
 use std::time::Instant;
 
+use pmacc_bench::cli::{self, Args};
 use pmacc_bench::crashgrid::{parse_report, run_campaign, CampaignConfig, Mutation};
 use pmacc_bench::pool::Options;
-use pmacc_telemetry::Json;
 
-fn parse_list<T: FromStr>(raw: &str, what: &str) -> Result<Vec<T>, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let items: Result<Vec<T>, String> = raw
-        .split(',')
-        .filter(|s| !s.trim().is_empty())
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|e| format!("bad {what} `{}`: {e}", s.trim()))
-        })
-        .collect();
-    match items {
-        Ok(v) if v.is_empty() => Err(format!("empty {what} list")),
-        other => other,
+fn verify_report(path: &str) -> Result<ExitCode, String> {
+    let s = parse_report(&cli::read_json(path)?)
+        .map_err(|e| format!("{path} failed validation: {e}"))?;
+    if s.total_violations > 0 {
+        return Err(format!(
+            "{path} records {} violation(s) across {} cells",
+            s.total_violations, s.cells
+        ));
     }
-}
-
-fn verify_report(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("crashgrid: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = match Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("crashgrid: {path} is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match parse_report(&doc) {
-        Ok(s) if s.total_violations == 0 => {
-            eprintln!(
-                "crashgrid: {path} ok: {} cells, {} crash points, 0 violations \
-                 ({} control detections)",
-                s.cells, s.total_points, s.control_detections
-            );
-            ExitCode::SUCCESS
-        }
-        Ok(s) => {
-            eprintln!(
-                "crashgrid: {path} records {} violation(s) across {} cells",
-                s.total_violations, s.cells
-            );
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("crashgrid: {path} failed validation: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    eprintln!(
+        "crashgrid: {path} ok: {} cells, {} crash points, 0 violations \
+         ({} control detections)",
+        s.cells, s.total_points, s.control_detections
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
+    cli::run("crashgrid", run)
+}
+
+fn run() -> Result<ExitCode, String> {
     let mut seed = 42u64;
+    let mut mutation = Mutation::None;
+    let (mut schemes, mut workloads, mut cores) = (None, None, None);
     let mut json_path: Option<String> = None;
     let mut verify_path: Option<String> = None;
-    let mut schemes_arg: Option<String> = None;
-    let mut workloads_arg: Option<String> = None;
-    let mut cores_arg: Option<String> = None;
-    let mut mutation = Mutation::None;
     let mut opts = Options {
         progress: true,
         ..Options::default()
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => {} // the only campaign scale for now
-            "--seed" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--seed needs an integer");
-                    return ExitCode::FAILURE;
-                };
-                seed = v;
-            }
-            "--jobs" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()).filter(|&v| v > 0) else {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                opts.jobs = v;
-            }
-            "--json" => {
-                let Some(p) = args.next() else {
-                    eprintln!("--json needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                json_path = Some(p);
-            }
-            "--verify" => {
-                let Some(p) = args.next() else {
-                    eprintln!("--verify needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                verify_path = Some(p);
-            }
-            "--schemes" => {
-                let Some(v) = args.next() else {
-                    eprintln!("--schemes needs a comma-separated list");
-                    return ExitCode::FAILURE;
-                };
-                schemes_arg = Some(v);
-            }
-            "--workloads" => {
-                let Some(v) = args.next() else {
-                    eprintln!("--workloads needs a comma-separated list");
-                    return ExitCode::FAILURE;
-                };
-                workloads_arg = Some(v);
-            }
-            "--cores" => {
-                let Some(v) = args.next() else {
-                    eprintln!("--cores needs a comma-separated list");
-                    return ExitCode::FAILURE;
-                };
-                cores_arg = Some(v);
-            }
-            "--mutate" => {
-                let parsed = args.next().map(|v| v.parse());
-                match parsed {
-                    Some(Ok(m)) => mutation = m,
-                    Some(Err(e)) => {
-                        eprintln!("crashgrid: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    None => {
-                        eprintln!("--mutate needs a mutation name");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
+            "--seed" => seed = args.value("--seed")?,
+            "--jobs" => opts.jobs = args.positive("--jobs")?,
+            "--json" => json_path = Some(args.value("--json")?),
+            "--verify" => verify_path = Some(args.value("--verify")?),
+            "--schemes" => schemes = Some(args.list("--schemes")?),
+            "--workloads" => workloads = Some(args.list("--workloads")?),
+            "--cores" => cores = Some(args.list("--cores")?),
+            "--mutate" => mutation = args.value("--mutate")?,
             "--help" | "-h" => {
                 let mutations: Vec<&str> = Mutation::NAMES.iter().map(|&(_, n)| n).collect();
-                eprintln!(
+                return Ok(cli::help(&format!(
                     "usage: crashgrid [--quick] [--seed N] [--jobs N] [--json FILE] \
                      [--schemes a,b] [--workloads a,b] [--cores 1,2] \
                      [--mutate {}] [--verify FILE]",
                     mutations.join("|")
-                );
-                return ExitCode::SUCCESS;
+                )));
             }
-            other => {
-                eprintln!("unknown argument `{other}`; see --help");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(cli::unknown(other)),
         }
     }
 
     if let Some(path) = &verify_path {
         return verify_report(path);
     }
-
     let mut cfg = CampaignConfig::quick(seed);
     cfg.mutation = mutation;
-    if let Some(raw) = &schemes_arg {
-        match parse_list(raw, "scheme") {
-            Ok(v) => cfg.schemes = v,
-            Err(e) => {
-                eprintln!("crashgrid: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(v) = schemes {
+        cfg.schemes = v;
     }
-    if let Some(raw) = &workloads_arg {
-        match parse_list(raw, "workload") {
-            Ok(v) => cfg.workloads = v,
-            Err(e) => {
-                eprintln!("crashgrid: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(v) = workloads {
+        cfg.workloads = v;
     }
-    if let Some(raw) = &cores_arg {
-        match parse_list(raw, "core count") {
-            Ok(v) => cfg.core_counts = v,
-            Err(e) => {
-                eprintln!("crashgrid: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(v) = cores {
+        cfg.core_counts = v;
     }
 
     eprintln!(
@@ -230,13 +113,7 @@ fn main() -> ExitCode {
         opts.jobs
     );
     let started = Instant::now();
-    let report = match run_campaign(&cfg, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("crashgrid: campaign failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = run_campaign(&cfg, &opts).map_err(|e| format!("campaign failed: {e}"))?;
     // Wall-clock goes to stderr only: the JSON report must stay
     // byte-identical across worker counts and machines.
     eprintln!(
@@ -247,11 +124,7 @@ fn main() -> ExitCode {
     );
 
     if let Some(path) = &json_path {
-        if let Err(e) = std::fs::write(path, report.to_json().to_pretty()) {
-            eprintln!("crashgrid: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("crashgrid: wrote {path}");
+        cli::write_json(path, &report.to_json())?;
     }
 
     let violations = report.total_violations();
@@ -261,26 +134,24 @@ fn main() -> ExitCode {
     }
     if violations == 0 {
         eprintln!("crashgrid: all persistent-scheme cells consistent at every crash point");
-        ExitCode::SUCCESS
-    } else {
-        for cell in report.cells.iter().filter(|c| c.expect_consistent) {
-            for v in &cell.violations {
-                eprintln!(
-                    "crashgrid: {} crash@{} [{}]: {}",
-                    cell.spec.label(),
-                    v.crash_cycle,
-                    v.class.name(),
-                    v.error
-                );
-            }
-        }
-        for r in &report.reproducers {
+        return Ok(ExitCode::SUCCESS);
+    }
+    for cell in report.cells.iter().filter(|c| c.expect_consistent) {
+        for v in &cell.violations {
             eprintln!(
-                "crashgrid: minimized reproducer `{}`: {} ops, crash@{}",
-                r.name, r.params.num_ops, r.crash_cycle
+                "crashgrid: {} crash@{} [{}]: {}",
+                cell.spec.label(),
+                v.crash_cycle,
+                v.class.name(),
+                v.error
             );
         }
-        eprintln!("crashgrid: {violations} violation(s); reproducers embedded in the report");
-        ExitCode::FAILURE
     }
+    for r in &report.reproducers {
+        eprintln!(
+            "crashgrid: minimized reproducer `{}`: {} ops, crash@{}",
+            r.name, r.params.num_ops, r.crash_cycle
+        );
+    }
+    Err(format!("{violations} violation(s); reproducers embedded in the report"))
 }

@@ -25,6 +25,7 @@
 use std::process::ExitCode;
 
 use pmacc::RunConfig;
+use pmacc_bench::cli::{self, Args};
 use pmacc_bench::grid::{run_grid_opts, Scale};
 use pmacc_bench::pool::Options;
 use pmacc_bench::report;
@@ -33,6 +34,10 @@ use pmacc_telemetry::Json;
 const DEFAULT_BASELINE: &str = "baselines/metrics-quick.json";
 
 fn main() -> ExitCode {
+    cli::run("regress", run)
+}
+
+fn run() -> Result<ExitCode, String> {
     let mut scale = Scale::Quick;
     let mut seed = 42u64;
     let mut baseline_path = DEFAULT_BASELINE.to_string();
@@ -42,51 +47,23 @@ fn main() -> ExitCode {
         progress: true,
         ..Options::default()
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => scale = Scale::Quick,
             "--full" => scale = Scale::Full,
             "--write-baseline" => write_baseline = true,
-            "--baseline" => {
-                let Some(p) = args.next() else {
-                    eprintln!("--baseline needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                baseline_path = p;
-            }
-            "--json" => {
-                let Some(p) = args.next() else {
-                    eprintln!("--json needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                json_path = Some(p);
-            }
-            "--seed" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--seed needs an integer");
-                    return ExitCode::FAILURE;
-                };
-                seed = v;
-            }
-            "--jobs" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()).filter(|&v| v > 0) else {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                opts.jobs = v;
-            }
+            "--baseline" => baseline_path = args.value("--baseline")?,
+            "--json" => json_path = Some(args.value("--json")?),
+            "--seed" => seed = args.value("--seed")?,
+            "--jobs" => opts.jobs = args.positive("--jobs")?,
             "--help" | "-h" => {
-                eprintln!(
+                return Ok(cli::help(
                     "usage: regress [--quick|--full] [--seed N] [--jobs N] \
-                     [--baseline FILE] [--write-baseline] [--json FILE]"
-                );
-                return ExitCode::SUCCESS;
+                     [--baseline FILE] [--write-baseline] [--json FILE]",
+                ));
             }
-            other => {
-                eprintln!("unknown argument `{other}`; see --help");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(cli::unknown(other)),
         }
     }
 
@@ -94,86 +71,40 @@ fn main() -> ExitCode {
         "regress: running the {scale} grid (seed {seed}) on {} worker(s) ...",
         opts.jobs
     );
-    let grid = match run_grid_opts(scale, seed, &RunConfig::default(), &opts) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("regress: grid failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let grid = run_grid_opts(scale, seed, &RunConfig::default(), &opts)
+        .map_err(|e| format!("grid failed: {e}"))?;
     let metrics = report::key_metrics(&grid);
     let doc = report::baseline_json(&metrics, scale, seed);
 
     if let Some(path) = &json_path {
-        if let Err(e) = std::fs::write(path, doc.to_pretty()) {
-            eprintln!("regress: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("regress: wrote {path}");
+        cli::write_json(path, &doc)?;
     }
-
     if write_baseline {
-        if let Some(dir) = std::path::Path::new(&baseline_path).parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("regress: cannot create {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        if let Err(e) = std::fs::write(&baseline_path, doc.to_pretty()) {
-            eprintln!("regress: cannot write {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("regress: wrote baseline {baseline_path}");
-        return ExitCode::SUCCESS;
+        cli::write_json(&baseline_path, &doc)?;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "regress: cannot read baseline {baseline_path}: {e}\n\
-                 regress: create one with `regress --write-baseline`"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("regress: baseline {baseline_path} is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let baseline = cli::read_json(&baseline_path)
+        .map_err(|e| format!("{e}\nregress: create one with `regress --write-baseline`"))?;
     if baseline.get("scale").and_then(Json::as_str) != Some(scale.to_string().as_str()) {
-        eprintln!(
-            "regress: baseline {baseline_path} was recorded at scale {:?}, \
+        return Err(format!(
+            "baseline {baseline_path} was recorded at scale {:?}, \
              but this run is {scale}; pass the matching scale flag",
             baseline.get("scale").and_then(Json::as_str).unwrap_or("?")
-        );
-        return ExitCode::FAILURE;
+        ));
     }
-    match report::compare_to_baseline(&metrics, &baseline) {
-        Ok(diffs) if diffs.is_empty() => {
-            eprintln!("regress: all baseline metrics within tolerance");
-            ExitCode::SUCCESS
-        }
-        Ok(diffs) => {
-            for d in &diffs {
-                eprintln!("regress: {d}");
-            }
-            eprintln!(
-                "regress: {} metric(s) out of tolerance vs {baseline_path}; \
-                 if the calibration change is intentional, refresh with \
-                 `regress --write-baseline`",
-                diffs.len()
-            );
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("regress: {e}");
-            ExitCode::FAILURE
-        }
+    let diffs = report::compare_to_baseline(&metrics, &baseline)?;
+    if diffs.is_empty() {
+        eprintln!("regress: all baseline metrics within tolerance");
+        return Ok(ExitCode::SUCCESS);
     }
+    for d in &diffs {
+        eprintln!("regress: {d}");
+    }
+    Err(format!(
+        "{} metric(s) out of tolerance vs {baseline_path}; \
+         if the calibration change is intentional, refresh with \
+         `regress --write-baseline`",
+        diffs.len()
+    ))
 }

@@ -1,8 +1,8 @@
 //! Regenerates every table and figure of the paper.
 //!
 //! ```text
-//! reproduce [--quick|--full] [--bars] [--csv DIR] [--json FILE]
-//!           [--seed N] [--jobs N] [--list] [experiment ...]
+//! reproduce [--quick|--full] [--json FILE] [--seed N] [--jobs N]
+//!           [--list] [experiment ...]
 //! ```
 //!
 //! With no experiment arguments, everything runs; `--list` prints the
@@ -26,6 +26,7 @@
 use std::process::ExitCode;
 
 use pmacc::RunConfig;
+use pmacc_bench::cli::{self, Args};
 use pmacc_bench::figures;
 use pmacc_bench::grid::{run_grid_opts, Scale};
 use pmacc_bench::pool::Options;
@@ -70,76 +71,50 @@ const ALL_EXPERIMENTS: [&str; 22] = [
 
 fn usage() -> String {
     format!(
-        "usage: reproduce [--quick|--full] [--bars] [--csv DIR] [--json FILE] \
-         [--seed N] [--jobs N] [--list] [experiment ...]\n\
+        "usage: reproduce [--quick|--full] [--json FILE] [--seed N] [--jobs N] \
+         [--list] [experiment ...]\n\
          experiments: {}",
         ALL_EXPERIMENTS.join(" ")
     )
 }
 
 fn main() -> ExitCode {
+    cli::run("reproduce", run)
+}
+
+fn run() -> Result<ExitCode, String> {
     let mut scale = Scale::Default;
     let mut seed = 42u64;
-    let mut bars = false;
-    let mut csv_dir: Option<String> = None;
     let mut json_path: Option<String> = None;
     let mut opts = Options {
         progress: true,
         ..Options::default()
     };
     let mut wanted: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => scale = Scale::Quick,
             "--full" => scale = Scale::Full,
-            "--bars" => bars = true,
             "--list" => {
                 for e in ALL_EXPERIMENTS {
                     println!("{e}");
                 }
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
-            "--csv" => {
-                let Some(dir) = args.next() else {
-                    eprintln!("--csv needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                csv_dir = Some(dir);
-            }
-            "--json" => {
-                let Some(path) = args.next() else {
-                    eprintln!("--json needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                json_path = Some(path);
-            }
-            "--seed" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--seed needs an integer");
-                    return ExitCode::FAILURE;
-                };
-                seed = v;
-            }
-            "--jobs" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()).filter(|&v| v > 0) else {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                opts.jobs = v;
-            }
-            "--help" | "-h" => {
-                eprintln!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
+            "--json" => json_path = Some(args.value("--json")?),
+            "--seed" => seed = args.value("--seed")?,
+            "--jobs" => opts.jobs = args.positive("--jobs")?,
+            "--help" | "-h" => return Ok(cli::help(&usage())),
             other if ALL_EXPERIMENTS.contains(&other) => wanted.push(other.to_string()),
             other => {
-                match suggest::closest(other, &ALL_EXPERIMENTS) {
-                    Some(s) => eprintln!("unknown experiment `{other}`; did you mean `{s}`?"),
-                    None => eprintln!("unknown experiment `{other}`"),
-                }
-                eprintln!("run `reproduce --list` for the experiment names");
-                return ExitCode::FAILURE;
+                let hint = suggest::closest(other, &ALL_EXPERIMENTS)
+                    .map(|s| format!("; did you mean `{s}`?"))
+                    .unwrap_or_default();
+                return Err(format!(
+                    "unknown experiment `{other}`{hint}\n\
+                     run `reproduce --list` for the experiment names"
+                ));
             }
         }
     }
@@ -160,17 +135,15 @@ fn main() -> ExitCode {
             "running the {scale} scheme x workload grid on {} worker(s) ...",
             opts.jobs
         );
-        match run_grid_opts(scale, seed, &RunConfig::default(), &opts) {
-            Ok(g) => Some(g),
-            Err(e) => {
-                eprintln!("grid failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        Some(
+            run_grid_opts(scale, seed, &RunConfig::default(), &opts)
+                .map_err(|e| format!("grid failed: {e}"))?,
+        )
     } else {
         None
     };
 
+    let grid_ran = || grid.as_ref().expect("grid ran");
     let mut rendered: Vec<(String, pmacc_bench::FigTable)> = Vec::new();
     for w in &wanted {
         eprintln!("rendering {w} ...");
@@ -178,17 +151,15 @@ fn main() -> ExitCode {
             "table1" => Ok(figures::table1(&MachineConfig::dac17())),
             "table2" => Ok(figures::table2(&MachineConfig::dac17())),
             "table3" => Ok(figures::table3(scale, seed)),
-            "fig6" => Ok(figures::fig6(grid.as_ref().expect("grid ran"))),
-            "fig7" => Ok(figures::fig7(grid.as_ref().expect("grid ran"))),
-            "fig8" => Ok(figures::fig8(grid.as_ref().expect("grid ran"))),
-            "fig9" => Ok(figures::fig9(grid.as_ref().expect("grid ran"))),
-            "fig9-breakdown" => {
-                Ok(figures::fig9_breakdown(grid.as_ref().expect("grid ran")))
-            }
-            "fig10" => Ok(figures::fig10(grid.as_ref().expect("grid ran"))),
-            "stalls" => Ok(figures::stalls(grid.as_ref().expect("grid ran"))),
-            "energy" => Ok(figures::energy(grid.as_ref().expect("grid ran"))),
-            "endurance" => Ok(figures::endurance(grid.as_ref().expect("grid ran"))),
+            "fig6" => Ok(figures::fig6(grid_ran())),
+            "fig7" => Ok(figures::fig7(grid_ran())),
+            "fig8" => Ok(figures::fig8(grid_ran())),
+            "fig9" => Ok(figures::fig9(grid_ran())),
+            "fig9-breakdown" => Ok(figures::fig9_breakdown(grid_ran())),
+            "fig10" => Ok(figures::fig10(grid_ran())),
+            "stalls" => Ok(figures::stalls(grid_ran())),
+            "energy" => Ok(figures::energy(grid_ran())),
+            "endurance" => Ok(figures::endurance(grid_ran())),
             "recovery" => figures::recovery_table(scale, seed, &opts),
             "mix" => figures::mix(scale, seed, &opts),
             "warm" => figures::warm(scale, seed, &opts),
@@ -201,36 +172,13 @@ fn main() -> ExitCode {
             "ablation-sp-fencing" => figures::ablation_sp_fencing(scale, seed, &opts),
             _ => unreachable!("validated above"),
         };
-        match table {
-            Ok(t) => {
-                print!("{t}");
-                if bars {
-                    println!("```text\n{}```\n", t.to_bars());
-                }
-                if let Some(dir) = &csv_dir {
-                    if let Err(e) = std::fs::create_dir_all(dir)
-                        .and_then(|()| std::fs::write(format!("{dir}/{w}.csv"), t.to_csv()))
-                    {
-                        eprintln!("cannot write {dir}/{w}.csv: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                rendered.push((w.clone(), t));
-            }
-            Err(e) => {
-                eprintln!("{w} failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let t = table.map_err(|e| format!("{w} failed: {e}"))?;
+        print!("{t}");
+        rendered.push((w.clone(), t));
     }
 
     if let Some(path) = &json_path {
-        let doc = report::full_report(scale, seed, grid.as_ref(), &rendered);
-        if let Err(e) = std::fs::write(path, doc.to_pretty()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
+        cli::write_json(path, &report::full_report(scale, seed, grid.as_ref(), &rendered))?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -24,130 +24,56 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use pmacc_bench::cli::{self, Args};
 use pmacc_bench::pool::Options;
-use pmacc_bench::serve::{parse_report, run_serve, ArrivalKind, ServeCampaignConfig};
-use pmacc_telemetry::Json;
+use pmacc_bench::serve::{parse_report, run_serve, ServeCampaignConfig};
 
-fn verify_report(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("serve: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = match Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("serve: {path} is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match parse_report(&doc) {
-        Ok(s) => {
-            eprintln!(
-                "serve: {path} ok: {} scheme(s), {} rate point(s), {} completed, {} shed",
-                s.schemes, s.rate_points, s.total_completed, s.total_shed
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("serve: {path} failed validation: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn verify_report(path: &str) -> Result<ExitCode, String> {
+    let s = parse_report(&cli::read_json(path)?)
+        .map_err(|e| format!("{path} failed validation: {e}"))?;
+    eprintln!(
+        "serve: {path} ok: {} scheme(s), {} rate point(s), {} completed, {} shed",
+        s.schemes, s.rate_points, s.total_completed, s.total_shed
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
+    cli::run("serve", run)
+}
+
+fn run() -> Result<ExitCode, String> {
     let mut seed = 42u64;
     let mut json_path: Option<String> = None;
     let mut verify_path: Option<String> = None;
-    let mut schemes_arg: Option<String> = None;
-    let mut workload_arg: Option<String> = None;
-    let mut arrival = ArrivalKind::Poisson;
-    let mut cores_arg: Option<usize> = None;
+    let mut schemes = None;
+    let mut workload = None;
+    let mut arrival = None;
+    let mut cores = None;
     let mut opts = Options {
         progress: true,
         ..Options::default()
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => {} // the only campaign scale for now
-            "--seed" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--seed needs an integer");
-                    return ExitCode::FAILURE;
-                };
-                seed = v;
-            }
-            "--jobs" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()).filter(|&v| v > 0) else {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                opts.jobs = v;
-            }
-            "--json" => {
-                let Some(p) = args.next() else {
-                    eprintln!("--json needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                json_path = Some(p);
-            }
-            "--verify" => {
-                let Some(p) = args.next() else {
-                    eprintln!("--verify needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                verify_path = Some(p);
-            }
-            "--schemes" => {
-                let Some(v) = args.next() else {
-                    eprintln!("--schemes needs a comma-separated list");
-                    return ExitCode::FAILURE;
-                };
-                schemes_arg = Some(v);
-            }
-            "--workload" => {
-                let Some(v) = args.next() else {
-                    eprintln!("--workload needs a workload name");
-                    return ExitCode::FAILURE;
-                };
-                workload_arg = Some(v);
-            }
-            "--arrival" => {
-                match args.next().map(|v| v.parse()) {
-                    Some(Ok(k)) => arrival = k,
-                    Some(Err(e)) => {
-                        eprintln!("serve: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    None => {
-                        eprintln!("--arrival needs poisson|bursty|diurnal");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--cores" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()).filter(|&v| v > 0) else {
-                    eprintln!("--cores needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                cores_arg = Some(v);
-            }
+            "--seed" => seed = args.value("--seed")?,
+            "--jobs" => opts.jobs = args.positive("--jobs")?,
+            "--json" => json_path = Some(args.value("--json")?),
+            "--verify" => verify_path = Some(args.value("--verify")?),
+            "--schemes" => schemes = Some(args.list("--schemes")?),
+            "--workload" => workload = Some(args.value("--workload")?),
+            "--arrival" => arrival = Some(args.value("--arrival")?),
+            "--cores" => cores = Some(args.positive("--cores")?),
             "--help" | "-h" => {
-                eprintln!(
+                return Ok(cli::help(
                     "usage: serve [--quick] [--seed N] [--jobs N] [--json FILE] \
                      [--workload NAME] [--arrival poisson|bursty|diurnal] \
-                     [--schemes a,b] [--cores N] [--verify FILE]"
-                );
-                return ExitCode::SUCCESS;
+                     [--schemes a,b] [--cores N] [--verify FILE]",
+                ));
             }
-            other => {
-                eprintln!("unknown argument `{other}`; see --help");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(cli::unknown(other)),
         }
     }
 
@@ -156,31 +82,16 @@ fn main() -> ExitCode {
     }
 
     let mut cfg = ServeCampaignConfig::quick(seed);
-    cfg.arrival = arrival;
-    if let Some(raw) = &schemes_arg {
-        let parsed: Result<Vec<_>, _> = raw
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| s.trim().parse())
-            .collect();
-        match parsed {
-            Ok(v) if !v.is_empty() => cfg.schemes = v,
-            _ => {
-                eprintln!("serve: bad scheme list `{raw}`");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(v) = schemes {
+        cfg.schemes = v;
     }
-    if let Some(raw) = &workload_arg {
-        match raw.parse() {
-            Ok(w) => cfg.workload = w,
-            Err(e) => {
-                eprintln!("serve: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(w) = workload {
+        cfg.workload = w;
     }
-    if let Some(c) = cores_arg {
+    if let Some(k) = arrival {
+        cfg.arrival = k;
+    }
+    if let Some(c) = cores {
         cfg.cores = c;
     }
 
@@ -195,13 +106,7 @@ fn main() -> ExitCode {
         opts.jobs
     );
     let started = Instant::now();
-    let report = match run_serve(&cfg, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("serve: campaign failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = run_serve(&cfg, &opts).map_err(|e| format!("campaign failed: {e}"))?;
     // Wall-clock goes to stderr only: the JSON report must stay
     // byte-identical across worker counts and machines.
     eprintln!(
@@ -243,11 +148,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &json_path {
-        if let Err(e) = std::fs::write(path, report.to_json().to_pretty()) {
-            eprintln!("serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("serve: wrote {path}");
+        cli::write_json(path, &report.to_json())?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -3,7 +3,7 @@
 //! optionally with a mid-run crash plus recovery check.
 //!
 //! ```text
-//! simulate [--scheme tc|sp|nvllc|optimal] [--workload NAME]
+//! simulate [--scheme tc|sp|nvllc|optimal|eadr] [--workload NAME]
 //!          [--machine dac17|scaled|small] [--ops N] [--setup N]
 //!          [--keys N] [--insert-ratio PCT] [--seed N]
 //!          [--tc-size BYTES] [--tc-coalesce] [--nvm-write-ns NS]
@@ -11,94 +11,64 @@
 //! ```
 
 use std::process::ExitCode;
-use std::str::FromStr;
 
 use pmacc::energy::{energy_of, EnergyParams};
 use pmacc::recovery::{check_recovery, recover, recovery_cost};
 use pmacc::{RunConfig, System};
+use pmacc_bench::cli::{self, Args};
 use pmacc_cpu::StallKind;
 use pmacc_types::{MachineConfig, SchemeKind, WriteCause};
 use pmacc_workloads::{build, WorkloadKind, WorkloadParams};
 
-struct Args {
-    scheme: SchemeKind,
-    workload: WorkloadKind,
-    machine: MachineConfig,
-    params: WorkloadParams,
-    crash_at: Option<f64>,
-    dump_trace: Option<String>,
-    warmup: u64,
+const USAGE: &str = "usage: simulate [--scheme S] [--workload W] [--machine M] \
+                     [--ops N] [--setup N] [--keys N] [--insert-ratio PCT] \
+                     [--seed N] [--tc-size BYTES] [--tc-coalesce] \
+                     [--nvm-write-ns NS] [--crash-at FRAC] [--warmup N] \
+                     [--dump-trace FILE]";
+
+fn main() -> ExitCode {
+    cli::run("simulate", run)
 }
 
-fn parse_args() -> Result<Args, String> {
+fn run() -> Result<ExitCode, String> {
     let mut scheme = SchemeKind::TxCache;
     let mut workload = WorkloadKind::Hashtable;
     let mut machine = MachineConfig::dac17_scaled();
     let mut params = WorkloadParams::evaluation(42);
     params.num_ops = 2_000;
-    let mut crash_at = None;
-    let mut dump_trace = None;
+    let mut crash_at: Option<f64> = None;
+    let mut dump_trace: Option<String> = None;
     let mut warmup = 0u64;
     let mut tc_size = None;
     let mut tc_coalesce = false;
     let mut nvm_write_ns = None;
 
-    let mut args = std::env::args().skip(1);
-    let next_val = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
+    let mut args = Args::from_env();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scheme" => {
-                scheme = SchemeKind::from_str(&next_val(&mut args, "--scheme")?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--workload" => {
-                workload = WorkloadKind::from_str(&next_val(&mut args, "--workload")?)
-                    .map_err(|e| e.to_string())?;
-            }
+            "--scheme" => scheme = args.value("--scheme")?,
+            "--workload" => workload = args.value("--workload")?,
             "--machine" => {
-                machine = match next_val(&mut args, "--machine")?.as_str() {
+                machine = match args.value::<String>("--machine")?.as_str() {
                     "dac17" => MachineConfig::dac17(),
                     "scaled" => MachineConfig::dac17_scaled(),
                     "small" => MachineConfig::small(),
                     other => return Err(format!("unknown machine `{other}`")),
                 };
             }
-            "--ops" => params.num_ops = parse(&next_val(&mut args, "--ops")?)?,
-            "--setup" => params.setup_items = parse(&next_val(&mut args, "--setup")?)?,
-            "--keys" => params.key_space = parse(&next_val(&mut args, "--keys")?)?,
-            "--insert-ratio" => {
-                params.insert_ratio = parse(&next_val(&mut args, "--insert-ratio")?)?;
-            }
-            "--seed" => params.seed = parse(&next_val(&mut args, "--seed")?)?,
-            "--tc-size" => tc_size = Some(parse(&next_val(&mut args, "--tc-size")?)?),
+            "--ops" => params.num_ops = args.value("--ops")?,
+            "--setup" => params.setup_items = args.value("--setup")?,
+            "--keys" => params.key_space = args.value("--keys")?,
+            "--insert-ratio" => params.insert_ratio = args.value("--insert-ratio")?,
+            "--seed" => params.seed = args.value("--seed")?,
+            "--tc-size" => tc_size = Some(args.value("--tc-size")?),
             "--tc-coalesce" => tc_coalesce = true,
-            "--nvm-write-ns" => {
-                nvm_write_ns = Some(
-                    next_val(&mut args, "--nvm-write-ns")?
-                        .parse::<f64>()
-                        .map_err(|e| e.to_string())?,
-                );
-            }
-            "--crash-at" => {
-                crash_at = Some(
-                    next_val(&mut args, "--crash-at")?
-                        .parse::<f64>()
-                        .map_err(|e| e.to_string())?,
-                );
-            }
-            "--dump-trace" => dump_trace = Some(next_val(&mut args, "--dump-trace")?),
-            "--warmup" => warmup = parse(&next_val(&mut args, "--warmup")?)?,
-            "--help" | "-h" => {
-                return Err("usage: simulate [--scheme S] [--workload W] [--machine M] \
-                            [--ops N] [--setup N] [--keys N] [--insert-ratio PCT] \
-                            [--seed N] [--tc-size BYTES] [--tc-coalesce] \
-                            [--nvm-write-ns NS] [--crash-at FRAC] [--warmup N] \
-                            [--dump-trace FILE]"
-                    .into());
-            }
-            other => return Err(format!("unknown flag `{other}` (try --help)")),
+            "--nvm-write-ns" => nvm_write_ns = Some(args.value("--nvm-write-ns")?),
+            "--crash-at" => crash_at = Some(args.value("--crash-at")?),
+            "--dump-trace" => dump_trace = Some(args.value("--dump-trace")?),
+            "--warmup" => warmup = args.value("--warmup")?,
+            "--help" | "-h" => return Ok(cli::help(USAGE)),
+            other => return Err(cli::unknown(other)),
         }
     }
     machine.scheme = scheme;
@@ -109,63 +79,27 @@ fn parse_args() -> Result<Args, String> {
     if let Some(ns) = nvm_write_ns {
         machine.nvm.write_ns = ns;
     }
-    Ok(Args {
-        scheme,
-        workload,
-        machine,
-        params,
-        crash_at,
-        dump_trace,
-        warmup,
-    })
-}
 
-fn parse<T: FromStr>(s: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("bad number `{s}`"))
-}
-
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Some(path) = &args.dump_trace {
-        let w = build(args.workload, &args.params);
-        if let Err(e) = std::fs::write(path, pmacc_cpu::text::to_text(&w.trace)) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = &dump_trace {
+        let w = build(workload, &params);
+        std::fs::write(path, pmacc_cpu::text::to_text(&w.trace))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("trace written to {path}");
     }
 
     let build_system = || {
         let rc = RunConfig {
-            warmup_commits: args.warmup,
+            warmup_commits: warmup,
             ..RunConfig::default()
         };
-        System::for_workload(args.machine.clone(), args.workload, &args.params, &rc)
+        System::for_workload(machine.clone(), workload, &params, &rc)
     };
 
-    let mut sys = match build_system() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = match sys.run() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = build_system()
+        .and_then(|mut sys| sys.run())
+        .map_err(|e| e.to_string())?;
 
-    println!("scheme {} workload {} cores {}", args.scheme, args.workload, args.machine.cores);
+    println!("scheme {scheme} workload {workload} cores {}", machine.cores);
     println!("cycles             {}", report.cycles);
     println!("committed tx       {}", report.total_committed());
     println!("IPC                {:.4}", report.ipc());
@@ -194,15 +128,12 @@ fn main() -> ExitCode {
         e.memory_fraction() * 100.0
     );
 
-    if let Some(frac) = args.crash_at {
+    if let Some(frac) = crash_at {
         let crash_cycle = (report.cycles as f64 * frac) as u64;
-        let mut sys = build_system().expect("same config builds");
-        if let Err(e) = sys.run_until(crash_cycle) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        let mut sys = build_system().map_err(|e| e.to_string())?;
+        sys.run_until(crash_cycle).map_err(|e| e.to_string())?;
         let state = sys.crash_state();
-        let cost = recovery_cost(&state, &args.machine);
+        let cost = recovery_cost(&state, &machine);
         let recovered = recover(&state);
         println!("--- crash at cycle {crash_cycle} ({:.0}% of the run) ---", frac * 100.0);
         println!("committed at crash {}", state.journal.len());
@@ -217,5 +148,5 @@ fn main() -> ExitCode {
             Err(e) => println!("recovery INCONSISTENT: {e}"),
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

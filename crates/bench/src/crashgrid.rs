@@ -64,6 +64,21 @@ pub const OVERFLOW_TC_ENTRIES: u64 = 4;
 /// How far (in cycles) jittered points may land from their boundary.
 const JITTER_WINDOW: u64 = 96;
 
+/// Minimum crash points per cell: the schedule is padded with extra
+/// deterministic points if the boundary clusters and stratified sweep
+/// dedup below it.
+const MIN_POINTS: usize = 360;
+
+/// Stratified points spread evenly across each cell's run.
+const STRATIFIED_POINTS: usize = 256;
+
+/// Per-class boundary budget: at most this many boundaries of each class
+/// get a jittered cluster (evenly strided over the timeline).
+const BOUNDARY_BUDGET: usize = 40;
+
+/// Violations stored verbatim per cell (the count is always exact).
+const MAX_STORED_VIOLATIONS: usize = 4;
+
 /// A deliberate recovery defect, applied to the crash snapshot before
 /// recovery runs — mutation testing for the campaign itself: a campaign
 /// that cannot catch these cannot be trusted to catch real regressions.
@@ -239,15 +254,28 @@ impl CellSpec {
     /// Stable label: `workload/scheme/cN[/tcE][/shS][/wl]`.
     #[must_use]
     pub fn label(&self) -> String {
-        let mut s = format!("{}/{}/c{}", self.workload, self.scheme, self.cores);
+        format!(
+            "{}/{}/c{}{}",
+            self.workload,
+            self.scheme,
+            self.cores,
+            self.variant('/')
+        )
+    }
+
+    /// The non-default knobs as `{sep}tcE{sep}shS{sep}wl` (each part only
+    /// when set) — the suffix of both [`CellSpec::label`] and reproducer
+    /// names.
+    fn variant(&self, sep: char) -> String {
+        let mut s = String::new();
         if let Some(e) = self.tc_entries {
-            s.push_str(&format!("/tc{e}"));
+            s.push_str(&format!("{sep}tc{e}"));
         }
         if self.sharing > 0 {
-            s.push_str(&format!("/sh{}", self.sharing));
+            s.push_str(&format!("{sep}sh{}", self.sharing));
         }
         if self.wear {
-            s.push_str("/wl");
+            s.push_str(&format!("{sep}wl"));
         }
         s
     }
@@ -284,19 +312,6 @@ pub struct CampaignConfig {
     /// Deliberate recovery defect (mutation testing); [`Mutation::None`]
     /// in CI.
     pub mutation: Mutation,
-    /// Minimum crash points per cell (the schedule is padded with extra
-    /// deterministic points if the boundary clusters and stratified sweep
-    /// dedup below it).
-    pub min_points: usize,
-    /// Stratified points spread evenly across the run.
-    pub stratified: usize,
-    /// Per-class boundary budget: at most this many boundaries of each
-    /// class get a jittered cluster (evenly strided over the timeline).
-    pub boundary_budget: usize,
-    /// Violations stored verbatim per cell (the count is always exact).
-    pub max_stored_violations: usize,
-    /// Binary-search + prefix-reduce violations into reproducers.
-    pub minimize: bool,
 }
 
 impl CampaignConfig {
@@ -315,11 +330,6 @@ impl CampaignConfig {
             sharing_cells: true,
             wear_cells: true,
             mutation: Mutation::None,
-            min_points: 360,
-            stratified: 256,
-            boundary_budget: 40,
-            max_stored_violations: 4,
-            minimize: true,
         }
     }
 
@@ -539,22 +549,14 @@ pub struct CellResult {
 pub struct Reproducer {
     /// Stable name (embeds cell, seed and crash cycle).
     pub name: String,
-    /// Persistence scheme.
-    pub scheme: SchemeKind,
-    /// Workload kind.
-    pub workload: WorkloadKind,
-    /// Core count.
-    pub cores: usize,
-    /// Transaction-cache entry override, if the cell had one.
-    pub tc_entries: Option<u64>,
+    /// The failing cell (its `sharing` equals `params.sharing`).
+    pub spec: CellSpec,
     /// Full workload generation parameters (already prefix-reduced).
     pub params: WorkloadParams,
     /// Crash cycle to replay.
     pub crash_cycle: Cycle,
     /// Recovery defect in force (`none` for a real-bug reproducer).
     pub mutation: Mutation,
-    /// Whether the cell ran with wear leveling on.
-    pub wear: bool,
 }
 
 impl Reproducer {
@@ -563,10 +565,10 @@ impl Reproducer {
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("name", self.name.to_json()),
-            ("scheme", self.scheme.to_string().to_json()),
-            ("workload", self.workload.to_string().to_json()),
-            ("cores", self.cores.to_json()),
-            ("tc_entries", self.tc_entries.to_json()),
+            ("scheme", self.spec.scheme.to_string().to_json()),
+            ("workload", self.spec.workload.to_string().to_json()),
+            ("cores", self.spec.cores.to_json()),
+            ("tc_entries", self.spec.tc_entries.to_json()),
             ("num_ops", self.params.num_ops.to_json()),
             ("setup_items", self.params.setup_items.to_json()),
             ("key_space", self.params.key_space.to_json()),
@@ -575,12 +577,12 @@ impl Reproducer {
         ];
         // Omitted when zero so reproducers pinned before the sharing knob
         // existed still round-trip byte for byte.
-        if self.params.sharing > 0 {
-            fields.push(("sharing", u64::from(self.params.sharing).to_json()));
+        if self.spec.sharing > 0 {
+            fields.push(("sharing", u64::from(self.spec.sharing).to_json()));
         }
         // Same back-compat rule as `sharing`: only emitted when set.
-        if self.wear {
-            fields.push(("wear", self.wear.to_json()));
+        if self.spec.wear {
+            fields.push(("wear", true.to_json()));
         }
         fields.push(("crash_cycle", self.crash_cycle.to_json()));
         fields.push(("mutation", self.mutation.to_string().to_json()));
@@ -610,43 +612,51 @@ impl Reproducer {
         }
         let tc_entries = match field(doc, "tc_entries")? {
             Json::Null => None,
-            Json::Int(i) if *i > 0 => Some(*i as u64),
-            other => return Err(format!("field `tc_entries` is not null or positive: {other}")),
+            // The machine sizes the cache as `entries * 64` bytes.
+            Json::Int(i) if *i > 0 && (*i as u64).checked_mul(64).is_some() => Some(*i as u64),
+            other => {
+                return Err(format!(
+                    "field `tc_entries` is not null or a positive entry count whose \
+                     byte size fits in 64 bits: {other}"
+                ))
+            }
+        };
+        // Absent in reproducers pinned before the sharing knob existed:
+        // those cells ran fully private.
+        let sharing = match doc.get("sharing") {
+            None => 0,
+            Some(Json::Int(i)) if (0..=8).contains(i) => *i as u8,
+            Some(other) => return Err(format!("field `sharing` is not 0..=8: {other}")),
         };
         Ok(Reproducer {
             name: string(doc, "name")?.to_string(),
-            scheme: string(doc, "scheme")?
-                .parse()
-                .map_err(|e| format!("{e}"))?,
-            workload: string(doc, "workload")?
-                .parse()
-                .map_err(|e| format!("{e}"))?,
-            cores: int(doc, "cores")? as usize,
-            tc_entries,
+            spec: CellSpec {
+                workload: string(doc, "workload")?
+                    .parse()
+                    .map_err(|e| format!("{e}"))?,
+                scheme: string(doc, "scheme")?
+                    .parse()
+                    .map_err(|e| format!("{e}"))?,
+                cores: int(doc, "cores")? as usize,
+                tc_entries,
+                sharing,
+                // Absent in reproducers pinned before wear leveling existed.
+                wear: match doc.get("wear") {
+                    None => false,
+                    Some(Json::Bool(b)) => *b,
+                    Some(other) => return Err(format!("field `wear` is not a bool: {other}")),
+                },
+            },
             params: WorkloadParams {
                 num_ops: int(doc, "num_ops")? as usize,
                 setup_items: int(doc, "setup_items")? as usize,
                 key_space: int(doc, "key_space")?,
                 insert_ratio: int(doc, "insert_ratio")? as u32,
                 seed: int(doc, "seed")?,
-                // Absent in reproducers pinned before the sharing knob
-                // existed: those cells ran fully private.
-                sharing: match doc.get("sharing") {
-                    None => 0,
-                    Some(Json::Int(i)) if (0..=8).contains(i) => *i as u8,
-                    Some(other) => {
-                        return Err(format!("field `sharing` is not 0..=8: {other}"))
-                    }
-                },
+                sharing,
             },
             crash_cycle: int(doc, "crash_cycle")?,
             mutation: string(doc, "mutation")?.parse()?,
-            // Absent in reproducers pinned before wear leveling existed.
-            wear: match doc.get("wear") {
-                None => false,
-                Some(Json::Bool(b)) => *b,
-                Some(other) => return Err(format!("field `wear` is not a bool: {other}")),
-            },
         })
     }
 
@@ -658,15 +668,7 @@ impl Reproducer {
     /// Returns the checker's description if recovery is (still) broken at
     /// this point, or a build/run error message.
     pub fn replay(&self) -> Result<(), String> {
-        let spec = CellSpec {
-            workload: self.workload,
-            scheme: self.scheme,
-            cores: self.cores,
-            tc_entries: self.tc_entries,
-            sharing: self.params.sharing,
-            wear: self.wear,
-        };
-        let mut sys = build_system(&spec, &self.params, false).map_err(|e| e.to_string())?;
+        let mut sys = build_system(&self.spec, &self.params, false).map_err(|e| e.to_string())?;
         sys.run_until(self.crash_cycle).map_err(|e| e.to_string())?;
         check_point(&sys, self.mutation).map_err(|e| format!("crash@{}: {e}", self.crash_cycle))
     }
@@ -872,7 +874,6 @@ fn build_schedule(
     total: Cycle,
     boundaries: &[(Cycle, BoundaryClass)],
     cell_seed: u64,
-    cfg: &CampaignConfig,
 ) -> BTreeMap<Cycle, PointClass> {
     let mut sched: BTreeMap<Cycle, PointClass> = BTreeMap::new();
     let mut rng = Rng::seed_from_u64(cell_seed);
@@ -893,7 +894,7 @@ fn build_schedule(
         }
         // Evenly stride the class down to its budget so clusters cover
         // the whole timeline, not just its start.
-        let stride = cycles.len().div_ceil(cfg.boundary_budget).max(1);
+        let stride = cycles.len().div_ceil(BOUNDARY_BUDGET).max(1);
         for b in cycles.iter().copied().step_by(stride) {
             let jitter_lo = 2 + rng.bounded(JITTER_WINDOW);
             let jitter_hi = 2 + rng.bounded(JITTER_WINDOW);
@@ -908,7 +909,7 @@ fn build_schedule(
             }
         }
     }
-    let n = cfg.stratified.max(2);
+    let n = STRATIFIED_POINTS;
     for i in 0..n {
         let p = 1 + (horizon - 1) * i as u64 / (n as u64 - 1);
         sched.entry(p).or_insert(PointClass::Stratified);
@@ -919,7 +920,7 @@ fn build_schedule(
     // Top up: short runs can dedup below the floor; draw deterministic
     // extra points until it holds (or the timeline is exhausted).
     let mut attempts = 0;
-    while sched.len() < cfg.min_points && attempts < 10_000 {
+    while sched.len() < MIN_POINTS && attempts < 10_000 {
         attempts += 1;
         let p = 1 + rng.bounded(horizon);
         sched.entry(p).or_insert(PointClass::Stratified);
@@ -939,7 +940,7 @@ fn sweep_cell(
     let mut learn = build_system(spec, &cfg.params, true).map_err(|e| e.to_string())?;
     let report = learn.run().map_err(|e| e.to_string())?;
     let total = report.cycles;
-    let sched = build_schedule(total, learn.boundaries(), cell_seed, cfg);
+    let sched = build_schedule(total, learn.boundaries(), cell_seed);
     drop(learn);
 
     let mut coverage = Coverage::default();
@@ -964,7 +965,7 @@ fn sweep_cell(
                 if first_fail.is_none() {
                     first_fail = Some((crash_at, last_good));
                 }
-                if violations.len() < cfg.max_stored_violations {
+                if violations.len() < MAX_STORED_VIOLATIONS {
                     violations.push(Violation {
                         crash_cycle: crash_at,
                         class,
@@ -1061,29 +1062,20 @@ fn minimize(
             None => break,
         }
     }
-    let mut variant = spec
-        .tc_entries
-        .map(|e| format!("-tc{e}"))
-        .unwrap_or_default();
-    if spec.sharing > 0 {
-        variant.push_str(&format!("-sh{}", spec.sharing));
-    }
-    if spec.wear {
-        variant.push_str("-wl");
-    }
     Ok(Reproducer {
         name: format!(
             "{}-{}-c{}{}-s{}-cy{}",
-            spec.scheme, spec.workload, spec.cores, variant, params.seed, cycle
+            spec.scheme,
+            spec.workload,
+            spec.cores,
+            spec.variant('-'),
+            params.seed,
+            cycle
         ),
-        scheme: spec.scheme,
-        workload: spec.workload,
-        cores: spec.cores,
-        tc_entries: spec.tc_entries,
+        spec: *spec,
         params,
         crash_cycle: cycle,
         mutation: cfg.mutation,
-        wear: spec.wear,
     })
 }
 
@@ -1110,7 +1102,7 @@ pub fn run_campaign(cfg: &CampaignConfig, opts: &Options) -> Result<CampaignRepo
             Job::new(spec.label(), move || {
                 let (result, bracket) = sweep_cell(&spec, &cfg, cell_seed)?;
                 let repro = match bracket {
-                    Some((fail, good)) if result.expect_consistent && cfg.minimize => {
+                    Some((fail, good)) if result.expect_consistent => {
                         Some(minimize(&spec, &cfg, fail, good)?)
                     }
                     _ => None,
@@ -1141,15 +1133,14 @@ mod tests {
 
     #[test]
     fn schedule_meets_the_density_floor_and_covers_classes() {
-        let cfg = CampaignConfig::quick(1);
         let boundaries = vec![
             (100, BoundaryClass::TxEnd),
             (250, BoundaryClass::DrainAck),
             (400, BoundaryClass::TxEnd),
             (650, BoundaryClass::CowCommit),
         ];
-        let sched = build_schedule(1_000_000, &boundaries, 7, &cfg);
-        assert!(sched.len() >= cfg.min_points, "{} points", sched.len());
+        let sched = build_schedule(1_000_000, &boundaries, 7);
+        assert!(sched.len() >= MIN_POINTS, "{} points", sched.len());
         let classes: std::collections::BTreeSet<PointClass> =
             sched.values().copied().collect();
         for want in [
@@ -1164,14 +1155,13 @@ mod tests {
         // Boundary clusters straddle their boundary cycles.
         assert!(sched.contains_key(&99) && sched.contains_key(&100) && sched.contains_key(&101));
         // Deterministic: same seed, same schedule.
-        assert_eq!(sched, build_schedule(1_000_000, &boundaries, 7, &cfg));
-        assert_ne!(sched, build_schedule(1_000_000, &boundaries, 8, &cfg));
+        assert_eq!(sched, build_schedule(1_000_000, &boundaries, 7));
+        assert_ne!(sched, build_schedule(1_000_000, &boundaries, 8));
     }
 
     #[test]
     fn schedule_tops_up_short_timelines() {
-        let cfg = CampaignConfig::quick(1);
-        let sched = build_schedule(500, &[], 3, &cfg);
+        let sched = build_schedule(500, &[], 3);
         // A 500-cycle run cannot dedup 360 points out of existence: the
         // top-up draws until the floor holds or the timeline saturates.
         assert!(sched.len() >= 350, "{} points", sched.len());
@@ -1188,16 +1178,20 @@ mod tests {
 
     #[test]
     fn reproducer_roundtrips_through_json() {
-        let r = Reproducer {
-            name: "tc-sps-c1-s42-cy123".into(),
-            scheme: SchemeKind::TxCache,
+        let spec = CellSpec {
             workload: WorkloadKind::Sps,
+            scheme: SchemeKind::TxCache,
             cores: 1,
             tc_entries: Some(4),
+            sharing: 0,
+            wear: false,
+        };
+        let r = Reproducer {
+            name: "tc-sps-c1-tc4-s42-cy123".into(),
+            spec,
             params: WorkloadParams::tiny(42),
             crash_cycle: 123,
             mutation: Mutation::DropCommittedTc,
-            wear: false,
         };
         let doc = Json::parse(&r.to_json().to_pretty()).unwrap();
         assert_eq!(Reproducer::from_json(&doc).unwrap(), r);
@@ -1205,20 +1199,46 @@ mod tests {
         // The wear flag round-trips, and (like `sharing`) is only
         // serialized when set, so pre-wear pinned reproducers still
         // parse byte for byte.
-        let wl = Reproducer { wear: true, ..r.clone() };
+        let wl = Reproducer {
+            spec: CellSpec { wear: true, ..spec },
+            ..r.clone()
+        };
         let doc = Json::parse(&wl.to_json().to_pretty()).unwrap();
         assert_eq!(Reproducer::from_json(&doc).unwrap(), wl);
         assert!(r.to_json().get("wear").is_none());
         // The eADR scheme tag and its mutation round-trip too.
         let eadr = Reproducer {
             name: "eadr-sps-c1-s42-cy123".into(),
-            scheme: SchemeKind::Eadr,
-            tc_entries: None,
+            spec: CellSpec {
+                scheme: SchemeKind::Eadr,
+                tc_entries: None,
+                ..spec
+            },
             mutation: Mutation::KeepUncommittedEadr,
             ..r.clone()
         };
         let doc = Json::parse(&eadr.to_json().to_pretty()).unwrap();
         assert_eq!(Reproducer::from_json(&doc).unwrap(), eadr);
+        // A sharing cell keeps the spec and the generation parameters in
+        // step.
+        let mut sh = r.clone();
+        sh.spec.sharing = 2;
+        sh.params.sharing = 2;
+        let doc = Json::parse(&sh.to_json().to_pretty()).unwrap();
+        assert_eq!(Reproducer::from_json(&doc).unwrap(), sh);
+        // An entry count whose byte size (`entries * 64`) overflows is
+        // rejected by name instead of overflowing when the machine is
+        // built.
+        let mut huge = r.to_json();
+        if let Json::Obj(fields) = &mut huge {
+            for (k, v) in fields.iter_mut() {
+                if k == "tc_entries" {
+                    *v = Json::Int(1 << 58);
+                }
+            }
+        }
+        let err = Reproducer::from_json(&huge).unwrap_err();
+        assert!(err.contains("tc_entries"), "{err}");
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! [`crashgrid`] runs dense fault-injection campaigns (every scheme ×
 //! workload × core-count cell crashed at hundreds of boundary-clustered
 //! points, violations minimized into replayable reproducers); the
-//! `reproduce`, `regress` and `crashgrid` binaries drive everything:
+//! `reproduce`, `regress` and `crashgrid` binaries drive everything,
+//! parsing their flags through [`cli`]:
 //!
 //! ```text
 //! cargo run --release -p pmacc-bench --bin reproduce              # all
@@ -23,6 +24,7 @@
 //! cargo run --release -p pmacc-bench --bin crashgrid -- --quick   # faults
 //! ```
 
+pub mod cli;
 pub mod crashgrid;
 pub mod figures;
 pub mod grid;

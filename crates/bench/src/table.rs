@@ -66,65 +66,6 @@ impl FigTable {
     }
 }
 
-impl FigTable {
-    /// Renders numeric rows as ASCII bars (one block per 0.1 of the
-    /// value), for eyeballing normalized figures in a terminal. Cells
-    /// that do not parse as numbers are shown verbatim.
-    #[must_use]
-    pub fn to_bars(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{}: {}\n", self.id, self.title));
-        let width = self
-            .rows
-            .iter()
-            .map(|r| r[0].len())
-            .chain(self.columns.iter().map(|c| c.len()))
-            .max()
-            .unwrap_or(8);
-        for row in &self.rows {
-            out.push_str(&format!("  {:width$}", row[0]));
-            for (cell, col) in row[1..].iter().zip(&self.columns[1..]) {
-                if let Ok(v) = cell.parse::<f64>() {
-                    let blocks = (v * 10.0).round().clamp(0.0, 40.0) as usize;
-                    out.push_str(&format!("  {col} {:5} |{}", cell, "#".repeat(blocks)));
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl FigTable {
-    /// Renders the table as CSV (header row first) for plotting tools.
-    /// Cells containing commas or quotes are quoted per RFC 4180.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        fn cell(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .columns
-                .iter()
-                .map(|c| cell(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| cell(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
-
 impl fmt::Display for FigTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_markdown())
@@ -176,34 +117,6 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = FigTable::new("F", "t", "", vec!["a".into()]);
         t.push_row(vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn bars_render_numeric_cells() {
-        let mut t = FigTable::new(
-            "Figure X",
-            "bars",
-            "",
-            vec!["w".into(), "a".into(), "b".into()],
-        );
-        t.push_row(vec!["row".into(), "1.000".into(), "0.500".into()]);
-        let bars = t.to_bars();
-        assert!(bars.contains("##########"), "1.0 renders ten blocks");
-        assert!(bars.contains("#####"), "0.5 renders five blocks");
-    }
-
-    #[test]
-    fn csv_renders_and_quotes() {
-        let mut t = FigTable::new(
-            "F",
-            "t",
-            "",
-            vec!["a".into(), "b, or c".into()],
-        );
-        t.push_row(vec!["x\"y".into(), "1".into()]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("a,\"b, or c\"\n"));
-        assert!(csv.contains("\"x\"\"y\",1"));
     }
 
     #[test]

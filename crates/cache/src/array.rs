@@ -3,7 +3,7 @@
 use pmacc_types::{CacheConfig, LineAddr, TxId};
 
 use crate::line::{CacheLine, LineState};
-use crate::set::{CacheSet, ReplacePolicy};
+use crate::set::CacheSet;
 
 /// Result of inserting a line into an array.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,10 +28,10 @@ impl CacheArray {
     ///
     /// Panics if the configuration is invalid (validate it first).
     #[must_use]
-    pub fn new(cfg: &CacheConfig, policy: ReplacePolicy) -> Self {
+    pub fn new(cfg: &CacheConfig) -> Self {
         cfg.validate("cache").expect("valid cache configuration");
         CacheArray {
-            sets: (0..cfg.sets()).map(|_| CacheSet::new(cfg.ways, policy)).collect(),
+            sets: (0..cfg.sets()).map(|_| CacheSet::new(cfg.ways)).collect(),
             set_bits: cfg.set_bits(),
             clock: 0,
         }
@@ -252,7 +252,7 @@ mod tests {
 
     fn tiny() -> CacheArray {
         // 2 sets x 2 ways.
-        CacheArray::new(&CacheConfig::new(256, 2, 1.0), ReplacePolicy::Lru)
+        CacheArray::new(&CacheConfig::new(256, 2, 1.0))
     }
 
     #[test]

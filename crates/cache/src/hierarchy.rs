@@ -8,7 +8,6 @@ use pmacc_types::{CacheConfig, LineAddr, TxId};
 use crate::array::CacheArray;
 use crate::coherence::{snoop_invalidate, snoop_read, Snoop};
 use crate::line::LineState;
-use crate::set::ReplacePolicy;
 use crate::stats::HierarchyStats;
 
 /// A cache level.
@@ -160,13 +159,9 @@ impl Hierarchy {
     ) -> Self {
         assert!(cores <= 64, "the LLC directory bitmap tracks at most 64 cores");
         Hierarchy {
-            l1: (0..cores)
-                .map(|_| CacheArray::new(&l1, ReplacePolicy::Lru))
-                .collect(),
-            l2: (0..cores)
-                .map(|_| CacheArray::new(&l2, ReplacePolicy::Lru))
-                .collect(),
-            llc: CacheArray::new(&llc, ReplacePolicy::Lru),
+            l1: (0..cores).map(|_| CacheArray::new(&l1)).collect(),
+            l2: (0..cores).map(|_| CacheArray::new(&l2)).collect(),
+            llc: CacheArray::new(&llc),
             opts,
             stats: HierarchyStats::new(cores),
         }

@@ -2,8 +2,8 @@
 //! Cache-hierarchy substrate for the `pmacc` simulator.
 //!
 //! Models the paper's three-level hierarchy (private L1 and L2 per core, a
-//! shared inclusive LLC) as *state*: set-associative arrays with LRU (or
-//! pin-aware LRU) replacement, per-line persistent/volatile (P/V) flags,
+//! shared inclusive LLC) as *state*: set-associative arrays with
+//! pin-aware LRU replacement, per-line persistent/volatile (P/V) flags,
 //! transaction tags and a MESI sharing bit kept coherent by a snooping-bus
 //! layer (see the `coherence` module docs for the state encoding and the
 //! BusRd/BusRdX/BusUpgr flows). Timing is layered on top by the system
@@ -54,6 +54,6 @@ pub use coherence::CohState;
 pub use hierarchy::{Access, AccessOutcome, Eviction, Hierarchy, HierarchyOpts, Level, PinBlockedError};
 pub use line::{CacheLine, LineState};
 pub use mshr::{Mshr, MshrFullError};
-pub use set::{CacheSet, ReplacePolicy};
+pub use set::CacheSet;
 pub use stats::{CacheStats, CoherenceStats, HierarchyStats};
 pub use wbuf::WriteBackBuffer;

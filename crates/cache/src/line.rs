@@ -63,7 +63,8 @@ pub struct CacheLine {
     pub sharers: u64,
     /// LRU clock value of the last touch.
     pub last_use: u64,
-    /// LRU clock value of the fill (for FIFO replacement).
+    /// LRU clock value of the fill (the forced-unpin escape hatch frees
+    /// the oldest pinned line first).
     pub filled_at: u64,
 }
 

@@ -1,31 +1,19 @@
-//! One associativity set and its replacement policy.
+//! One associativity set and its LRU replacement.
 
 use crate::line::CacheLine;
-
-/// Victim-selection policy within a set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplacePolicy {
-    /// Least-recently-used (skipping pinned lines).
-    #[default]
-    Lru,
-    /// First-in-first-out by fill time (skipping pinned lines).
-    Fifo,
-}
 
 /// A single set of `ways` cache lines.
 #[derive(Debug, Clone)]
 pub struct CacheSet {
     lines: Vec<CacheLine>,
-    policy: ReplacePolicy,
 }
 
 impl CacheSet {
     /// Creates an empty set.
     #[must_use]
-    pub fn new(ways: u32, policy: ReplacePolicy) -> Self {
+    pub fn new(ways: u32) -> Self {
         CacheSet {
             lines: vec![CacheLine::new(); ways as usize],
-            policy,
         }
     }
 
@@ -71,23 +59,21 @@ impl CacheSet {
         self.lines.iter().filter(|l| l.state.is_valid()).count()
     }
 
-    /// Picks a way to fill: an invalid way if any, otherwise the policy's
-    /// victim among non-pinned lines. Returns `None` when every valid way
-    /// is pinned (the NVLLC "set full of uncommitted data" case).
+    /// Picks a way to fill: an invalid way if any, otherwise the
+    /// least-recently-used non-pinned line. Returns `None` when every
+    /// valid way is pinned (the NVLLC "set full of uncommitted data"
+    /// case).
     #[must_use]
     pub fn victim(&self) -> Option<usize> {
         if let Some(i) = self.lines.iter().position(|l| !l.state.is_valid()) {
             return Some(i);
         }
-        let candidates = self
-            .lines
+        self.lines
             .iter()
             .enumerate()
-            .filter(|(_, l)| !l.pinned);
-        match self.policy {
-            ReplacePolicy::Lru => candidates.min_by_key(|(_, l)| l.last_use).map(|(i, _)| i),
-            ReplacePolicy::Fifo => candidates.min_by_key(|(_, l)| l.filled_at).map(|(i, _)| i),
-        }
+            .filter(|(_, l)| !l.pinned)
+            .min_by_key(|(_, l)| l.last_use)
+            .map(|(i, _)| i)
     }
 
     /// Whether every valid way is pinned.
@@ -137,7 +123,7 @@ mod tests {
     use crate::line::LineState;
 
     fn filled_set() -> CacheSet {
-        let mut s = CacheSet::new(4, ReplacePolicy::Lru);
+        let mut s = CacheSet::new(4);
         for (i, tag) in [10u64, 11, 12, 13].iter().enumerate() {
             let w = s.victim().unwrap();
             let l = s.line_mut(w);
@@ -162,20 +148,6 @@ mod tests {
         let mut s = filled_set();
         s.line_mut(0).last_use = 100; // tag 10 most recent
         assert_eq!(s.victim(), Some(1)); // tag 11 oldest
-    }
-
-    #[test]
-    fn fifo_victim_is_first_filled() {
-        let mut s = CacheSet::new(2, ReplacePolicy::Fifo);
-        for (tag, fill) in [(1u64, 5u64), (2, 3)] {
-            let w = s.victim().unwrap();
-            let l = s.line_mut(w);
-            l.tag = tag;
-            l.state = LineState::Clean;
-            l.filled_at = fill;
-            l.last_use = 100 - fill; // LRU would pick the other one
-        }
-        assert_eq!(s.victim(), Some(1)); // tag 2 filled earliest
     }
 
     #[test]

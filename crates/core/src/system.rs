@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use pmacc_cache::{Access, Eviction, Hierarchy, HierarchyOpts, Level, Mshr, WriteBackBuffer};
 use pmacc_cpu::{CoreStats, Op, StallKind, StoreBuffer, Trace, TxRegs};
 use pmacc_cpu::{PendingStore, StoreKind};
-use pmacc_mem::{Backing, Completion, MemController, SchedPolicy};
+use pmacc_mem::{Backing, Completion, MemController};
 use pmacc_types::rng::stream_seed;
 use pmacc_types::{
     layout, AccessKind, Addr, ConfigError, Counter, Cycle, FxHashMap, LineAddr, MachineConfig,
@@ -520,8 +520,8 @@ impl System {
             cores: (0..cfg.cores).map(|c| CoreCtx::new(c, &cfg)).collect(),
             hier: Hierarchy::new(cfg.cores, cfg.l1, cfg.l2, cfg.llc, opts),
             tcs: (0..cfg.cores).map(|_| TxCache::new(&cfg.txcache)).collect(),
-            nvm: MemController::new(MemRegion::Nvm, cfg.nvm, SchedPolicy::FrFcfs),
-            dram: MemController::new(MemRegion::Dram, cfg.dram, SchedPolicy::FrFcfs),
+            nvm: MemController::new(MemRegion::Nvm, cfg.nvm),
+            dram: MemController::new(MemRegion::Dram, cfg.dram),
             initial_nvm: nvm_backing.clone(),
             nvm_backing,
             dram_backing,
@@ -578,13 +578,16 @@ impl System {
     ///
     /// Returns a configuration error for invalid machines or more cores
     /// than the striding scheme supports
-    /// ([`pmacc_types::layout::MAX_STRIDED_CORES`]).
+    /// ([`pmacc_types::layout::MAX_STRIDED_CORES`]). The machine is
+    /// validated before any trace is built, so a bad core count is an
+    /// error, never an allocation failure.
     pub fn for_workload(
         cfg: MachineConfig,
         kind: WorkloadKind,
         params: &WorkloadParams,
         run_cfg: &RunConfig,
     ) -> Result<Self, SimError> {
+        cfg.validate()?;
         let kinds = vec![kind; cfg.cores];
         System::for_workload_mix(cfg, &kinds, params, run_cfg)
     }
@@ -604,6 +607,7 @@ impl System {
         params: &WorkloadParams,
         run_cfg: &RunConfig,
     ) -> Result<Self, SimError> {
+        cfg.validate()?;
         if kinds.len() != cfg.cores {
             return Err(ConfigError::new(format!(
                 "{} workload kinds supplied for {} cores",
@@ -677,9 +681,7 @@ impl System {
         }
         let mut cores = Vec::with_capacity(self.cfg.cores);
         for (c, arrivals) in cfg.arrivals.into_iter().enumerate() {
-            let starts: Vec<usize> = (0..self.traces[c].len())
-                .filter(|&i| matches!(self.traces[c].get(i), Some(Op::TxBegin)))
-                .collect();
+            let starts = pmacc_workloads::operation_starts(&self.traces[c]);
             if arrivals.len() != starts.len() {
                 return Err(ConfigError::new(format!(
                     "core {c}: {} arrivals for {} trace transactions",
@@ -1825,35 +1827,31 @@ impl System {
         if !self.cow(c).installs.is_empty() {
             return; // the last install completion re-arms the drain
         }
-        let mut issued = 0;
-        let budget = self.cfg.txcache.drain_per_cycle;
-        while issued < budget {
-            let Some((slot, entry)) = self.tcs[c].next_issue() else {
-                return;
-            };
-            if !self.nvm.can_accept(AccessKind::Write) {
-                // Retry after the queue drains a little.
-                let at = self.clock + 32;
-                self.schedule_tc_drain(c, at);
-                return;
-            }
-            let id = self.req_id();
-            self.origins.insert(
-                id,
-                Origin::TcAck {
-                    core: c,
-                    slot,
-                    line: entry.line,
-                    values: entry.values,
-                    seq: entry.commit_seq,
-                },
-            );
-            let req =
-                MemReq::write(id, entry.line, Some(c), WriteCause::TxCacheDrain).with_tx(entry.tx);
-            self.nvm.enqueue(req, self.clock).expect("checked can_accept");
-            self.tcs[c].mark_issued(slot);
-            issued += 1;
+        // One entry per drain event: the FIFO drains at one line per cycle.
+        let Some((slot, entry)) = self.tcs[c].next_issue() else {
+            return;
+        };
+        if !self.nvm.can_accept(AccessKind::Write) {
+            // Retry after the queue drains a little.
+            let at = self.clock + 32;
+            self.schedule_tc_drain(c, at);
+            return;
         }
+        let id = self.req_id();
+        self.origins.insert(
+            id,
+            Origin::TcAck {
+                core: c,
+                slot,
+                line: entry.line,
+                values: entry.values,
+                seq: entry.commit_seq,
+            },
+        );
+        let req =
+            MemReq::write(id, entry.line, Some(c), WriteCause::TxCacheDrain).with_tx(entry.tx);
+        self.nvm.enqueue(req, self.clock).expect("checked can_accept");
+        self.tcs[c].mark_issued(slot);
         let wake = self.nvm.next_wake().unwrap_or(self.clock);
         self.schedule_mem_poke(MemRegion::Nvm, wake.max(self.clock));
         if self.tcs[c].next_issue().is_some() {
@@ -2718,6 +2716,18 @@ mod tests {
             &RunConfig::default(),
         )
         .is_err());
+    }
+
+    #[test]
+    fn huge_core_count_is_an_error_not_a_panic() {
+        // The machine is validated before any per-core vector is sized,
+        // so a core count no allocation can satisfy returns `Err`.
+        let mut cfg = tiny_machine(SchemeKind::Optimal);
+        cfg.cores = usize::MAX;
+        let params = WorkloadParams::tiny(1);
+        let rc = RunConfig::default();
+        assert!(System::for_workload(cfg.clone(), WorkloadKind::Sps, &params, &rc).is_err());
+        assert!(System::for_workload_mix(cfg, &[WorkloadKind::Sps], &params, &rc).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::error::Error;
 use pmacc_types::{AccessKind, Cycle, Freq, FxHashMap, MemConfig, MemRegion, MemReq, ReqId};
 
 use crate::bank::{AddressMap, BankState};
-use crate::scheduler::SchedPolicy;
+use crate::scheduler;
 use crate::stats::MemStats;
 use crate::wear::{WearMap, WearSnapshot};
 
@@ -69,7 +69,6 @@ impl PartialOrd for Pending {
 pub struct MemController {
     region: MemRegion,
     cfg: MemConfig,
-    policy: SchedPolicy,
     map: AddressMap,
     banks: Vec<BankState>,
     read_q: VecDeque<(Cycle, MemReq)>,
@@ -104,11 +103,10 @@ pub struct MemController {
 impl MemController {
     /// Creates a controller for one channel.
     #[must_use]
-    pub fn new(region: MemRegion, cfg: MemConfig, policy: SchedPolicy) -> Self {
+    pub fn new(region: MemRegion, cfg: MemConfig) -> Self {
         let map = AddressMap::new(&cfg);
         MemController {
             region,
-            policy,
             map,
             banks: vec![BankState::new(); cfg.banks() as usize],
             read_q: VecDeque::with_capacity(cfg.read_queue),
@@ -300,7 +298,7 @@ impl MemController {
             AccessKind::Read => &self.read_q,
             AccessKind::Write => &self.write_q,
         };
-        let Some(idx) = self.policy.pick(queue, &self.banks, &self.map, now) else {
+        let Some(idx) = scheduler::pick(queue, &self.banks, &self.map, now) else {
             return false;
         };
         let (arrived, req) = match kind {
@@ -419,7 +417,7 @@ mod tests {
     }
 
     fn ctrl() -> MemController {
-        MemController::new(MemRegion::Nvm, MemConfig::nvm_dac17(), SchedPolicy::FrFcfs)
+        MemController::new(MemRegion::Nvm, MemConfig::nvm_dac17())
     }
 
     #[test]
@@ -586,7 +584,7 @@ mod tests {
             gap_write_interval: 2,
             cell_write_budget: 1_000,
         };
-        let mut c = MemController::new(MemRegion::Nvm, cfg, SchedPolicy::FrFcfs);
+        let mut c = MemController::new(MemRegion::Nvm, cfg);
         // Hammer one logical line; without leveling this is one device
         // row taking all 40 writes.
         for i in 0..40u64 {

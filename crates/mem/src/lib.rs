@@ -6,7 +6,8 @@
 //!
 //! * separate read/write queues (8/64 entries in the paper's Table 2),
 //! * a *read-first* scheduling policy that drains writes when the write
-//!   queue reaches its high watermark (80% in the paper),
+//!   queue reaches its high watermark (80% in the paper), picking
+//!   FR-FCFS within a queue,
 //! * bank-level parallelism with open-row buffers, and
 //! * per-request completions, which the system layer turns into the NVM
 //!   controller's **acknowledgment messages** to the transaction cache.
@@ -21,7 +22,7 @@
 //! use pmacc_mem::MemController;
 //! use pmacc_types::{LineAddr, MemConfig, MemRegion, MemReq, ReqId};
 //!
-//! let mut ctrl = MemController::new(MemRegion::Nvm, MemConfig::nvm_dac17(), Default::default());
+//! let mut ctrl = MemController::new(MemRegion::Nvm, MemConfig::nvm_dac17());
 //! ctrl.enqueue(MemReq::read(ReqId(1), LineAddr::new(0x8000_0000 / 64), Some(0)), 0)
 //!     .expect("queue has room");
 //! // Poke far in the future: the read has certainly completed.
@@ -40,7 +41,6 @@ mod wear;
 pub use backing::Backing;
 pub use bank::{AddressMap, BankId, BankState};
 pub use controller::{Completion, EnqueueFullError, MemController};
-pub use scheduler::SchedPolicy;
 pub use stats::{MemStats, WEAR_DETAIL_MAX_LINES};
 pub use wear::{
     projected_lifetime_runs, projected_lifetime_seconds, WearMap, WearSnapshot, WriteMapping,

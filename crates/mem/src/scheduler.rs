@@ -1,4 +1,4 @@
-//! Request-picking policies for the memory controller.
+//! The memory controller's FR-FCFS request picker.
 
 use std::collections::VecDeque;
 
@@ -6,56 +6,38 @@ use pmacc_types::MemReq;
 
 use crate::bank::{AddressMap, BankState};
 
-/// How the controller picks the next request from a queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// Strict arrival order.
-    Fcfs,
-    /// First-ready, first-come-first-served: prefer the oldest request that
-    /// hits an open row buffer *and* whose bank is idle; fall back to the
-    /// queue head. This is the standard DRAMSim2-style policy.
-    #[default]
-    FrFcfs,
-}
-
-impl SchedPolicy {
-    /// Picks the index of the request to issue next from `queue` (stored
-    /// as the controller keeps it, `(arrival_cycle, request)` pairs —
-    /// passing the queue by reference keeps the per-issue hot path free
-    /// of clones), given the current bank states, or `None` if the queue
-    /// is empty.
-    #[must_use]
-    pub fn pick(
-        self,
-        queue: &VecDeque<(u64, MemReq)>,
-        banks: &[BankState],
-        map: &AddressMap,
-        now: u64,
-    ) -> Option<usize> {
-        if queue.is_empty() {
-            return None;
-        }
-        match self {
-            SchedPolicy::Fcfs => Some(0),
-            SchedPolicy::FrFcfs => {
-                // Oldest row-hit request on a ready bank wins.
-                for (i, (_, req)) in queue.iter().enumerate() {
-                    let b = map.bank(req.addr);
-                    if banks[b].ready_at <= now && banks[b].is_row_hit(map.row(req.addr)) {
-                        return Some(i);
-                    }
-                }
-                // Otherwise oldest request on a ready bank.
-                for (i, (_, req)) in queue.iter().enumerate() {
-                    let b = map.bank(req.addr);
-                    if banks[b].ready_at <= now {
-                        return Some(i);
-                    }
-                }
-                Some(0)
-            }
+/// First-ready, first-come-first-served (the standard DRAMSim2-style
+/// policy, the only one the paper's unmodified controller uses): picks
+/// the oldest request that hits an open row buffer *and* whose bank is
+/// idle, else the oldest request on an idle bank, else the queue head.
+/// `queue` holds the controller's `(arrival_cycle, request)` pairs —
+/// passing it by reference keeps the per-issue hot path free of clones.
+/// Returns `None` if the queue is empty.
+#[must_use]
+pub(crate) fn pick(
+    queue: &VecDeque<(u64, MemReq)>,
+    banks: &[BankState],
+    map: &AddressMap,
+    now: u64,
+) -> Option<usize> {
+    if queue.is_empty() {
+        return None;
+    }
+    // Oldest row-hit request on a ready bank wins.
+    for (i, (_, req)) in queue.iter().enumerate() {
+        let b = map.bank(req.addr);
+        if banks[b].ready_at <= now && banks[b].is_row_hit(map.row(req.addr)) {
+            return Some(i);
         }
     }
+    // Otherwise oldest request on a ready bank.
+    for (i, (_, req)) in queue.iter().enumerate() {
+        let b = map.bank(req.addr);
+        if banks[b].ready_at <= now {
+            return Some(i);
+        }
+    }
+    Some(0)
 }
 
 #[cfg(test)]
@@ -75,15 +57,6 @@ mod tests {
     }
 
     #[test]
-    fn fcfs_always_picks_head() {
-        let (map, banks) = setup();
-        let mut q = VecDeque::new();
-        q.push_back(write(1, 0));
-        q.push_back(write(2, 1));
-        assert_eq!(SchedPolicy::Fcfs.pick(&q, &banks, &map, 0), Some(0));
-    }
-
-    #[test]
     fn fr_fcfs_prefers_row_hit() {
         let (map, mut banks) = setup();
         // Open the row of line 1 (bank 1, row 0).
@@ -92,7 +65,7 @@ mod tests {
         let mut q = VecDeque::new();
         q.push_back(write(1, 0)); // bank 0, closed row
         q.push_back(write(2, 1)); // bank 1, row hit
-        assert_eq!(SchedPolicy::FrFcfs.pick(&q, &banks, &map, 0), Some(1));
+        assert_eq!(pick(&q, &banks, &map, 0), Some(1));
     }
 
     #[test]
@@ -102,7 +75,7 @@ mod tests {
         let mut q = VecDeque::new();
         q.push_back(write(1, 0));
         q.push_back(write(2, 1));
-        assert_eq!(SchedPolicy::FrFcfs.pick(&q, &banks, &map, 0), Some(1));
+        assert_eq!(pick(&q, &banks, &map, 0), Some(1));
     }
 
     #[test]
@@ -114,14 +87,13 @@ mod tests {
         let mut q = VecDeque::new();
         q.push_back(write(1, 0));
         q.push_back(write(2, 1));
-        assert_eq!(SchedPolicy::FrFcfs.pick(&q, &banks, &map, 0), Some(0));
+        assert_eq!(pick(&q, &banks, &map, 0), Some(0));
     }
 
     #[test]
     fn empty_queue_yields_none() {
         let (map, banks) = setup();
         let q = VecDeque::new();
-        assert_eq!(SchedPolicy::FrFcfs.pick(&q, &banks, &map, 0), None);
-        assert_eq!(SchedPolicy::Fcfs.pick(&q, &banks, &map, 0), None);
+        assert_eq!(pick(&q, &banks, &map, 0), None);
     }
 }

@@ -176,12 +176,6 @@ impl WearMap {
         self.rotations
     }
 
-    /// Regions with materialized (written) state.
-    #[must_use]
-    pub fn active_regions(&self) -> usize {
-        self.regions.len()
-    }
-
     /// Captures the nonvolatile remap registers — what survives a power
     /// failure and lets recovery reconstruct the logical image.
     #[must_use]

@@ -418,8 +418,6 @@ pub struct TxCacheConfig {
     /// coalesce into a single entry (ablation D; the paper keeps one entry
     /// per store, i.e. `false`).
     pub coalesce: bool,
-    /// Committed entries drained toward the NVM controller per cycle.
-    pub drain_per_cycle: u32,
 }
 
 impl TxCacheConfig {
@@ -432,7 +430,6 @@ impl TxCacheConfig {
             latency_ns: 1.5,
             overflow_threshold: 0.9,
             coalesce: false,
-            drain_per_cycle: 1,
         }
     }
 
@@ -472,9 +469,6 @@ impl TxCacheConfig {
         }
         if !(self.overflow_threshold > 0.0 && self.overflow_threshold <= 1.0) {
             return Err(ConfigError::new("txcache: overflow threshold not in (0, 1]"));
-        }
-        if self.drain_per_cycle == 0 {
-            return Err(ConfigError::new("txcache: zero drain width"));
         }
         Ok(())
     }

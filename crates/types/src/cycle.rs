@@ -33,12 +33,6 @@ impl Freq {
         Freq { ghz }
     }
 
-    /// The frequency in GHz.
-    #[must_use]
-    pub fn as_ghz(self) -> f64 {
-        self.ghz
-    }
-
     /// Converts a latency in nanoseconds to a whole number of cycles,
     /// rounding up (a device cannot respond mid-cycle) with a minimum of 1.
     #[must_use]

@@ -47,18 +47,6 @@ impl Heap {
         self.next = end;
         Addr::new(base)
     }
-
-    /// Bytes consumed so far (including alignment padding).
-    #[must_use]
-    pub fn used_bytes(&self, base: Addr) -> u64 {
-        self.next - base.raw()
-    }
-
-    /// Bytes still available.
-    #[must_use]
-    pub fn remaining_bytes(&self) -> u64 {
-        self.end - self.next
-    }
 }
 
 #[cfg(test)]

@@ -165,7 +165,7 @@ fn keep_uncommitted_eadr_mutation_is_caught_and_minimized() {
         .reproducers
         .first()
         .expect("violating eADR cell is minimized into a reproducer");
-    assert_eq!(repro.scheme, SchemeKind::Eadr);
+    assert_eq!(repro.spec.scheme, SchemeKind::Eadr);
     assert_eq!(repro.mutation, Mutation::KeepUncommittedEadr);
     assert!(repro.replay().is_err(), "reproducer must still fail");
     let mut fixed = repro.clone();
