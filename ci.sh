@@ -42,15 +42,13 @@ cargo clippy --all-targets --offline -- -D warnings
 echo "==> RUSTDOCFLAGS=-D warnings cargo doc --no-deps --offline"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
 
-# Smoke-run the component microbench suite at one sample per benchmark:
+# Smoke-run the hotpath microbench suite at one sample per benchmark:
 # this is a bit-rot gate (the targets must build and their setup code
 # must still hold), not a measurement — real numbers come from
 # `cargo bench -p pmacc-bench --bench hotpath` on an idle machine.
 echo "==> microbench smoke run (PMACC_BENCH_SAMPLES=1)"
 PMACC_BENCH_SAMPLES=1 PMACC_JOBS=1 cargo bench --offline -q -p pmacc-bench \
     --bench hotpath > /dev/null
-PMACC_BENCH_SAMPLES=1 PMACC_JOBS=1 cargo bench --offline -q -p pmacc-bench \
-    --bench components > /dev/null
 
 # Calibration regression gate: a fresh quick-scale grid's key metrics
 # (normalized figure means, per-cell IPC, stall fractions, NVM writes by

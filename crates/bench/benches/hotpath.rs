@@ -1,8 +1,9 @@
 //! Microbenchmarks of the per-access simulation hot path, targeting the
 //! data structures the indexed-CAM overhaul rewrote: transaction-cache
-//! probe/insert/ack under high occupancy, line-granular backing-store
-//! round trips, the in-repo fast hasher against SipHash, and the
-//! end-to-end cells-per-second figure a grid sweep is built from.
+//! probe/insert/ack under high occupancy, cache-hierarchy accesses, the
+//! memory controller, line-granular backing-store round trips, the
+//! in-repo fast hasher against SipHash, and the end-to-end
+//! cells-per-second figure a grid sweep is built from.
 //!
 //! Run with `cargo bench -p pmacc-bench --bench hotpath`;
 //! `PMACC_BENCH_SAMPLES=1` is the CI smoke mode.
@@ -12,8 +13,12 @@ use pmacc_bench::grid::{run_cell, Scale};
 use pmacc_bench::harness::Harness;
 
 use pmacc::TxCache;
-use pmacc_mem::Backing;
-use pmacc_types::{Addr, FxHashMap, LineAddr, SchemeKind, TxCacheConfig, TxId};
+use pmacc_cache::{Access, Hierarchy, HierarchyOpts};
+use pmacc_mem::{Backing, MemController};
+use pmacc_types::{
+    Addr, CacheConfig, FxHashMap, LineAddr, MemConfig, MemRegion, MemReq, ReqId, SchemeKind,
+    TxCacheConfig, TxId, WriteCause,
+};
 use pmacc_workloads::WorkloadKind;
 
 /// A transaction cache filled to high occupancy (60 of 64 entries) with
@@ -89,6 +94,69 @@ fn bench_txcache_hot(c: &mut Harness) {
                 tc.ack_line(*line).expect("issued entry");
             }
             tc.occupancy()
+        });
+    });
+    g.bench_function("insert_commit_drain", |b| {
+        // A whole 32-line transaction through the empty ring: insert,
+        // commit, then issue and acknowledge every entry.
+        let cfg = TxCacheConfig::dac17();
+        b.iter(|| {
+            let mut tc = TxCache::new(&cfg);
+            let tx = TxId::new(0, 1);
+            for i in 0..32u64 {
+                tc.insert(tx, Addr::nvm_base().offset(i * 64).word(), i)
+                    .expect("room");
+            }
+            tc.commit(tx, 1);
+            while let Some((slot, _)) = tc.next_issue() {
+                tc.mark_issued(slot);
+                tc.ack_slot(slot);
+            }
+            tc.occupancy()
+        });
+    });
+    g.finish();
+}
+
+fn bench_memsys(c: &mut Harness) {
+    // The memory system beneath the cores: the cache hierarchy and the
+    // memory controller.
+    let mut g = c.benchmark_group("memsys");
+    g.bench_function("hierarchy_access_stream", |b| {
+        let mut h = Hierarchy::new(
+            1,
+            CacheConfig::new(8 * 1024, 4, 0.5),
+            CacheConfig::new(64 * 1024, 8, 4.5),
+            CacheConfig::new(512 * 1024, 16, 10.0),
+            HierarchyOpts::default(),
+        );
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 1) % 32_768;
+            let line = LineAddr::new(Addr::nvm_base().line().raw() + i);
+            let out = h.access(0, Access::store(line)).expect("no pinning");
+            out.evictions.len()
+        });
+    });
+    g.bench_function("ctrl_enqueue_advance", |b| {
+        let mut ctrl = MemController::new(MemRegion::Nvm, MemConfig::nvm_dac17());
+        let mut t = 0u64;
+        let mut id = 0u64;
+        b.iter(|| {
+            for k in 0..8u64 {
+                id += 1;
+                let _ = ctrl.enqueue(
+                    MemReq::write(
+                        ReqId(id),
+                        LineAddr::new(Addr::nvm_base().line().raw() + (id + k) % 4096),
+                        None,
+                        WriteCause::Eviction,
+                    ),
+                    t,
+                );
+            }
+            t += 200;
+            ctrl.advance(t).len()
         });
     });
     g.finish();
@@ -219,4 +287,4 @@ fn bench_full_cell(c: &mut Harness) {
     g.finish();
 }
 
-bench_main!(bench_txcache_hot, bench_backing, bench_hasher, bench_engine, bench_full_cell);
+bench_main!(bench_txcache_hot, bench_memsys, bench_backing, bench_hasher, bench_engine, bench_full_cell);

@@ -30,51 +30,54 @@ use pmacc_bench::cli::{self, Args};
 use pmacc_bench::figures;
 use pmacc_bench::grid::{run_grid_opts, Scale};
 use pmacc_bench::pool::Options;
-use pmacc_bench::{report, suggest};
-use pmacc_types::MachineConfig;
+use pmacc_bench::{report, suggest, FigTable, GridResults};
+use pmacc_types::{MachineConfig, SimError};
 
-const GRID_EXPERIMENTS: [&str; 9] = [
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig9-breakdown",
-    "fig10",
-    "stalls",
-    "energy",
-    "endurance",
+/// How an experiment renders its table.
+#[derive(Clone, Copy)]
+enum Runner {
+    /// From the one scheme x workload grid every such experiment shares.
+    Grid(fn(&GridResults) -> FigTable),
+    /// From its own cells at the run's scale and seed.
+    Own(fn(Scale, u64, &Options) -> Result<FigTable, SimError>),
+}
+
+/// Every experiment, in the default run order.
+const EXPERIMENTS: [(&str, Runner); 22] = [
+    ("table2", Runner::Own(|_, _, _| Ok(figures::table2(&MachineConfig::dac17())))),
+    ("table3", Runner::Own(|scale, seed, _| Ok(figures::table3(scale, seed)))),
+    ("table1", Runner::Own(|_, _, _| Ok(figures::table1(&MachineConfig::dac17())))),
+    ("fig6", Runner::Grid(figures::fig6)),
+    ("fig7", Runner::Grid(figures::fig7)),
+    ("fig8", Runner::Grid(figures::fig8)),
+    ("fig9", Runner::Grid(figures::fig9)),
+    ("fig9-breakdown", Runner::Grid(figures::fig9_breakdown)),
+    ("fig10", Runner::Grid(figures::fig10)),
+    ("stalls", Runner::Grid(figures::stalls)),
+    ("energy", Runner::Grid(figures::energy)),
+    ("endurance", Runner::Grid(figures::endurance)),
+    ("recovery", Runner::Own(figures::recovery_table)),
+    ("mix", Runner::Own(figures::mix)),
+    ("warm", Runner::Own(figures::warm)),
+    ("sharing", Runner::Own(figures::sharing)),
+    ("wear", Runner::Own(figures::wear)),
+    ("ablation-size", Runner::Own(figures::ablation_txcache_size)),
+    ("ablation-overflow", Runner::Own(figures::ablation_overflow)),
+    ("ablation-nvm", Runner::Own(figures::ablation_nvm_latency)),
+    ("ablation-coalesce", Runner::Own(figures::ablation_coalesce)),
+    ("ablation-sp-fencing", Runner::Own(figures::ablation_sp_fencing)),
 ];
-const ALL_EXPERIMENTS: [&str; 22] = [
-    "table2",
-    "table3",
-    "table1",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig9-breakdown",
-    "fig10",
-    "stalls",
-    "energy",
-    "endurance",
-    "recovery",
-    "mix",
-    "warm",
-    "sharing",
-    "wear",
-    "ablation-size",
-    "ablation-overflow",
-    "ablation-nvm",
-    "ablation-coalesce",
-    "ablation-sp-fencing",
-];
+
+fn names() -> Vec<&'static str> {
+    EXPERIMENTS.iter().map(|&(name, _)| name).collect()
+}
 
 fn usage() -> String {
     format!(
         "usage: reproduce [--quick|--full] [--json FILE] [--seed N] [--jobs N] \
          [--list] [experiment ...]\n\
          experiments: {}",
-        ALL_EXPERIMENTS.join(" ")
+        names().join(" ")
     )
 }
 
@@ -90,15 +93,15 @@ fn run() -> Result<ExitCode, String> {
         progress: true,
         ..Options::default()
     };
-    let mut wanted: Vec<String> = Vec::new();
+    let mut wanted: Vec<(&str, Runner)> = Vec::new();
     let mut args = Args::from_env();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => scale = Scale::Quick,
             "--full" => scale = Scale::Full,
             "--list" => {
-                for e in ALL_EXPERIMENTS {
-                    println!("{e}");
+                for name in names() {
+                    println!("{name}");
                 }
                 return Ok(ExitCode::SUCCESS);
             }
@@ -106,20 +109,22 @@ fn run() -> Result<ExitCode, String> {
             "--seed" => seed = args.value("--seed")?,
             "--jobs" => opts.jobs = args.positive("--jobs")?,
             "--help" | "-h" => return Ok(cli::help(&usage())),
-            other if ALL_EXPERIMENTS.contains(&other) => wanted.push(other.to_string()),
-            other => {
-                let hint = suggest::closest(other, &ALL_EXPERIMENTS)
-                    .map(|s| format!("; did you mean `{s}`?"))
-                    .unwrap_or_default();
-                return Err(format!(
-                    "unknown experiment `{other}`{hint}\n\
-                     run `reproduce --list` for the experiment names"
-                ));
-            }
+            other => match EXPERIMENTS.iter().find(|&&(name, _)| name == other) {
+                Some(&experiment) => wanted.push(experiment),
+                None => {
+                    let hint = suggest::closest(other, &names())
+                        .map(|s| format!("; did you mean `{s}`?"))
+                        .unwrap_or_default();
+                    return Err(format!(
+                        "unknown experiment `{other}`{hint}\n\
+                         run `reproduce --list` for the experiment names"
+                    ));
+                }
+            },
         }
     }
     if wanted.is_empty() {
-        wanted = ALL_EXPERIMENTS.iter().map(|s| (*s).to_string()).collect();
+        wanted = EXPERIMENTS.to_vec();
     }
 
     println!("# pmacc reproduction report\n");
@@ -129,7 +134,7 @@ fn run() -> Result<ExitCode, String> {
 
     // The grid-derived figures share one grid; run it once if any is
     // requested.
-    let needs_grid = wanted.iter().any(|w| GRID_EXPERIMENTS.contains(&w.as_str()));
+    let needs_grid = wanted.iter().any(|(_, r)| matches!(r, Runner::Grid(_)));
     let grid = if needs_grid {
         eprintln!(
             "running the {scale} scheme x workload grid on {} worker(s) ...",
@@ -143,38 +148,16 @@ fn run() -> Result<ExitCode, String> {
         None
     };
 
-    let grid_ran = || grid.as_ref().expect("grid ran");
-    let mut rendered: Vec<(String, pmacc_bench::FigTable)> = Vec::new();
-    for w in &wanted {
-        eprintln!("rendering {w} ...");
-        let table = match w.as_str() {
-            "table1" => Ok(figures::table1(&MachineConfig::dac17())),
-            "table2" => Ok(figures::table2(&MachineConfig::dac17())),
-            "table3" => Ok(figures::table3(scale, seed)),
-            "fig6" => Ok(figures::fig6(grid_ran())),
-            "fig7" => Ok(figures::fig7(grid_ran())),
-            "fig8" => Ok(figures::fig8(grid_ran())),
-            "fig9" => Ok(figures::fig9(grid_ran())),
-            "fig9-breakdown" => Ok(figures::fig9_breakdown(grid_ran())),
-            "fig10" => Ok(figures::fig10(grid_ran())),
-            "stalls" => Ok(figures::stalls(grid_ran())),
-            "energy" => Ok(figures::energy(grid_ran())),
-            "endurance" => Ok(figures::endurance(grid_ran())),
-            "recovery" => figures::recovery_table(scale, seed, &opts),
-            "mix" => figures::mix(scale, seed, &opts),
-            "warm" => figures::warm(scale, seed, &opts),
-            "sharing" => figures::sharing(scale, seed, &opts),
-            "wear" => figures::wear(scale, seed, &opts),
-            "ablation-size" => figures::ablation_txcache_size(scale, seed, &opts),
-            "ablation-overflow" => figures::ablation_overflow(scale, seed, &opts),
-            "ablation-nvm" => figures::ablation_nvm_latency(scale, seed, &opts),
-            "ablation-coalesce" => figures::ablation_coalesce(scale, seed, &opts),
-            "ablation-sp-fencing" => figures::ablation_sp_fencing(scale, seed, &opts),
-            _ => unreachable!("validated above"),
+    let mut rendered: Vec<(String, FigTable)> = Vec::new();
+    for (name, runner) in wanted {
+        eprintln!("rendering {name} ...");
+        let table = match runner {
+            Runner::Grid(render) => Ok(render(grid.as_ref().expect("grid ran"))),
+            Runner::Own(render) => render(scale, seed, &opts),
         };
-        let t = table.map_err(|e| format!("{w} failed: {e}"))?;
+        let t = table.map_err(|e| format!("{name} failed: {e}"))?;
         print!("{t}");
-        rendered.push((w.clone(), t));
+        rendered.push((name.to_string(), t));
     }
 
     if let Some(path) = &json_path {

@@ -12,7 +12,7 @@
 //! program order.
 
 use core::fmt;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use pmacc_mem::{Backing, WearSnapshot};
 use pmacc_types::{layout, Cycle, FxHashMap, SchemeKind, TxId, Word, WordAddr};
@@ -355,51 +355,34 @@ pub fn check_recovery(state: &CrashState, recovered: &Backing) -> Result<(), Rec
     // Journal order is *global* commit order (the push order of TX_END
     // completions), so shared-window words written by several cores'
     // transactions replay in the order those transactions serialized.
-    let mut expected: HashMap<WordAddr, Word> = state
-        .initial_nvm
-        .iter()
-        .filter(|(w, _)| *w >= heap_base)
-        .collect();
-    let mut touched: Vec<WordAddr> = expected.keys().copied().collect();
+    let mut expected = state.initial_nvm.clone();
     for rec in &state.journal {
-        for &(w, v) in &rec.writes {
-            if w >= heap_base {
-                expected.insert(w, v);
-                touched.push(w);
-            }
-        }
+        expected.extend(rec.writes.iter().copied());
     }
-    // The alternative image with a core's in-flight transaction applied.
-    let mut with_in_flight = expected.clone();
-    for rec in state.in_flight.iter().flatten() {
-        for &(w, v) in &rec.writes {
-            if w >= heap_base {
-                with_in_flight.insert(w, v);
-                touched.push(w);
-            }
-        }
-    }
-    // Also examine every heap word the recovered image knows about, so
-    // stray uncommitted writes are caught.
-    touched.extend(recovered.iter().map(|(w, _)| w).filter(|w| *w >= heap_base));
-    touched.sort();
-    touched.dedup();
-
-    // Words touched by an in-flight transaction must be *consistently*
-    // either all pre- or all post-transaction per core; since cores write
-    // disjoint heap slices, a global two-way choice per word set suffices:
-    // group in-flight words by the owning record.
-    let mut mismatches = Vec::new();
-    for w in touched {
-        let want = expected.get(&w).copied().unwrap_or(0);
-        let got = recovered.read_word(w);
-        if want != got {
-            mismatches.push((w, want, got));
-        }
-    }
+    // Compare every heap word either image holds, so stray uncommitted
+    // writes are caught. A word only an in-flight transaction wrote reads
+    // zero on both sides, so it cannot mismatch.
+    let mut words: Vec<WordAddr> = expected
+        .iter()
+        .chain(recovered.iter())
+        .map(|(w, _)| w)
+        .filter(|w| *w >= heap_base)
+        .collect();
+    words.sort_unstable();
+    words.dedup();
+    let mut mismatches: Vec<(WordAddr, Word, Word)> = words
+        .into_iter()
+        .map(|w| (w, expected.read_word(w), recovered.read_word(w)))
+        .filter(|(_, want, got)| want != got)
+        .collect();
     // Try to explain mismatches with in-flight transactions, one whole
-    // transaction at a time.
+    // transaction at a time: accept one only if *all* its heap words
+    // match the image with the in-flight writes applied.
     if !mismatches.is_empty() {
+        let mut with_in_flight = expected;
+        for rec in state.in_flight.iter().flatten() {
+            with_in_flight.extend(rec.writes.iter().copied());
+        }
         for rec in state.in_flight.iter().flatten() {
             let words: BTreeSet<WordAddr> = rec
                 .writes
@@ -407,12 +390,10 @@ pub fn check_recovery(state: &CrashState, recovered: &Backing) -> Result<(), Rec
                 .map(|&(w, _)| w)
                 .filter(|w| *w >= heap_base)
                 .collect();
-            // Accept this transaction only if *all* its words match the
-            // post-transaction image.
-            let all_match = words
+            if words
                 .iter()
-                .all(|w| recovered.read_word(*w) == with_in_flight.get(w).copied().unwrap_or(0));
-            if all_match {
+                .all(|&w| recovered.read_word(w) == with_in_flight.read_word(w))
+            {
                 mismatches.retain(|(w, _, _)| !words.contains(w));
             }
         }
@@ -605,10 +586,12 @@ mod tests {
             commit_cycle: 10,
             writes: vec![(heap_word(0), 9)],
         });
+        // Nor did the initial value of word 5 survive.
+        st.initial_nvm.write_word(heap_word(5), 77);
         let rec = recover(&st); // NVM never got the write
         let err = check_recovery(&st, &rec).unwrap_err();
-        assert_eq!(err.total, 1);
-        assert_eq!(err.mismatches[0], (heap_word(0), 9, 0));
+        assert_eq!(err.total, 2);
+        assert_eq!(err.mismatches, vec![(heap_word(0), 9, 0), (heap_word(5), 77, 0)]);
     }
 
     #[test]
@@ -622,11 +605,28 @@ mod tests {
     }
 
     #[test]
+    fn checker_accepts_whole_in_flight_and_rejects_partial() {
+        let mut st = base_state(DurableState::Optimal);
+        let writes = vec![(heap_word(0), 1), (heap_word(9), 2)];
+        st.in_flight[0] = Some(TxRecord {
+            tx: TxId::new(0, 0),
+            commit_cycle: 100,
+            writes: writes.clone(),
+        });
+        check_recovery(&st, &writes.iter().copied().collect()).unwrap();
+        check_recovery(&st, &Backing::new()).unwrap();
+        let err = check_recovery(&st, &writes[..1].iter().copied().collect()).unwrap_err();
+        assert_eq!(err.mismatches, vec![(heap_word(0), 0, 1)]);
+    }
+
+    #[test]
     fn checker_ignores_log_area_noise() {
         let mut st = base_state(DurableState::Optimal);
-        // Scratch writes below the heap are scheme-private.
+        // Scratch words below the heap are scheme-private, in the
+        // recovered image and in the initial one alike.
         st.nvm
             .write_word(Addr::nvm_base().word(), 0xDEAD);
+        st.initial_nvm.write_word(Addr::nvm_base().offset(8).word(), 0xBEEF);
         let rec = recover(&st);
         check_recovery(&st, &rec).unwrap();
     }

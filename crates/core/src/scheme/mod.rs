@@ -22,6 +22,7 @@ use pmacc_cpu::Trace;
 use pmacc_types::SchemeKind;
 
 /// Applies the scheme's software instrumentation to a core's trace.
+/// Hardware schemes return the trace unchanged, without copying it.
 ///
 /// # Example
 ///
@@ -36,16 +37,14 @@ use pmacc_types::SchemeKind;
 /// t.push(Op::TxEnd);
 ///
 /// // Hardware schemes leave the trace alone.
-/// assert_eq!(instrument(SchemeKind::TxCache, 0, &t), t);
+/// assert_eq!(instrument(SchemeKind::TxCache, 0, t.clone()), t);
 /// // Software logging makes it much longer.
-/// assert!(instrument(SchemeKind::Sp, 0, &t).len() > t.len());
+/// assert!(instrument(SchemeKind::Sp, 0, t.clone()).len() > t.len());
 /// ```
 #[must_use]
-pub fn instrument(scheme: SchemeKind, core: usize, trace: &Trace) -> Trace {
+pub fn instrument(scheme: SchemeKind, core: usize, trace: Trace) -> Trace {
     match scheme {
-        SchemeKind::Sp => sp::instrument(core, trace),
-        SchemeKind::Optimal | SchemeKind::TxCache | SchemeKind::NvLlc | SchemeKind::Eadr => {
-            trace.clone()
-        }
+        SchemeKind::Sp => sp::instrument(core, &trace),
+        SchemeKind::Optimal | SchemeKind::TxCache | SchemeKind::NvLlc | SchemeKind::Eadr => trace,
     }
 }

@@ -190,7 +190,7 @@ pub fn instrument_with(core: usize, trace: &Trace, mode: SpMode) -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use pmacc_mem::Backing;
 
     fn raw_tx() -> Trace {
         let mut t = Trace::new();
@@ -199,6 +199,18 @@ mod tests {
         t.push(Op::store(Addr::nvm_base().offset((1 << 20) + 8), 9));
         t.push(Op::TxEnd);
         t
+    }
+
+    /// The log words an instrumented trace stores, as an NVM image.
+    fn log_image(t: &Trace) -> Backing {
+        let mut nvm = Backing::new();
+        for op in t.ops() {
+            if let Op::LogStore { addr, meta, value } = *op {
+                nvm.write_word(addr.word(), meta);
+                nvm.write_word(WordAddr::new(addr.word().raw() + 1), value);
+            }
+        }
+        nvm
     }
 
     #[test]
@@ -259,14 +271,8 @@ mod tests {
         // Execute the instrumented trace's log stores into a fake NVM and
         // parse it back.
         let t = instrument(2, &raw_tx());
-        let mut nvm: HashMap<WordAddr, Word> = HashMap::new();
-        for op in t.ops() {
-            if let Op::LogStore { addr, meta, value } = op {
-                nvm.insert(addr.word(), *meta);
-                nvm.insert(WordAddr::new(addr.word().raw() + 1), *value);
-            }
-        }
-        let elems = parse_log(2, &|w| nvm.get(&w).copied().unwrap_or(0));
+        let nvm = log_image(&t);
+        let elems = parse_log(2, &|w| nvm.read_word(w));
         assert_eq!(elems.len(), 3); // two records + one commit
         assert_eq!(
             elems[0],
@@ -326,14 +332,8 @@ mod tests {
         let more = raw_tx();
         raw.extend_ops(more.ops().iter().copied());
         let t = instrument(1, &raw);
-        let mut nvm: HashMap<WordAddr, Word> = HashMap::new();
-        for op in t.ops() {
-            if let Op::LogStore { addr, meta, value } = op {
-                nvm.insert(addr.word(), *meta);
-                nvm.insert(WordAddr::new(addr.word().raw() + 1), *value);
-            }
-        }
-        let elems = parse_log(1, &|w| nvm.get(&w).copied().unwrap_or(0));
+        let nvm = log_image(&t);
+        let elems = parse_log(1, &|w| nvm.read_word(w));
         let commits: Vec<u64> = elems
             .iter()
             .filter_map(|e| match e {

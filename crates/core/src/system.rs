@@ -9,7 +9,9 @@
 //! word values so that crash recovery can be verified, not assumed: the
 //! NVM [`Backing`], the STT-RAM transaction caches, the SP log (parsed out
 //! of the NVM image) and the NVLLC committed-line image all survive a
-//! simulated crash; everything else dies with it.
+//! simulated crash; everything else dies with it. A run keeps one copy of
+//! the initial persistent image; the architectural image is copy-on-write
+//! over it, and DRAM contents are not modeled, since nothing reads them.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -385,10 +387,17 @@ pub struct System {
     tcs: Vec<TxCache>,
     nvm: MemController,
     dram: MemController,
+    /// Durable NVM contents: what the memory controller has written.
     nvm_backing: Backing,
-    dram_backing: Backing,
+    /// The persistent words of the initial image, the one copy a run
+    /// keeps. Volatile (DRAM) initial words are dropped: DRAM contents
+    /// are not modeled, because nothing reads them.
     initial_nvm: Backing,
-    volatile: FxHashMap<WordAddr, Word>,
+    /// The architectural image of persistent memory, copy-on-write over
+    /// `initial_nvm`: it holds only the lines the run has stored to, each
+    /// seeded from `initial_nvm` on its first store. A line never stored
+    /// reads from `initial_nvm`.
+    arch_image: Backing,
     scheme: SchemeState,
     /// Oracle: per core, per transaction serial, the persistent data
     /// writes the transaction performs — derived statically from the
@@ -453,7 +462,8 @@ pub struct System {
 impl System {
     /// Builds a system executing the given *raw* per-core traces (the
     /// scheme's instrumentation is applied here) over the given initial
-    /// persistent/volatile memory image.
+    /// memory image. Only its persistent words are kept: DRAM contents
+    /// are not modeled.
     ///
     /// # Errors
     ///
@@ -466,7 +476,7 @@ impl System {
         run_cfg: &RunConfig,
     ) -> Result<Self, SimError> {
         let traces: Vec<Trace> = raw_traces
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(c, t)| scheme::instrument(cfg.scheme, c, t))
             .collect();
@@ -504,17 +514,13 @@ impl System {
         let opts = HierarchyOpts {
             pin_uncommitted_in_llc: cfg.scheme == SchemeKind::NvLlc,
         };
-        let mut nvm_backing = Backing::new();
-        let mut dram_backing = Backing::new();
-        let mut volatile = FxHashMap::default();
-        for &(w, v) in initial {
-            volatile.insert(w, v);
-            if w.is_persistent() {
-                nvm_backing.write_word(w, v);
-            } else {
-                dram_backing.write_word(w, v);
-            }
-        }
+        // In the given order: a shared-window word several cores' images
+        // write keeps the last writer's value.
+        let initial_nvm: Backing = initial
+            .iter()
+            .copied()
+            .filter(|(w, _)| w.is_persistent())
+            .collect();
         let tx_write_table = traces.iter().map(tx_writes_of).collect();
         let mut system = System {
             cores: (0..cfg.cores).map(|c| CoreCtx::new(c, &cfg)).collect(),
@@ -522,10 +528,9 @@ impl System {
             tcs: (0..cfg.cores).map(|_| TxCache::new(&cfg.txcache)).collect(),
             nvm: MemController::new(MemRegion::Nvm, cfg.nvm),
             dram: MemController::new(MemRegion::Dram, cfg.dram),
-            initial_nvm: nvm_backing.clone(),
-            nvm_backing,
-            dram_backing,
-            volatile,
+            nvm_backing: initial_nvm.clone(),
+            initial_nvm,
+            arch_image: Backing::new(),
             scheme: SchemeState::new(cfg.scheme, cfg.cores),
             durable_word_seq: FxHashMap::default(),
             shared_word_base: layout::shared_pool_base().word().raw(),
@@ -1067,8 +1072,7 @@ impl System {
                     logical.write_line(line, &words);
                 }
                 for line in self.hier.dirty_persistent_lines() {
-                    let words = self.snapshot_volatile(line);
-                    logical.write_line(line, &words);
+                    logical.write_line(line, &self.arch_line(line));
                 }
                 DurableState::Eadr { undo: undo.clone() }
             }
@@ -1224,9 +1228,8 @@ impl System {
             Op::LogStore { addr, meta, value } => {
                 // Functional: the record header lands in the word after
                 // the base; the store path below handles the base word.
-                self.volatile.insert(addr.word(), meta);
-                self.volatile
-                    .insert(WordAddr::new(addr.word().raw() + 1), value);
+                self.arch_store(addr.word(), meta);
+                self.arch_store(WordAddr::new(addr.word().raw() + 1), value);
                 self.do_store(c, addr, meta, StoreKind::Log)
             }
             Op::Flush { addr } => self.do_flush(c, addr),
@@ -1445,21 +1448,21 @@ impl System {
         self.note_invalidations(&outcome.invalidated);
         self.route_evictions(outcome.evictions);
 
-        // eADR undo log, first write wins: capture the pre-image of each
-        // word the in-flight transaction overwrites *before* the store
-        // lands in architectural memory. Under eADR the store below is
-        // already durable (the failure drain will persist it), so this
-        // pre-image is what rollback restores if the transaction never
-        // commits. The conflict gate above serialized cross-core writers
-        // of this line, so the pre-image is the latest committed value.
-        if let (SchemeState::Eadr(undo), true) = (&mut self.scheme, tx_data) {
-            let w = addr.word();
-            let pre = self.volatile.get(&w).copied().unwrap_or(0);
-            undo[c].entry(w).or_insert(pre);
+        // Functional: architectural memory state (DRAM contents are not
+        // modeled).
+        if persistent {
+            let pre = self.arch_store(addr.word(), value);
+            // eADR undo log, first write wins: keep the pre-image of each
+            // word the in-flight transaction overwrites. Under eADR the
+            // store is already durable (the failure drain will persist
+            // it), so this pre-image is what rollback restores if the
+            // transaction never commits. The conflict gate above
+            // serialized cross-core writers of this line, so the
+            // pre-image is the latest committed value.
+            if let (SchemeState::Eadr(undo), true) = (&mut self.scheme, tx_data) {
+                undo[c].entry(addr.word()).or_insert(pre);
+            }
         }
-
-        // Functional: architectural memory state.
-        self.volatile.insert(addr.word(), value);
 
         // Timing: the store retires into the store buffer and drains in
         // the background; its drain cost depends on where it hit.
@@ -1596,7 +1599,7 @@ impl System {
             // Escape hatch: forcibly unpin the oldest uncommitted line in
             // the set and persist it out of band (hardware COW).
             if let Some(victim) = self.hier.force_unpin_for(line) {
-                let words = self.snapshot_volatile(victim);
+                let words = self.arch_line(victim);
                 self.post_write(
                     victim,
                     WriteCause::Cow,
@@ -1623,7 +1626,7 @@ impl System {
         self.cores[c].stats.ops.inc();
         let dirty = self.hier.flush_line(c, line);
         if dirty {
-            let words = self.snapshot_volatile(line);
+            let words = self.arch_line(line);
             self.cores[c].pending_flushes += 1;
             self.post_write(
                 line,
@@ -1965,12 +1968,21 @@ impl System {
     // Eviction routing and write-backs
     // ------------------------------------------------------------------
 
-    fn snapshot_volatile(&self, line: LineAddr) -> [Word; WORDS_PER_LINE] {
-        let mut out = [0; WORDS_PER_LINE];
-        for (i, w) in line.words().enumerate() {
-            out[i] = self.volatile.get(&w).copied().unwrap_or(0);
-        }
-        out
+    /// The architectural contents of `line` (see `arch_image`).
+    fn arch_line(&self, line: LineAddr) -> [Word; WORDS_PER_LINE] {
+        let stored = self.arch_image.line(line);
+        stored.unwrap_or_else(|| self.initial_nvm.read_line(line))
+    }
+
+    /// Stores one word into the architectural image (its line is seeded
+    /// from the initial image on the first store) and returns the word's
+    /// old value.
+    fn arch_store(&mut self, word: WordAddr, value: Word) -> Word {
+        let line = word.line();
+        let mut words = self.arch_line(line);
+        let old = std::mem::replace(&mut words[word.index_in_line()], value);
+        self.arch_image.write_line(line, &words);
+        old
     }
 
     fn route_evictions(&mut self, evictions: Vec<Eviction>) {
@@ -1995,7 +2007,7 @@ impl System {
                         committed.get(&w).copied().unwrap_or_else(durable)
                     })
                 }
-                _ => self.snapshot_volatile(ev.line),
+                _ => self.arch_line(ev.line),
             };
             self.post_write(
                 ev.line,
@@ -2103,17 +2115,19 @@ impl System {
                     self.push_event(at, Event::CoreStep(w));
                 }
             }
+            // A DRAM write-back just retires: DRAM contents are not
+            // modeled.
             Origin::Writeback { line, words } => {
                 if region == MemRegion::Nvm {
                     self.record_boundary(BoundaryClass::DrainAck);
+                    self.nvm_backing.write_line(line, &words);
                 }
-                self.apply_line(region, line, &words);
             }
             Origin::FlushAck { core, words, line } => {
                 if region == MemRegion::Nvm {
                     self.record_boundary(BoundaryClass::DrainAck);
+                    self.nvm_backing.write_line(line, &words);
                 }
-                self.apply_line(region, line, &words);
                 self.cores[core].pending_flushes -= 1;
                 if self.cores[core].blocked == Some(StallKind::Fence) {
                     self.cores[core].time = self.cores[core].time.max(comp.done_at);
@@ -2218,14 +2232,6 @@ impl System {
                 }
             }
         }
-    }
-
-    fn apply_line(&mut self, region: MemRegion, line: LineAddr, words: &[Word; WORDS_PER_LINE]) {
-        let backing = match region {
-            MemRegion::Nvm => &mut self.nvm_backing,
-            MemRegion::Dram => &mut self.dram_backing,
-        };
-        backing.write_line(line, words);
     }
 
     /// Applies one committed durable word write in commit order: two
@@ -2576,6 +2582,50 @@ mod tests {
         }
     }
 
+    /// A one-core system running `ops` over an initial image whose heap
+    /// line 0 holds `100 + i` in word `i`.
+    fn over_initial_line(scheme: SchemeKind, ops: &[Op]) -> System {
+        let base = layout::persistent_heap_base();
+        let initial: Vec<_> = (0..8u64).map(|i| (base.offset(i * 8).word(), 100 + i)).collect();
+        let mut cfg = tiny_machine(scheme);
+        cfg.cores = 1;
+        let trace = ops.iter().copied().collect();
+        System::new(cfg, vec![trace], &initial, &RunConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn write_back_of_a_partly_stored_line_carries_the_initial_words() {
+        // One stored word, then clwb writes the whole line back.
+        let base = layout::persistent_heap_base();
+        let store = Op::store(base.offset(8), 99);
+        let flush = Op::Flush { addr: base };
+        let mut sys = over_initial_line(
+            SchemeKind::Sp,
+            &[Op::TxBegin, store, Op::TxEnd, flush, Op::Fence],
+        );
+        sys.run().unwrap();
+        let line = sys.nvm_backing.read_line(base.line());
+        assert_eq!(line, [100, 99, 102, 103, 104, 105, 106, 107]);
+    }
+
+    #[test]
+    fn eadr_crash_mid_transaction_restores_the_initial_line() {
+        let base = layout::persistent_heap_base();
+        let stores = [Op::store(base.offset(8), 99), Op::store(base.offset(16), 98)];
+        let mut sys = over_initial_line(
+            SchemeKind::Eadr,
+            &[Op::TxBegin, stores[0], stores[1], Op::Compute(100_000), Op::TxEnd],
+        );
+        sys.run_until(5_000).unwrap();
+        let state = sys.crash_state();
+        assert!(state.in_flight[0].is_some(), "the crash lands inside the transaction");
+        assert_eq!(state.nvm.read_word(base.offset(8).word()), 99, "drained uncommitted store");
+        let recovered = crate::recovery::recover(&state);
+        let line = recovered.read_line(base.line());
+        assert_eq!(line, [100, 101, 102, 103, 104, 105, 106, 107]);
+        crate::recovery::check_recovery(&state, &recovered).unwrap();
+    }
+
     #[test]
     fn sp_scheme_writes_log_traffic() {
         let (report, _) = run_simple(SchemeKind::Sp);
@@ -2840,7 +2890,7 @@ mod tests {
         let base = build(WorkloadKind::Sps, &params);
         let strided_base = stride_trace(&base.trace, 0);
         assert!(
-            sys.traces[0] != scheme::instrument(SchemeKind::Optimal, 0, &strided_base),
+            sys.traces[0] != scheme::instrument(SchemeKind::Optimal, 0, strided_base),
             "core 0 must get its own seed stream, not the base seed"
         );
         // And the two cores run distinct instances: an sps trace is all

@@ -2,8 +2,7 @@
 //!
 //! The timing model decides *when* a line reaches memory; the backing store
 //! records *what* is there, at 64-bit-word granularity. The NVM backing is
-//! the ground truth that crash recovery inspects; the DRAM backing is
-//! cleared by a simulated crash.
+//! the ground truth that crash recovery inspects.
 //!
 //! Storage is line-granular: one map entry holds a whole cache line
 //! (`[Word; WORDS_PER_LINE]` plus a written-word mask), so the hot
@@ -91,6 +90,13 @@ impl Backing {
             .map_or([0; WORDS_PER_LINE], |c| c.words)
     }
 
+    /// A line's eight words, or `None` if no word of it was ever written
+    /// (so a caller can tell an absent line from a line of zeros).
+    #[must_use]
+    pub fn line(&self, line: LineAddr) -> Option<[Word; WORDS_PER_LINE]> {
+        self.lines.get(&line).map(|c| c.words)
+    }
+
     /// Writes a whole line from its eight words.
     pub fn write_line(&mut self, line: LineAddr, values: &[Word; WORDS_PER_LINE]) {
         let cell = self.lines.entry(line).or_insert(LineCell::empty());
@@ -109,12 +115,6 @@ impl Backing {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.written == 0
-    }
-
-    /// Erases everything (a crash, for the DRAM region).
-    pub fn clear(&mut self) {
-        self.lines.clear();
-        self.written = 0;
     }
 
     /// Iterates over all written `(address, value)` pairs in ascending
@@ -159,6 +159,7 @@ mod tests {
         let vals = [1, 2, 3, 4, 5, 6, 7, 8];
         b.write_line(line, &vals);
         assert_eq!(b.read_line(line), vals);
+        assert_eq!(b.line(line), Some(vals));
         assert_eq!(b.read_word(line.word(3)), 4);
     }
 
@@ -166,17 +167,8 @@ mod tests {
     fn unwritten_reads_zero() {
         let b = Backing::new();
         assert_eq!(b.read_line(LineAddr::new(5)), [0; WORDS_PER_LINE]);
+        assert_eq!(b.line(LineAddr::new(5)), None, "absent, not a line of zeros");
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn clear_erases() {
-        let mut b = Backing::new();
-        b.write_word(WordAddr::new(1), 7);
-        assert_eq!(b.len(), 1);
-        b.clear();
-        assert!(b.is_empty());
-        assert_eq!(b.read_word(WordAddr::new(1)), 0);
     }
 
     #[test]

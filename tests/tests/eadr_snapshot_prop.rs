@@ -12,7 +12,7 @@ use pmacc::recovery::recover;
 use pmacc::{RunConfig, System};
 use pmacc_mem::Backing;
 use pmacc_prop::Config;
-use pmacc_types::{layout, MachineConfig, SchemeKind, WearConfig, Word, WordAddr};
+use pmacc_types::{layout, MachineConfig, SchemeKind, WearConfig, WordAddr};
 use pmacc_workloads::{WorkloadKind, WorkloadParams};
 
 const WORKLOADS: [WorkloadKind; 5] = [
@@ -64,34 +64,26 @@ fn snapshot_case(kind: WorkloadKind, seed: u64, crash_frac: f64, cores: usize, w
     let recovered = recover(&state);
     let heap_base = layout::persistent_heap_base().word();
 
-    // Strict committed image: initial heap + journal replay in global
+    // Strict committed image: initial image + journal replay in global
     // commit order. Deliberately *no* in-flight alternative.
-    let mut expected: std::collections::HashMap<WordAddr, Word> = state
-        .initial_nvm
-        .iter()
-        .filter(|(w, _)| *w >= heap_base)
-        .collect();
+    let mut expected = state.initial_nvm.clone();
     for rec in &state.journal {
-        for &(w, v) in &rec.writes {
-            if w >= heap_base {
-                expected.insert(w, v);
-            }
-        }
+        expected.extend(rec.writes.iter().copied());
     }
-    // Compare over every heap word either image knows about, so both a
-    // lost committed store and a surviving uncommitted store are caught.
-    let mut touched: Vec<WordAddr> = expected.keys().copied().collect();
-    touched.extend(recovered.iter().map(|(w, _)| w).filter(|w| *w >= heap_base));
-    for rec in state.in_flight.iter().flatten() {
-        touched.extend(rec.writes.iter().map(|&(w, _)| w).filter(|w| *w >= heap_base));
-    }
-    touched.sort_unstable();
-    touched.dedup();
-    for w in touched {
-        let want = expected.get(&w).copied().unwrap_or(0);
-        let got = recovered.read_word(w);
+    // Compare over every heap word either image holds, so both a lost
+    // committed store and a surviving uncommitted store are caught.
+    let mut words: Vec<WordAddr> = expected
+        .iter()
+        .chain(recovered.iter())
+        .map(|(w, _)| w)
+        .filter(|w| *w >= heap_base)
+        .collect();
+    words.sort_unstable();
+    words.dedup();
+    for w in words {
         assert_eq!(
-            want, got,
+            expected.read_word(w),
+            recovered.read_word(w),
             "{kind} seed {seed} crash@{crash_at} cores={cores} wear={wear}: \
              heap word {w:?} diverged from the committed image"
         );
