@@ -30,6 +30,15 @@ gate() {
     rm -f "$one" "$four"
 }
 
+# exits STATUS CMD...: runs CMD and succeeds iff it exits with STATUS.
+exits() {
+    local want="$1" status=0
+    shift
+    "$@" || status=$?
+    [[ "$status" == "$want" ]] \
+        || { echo "$* exited with status $status, expected $want" >&2; return 1; }
+}
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
@@ -86,6 +95,17 @@ else
         cargo run --release --offline -q -p pmacc-bench --bin crashgrid -- --quick
     cargo run --release --offline -q -p pmacc-bench --bin crashgrid -- \
         --verify baselines/crashgrid-quick.json
+    # Oracle self-tests: each mutation breaks one scheme's recovery on
+    # purpose, so the campaign must find violations (exit status 1) and
+    # report exactly the checked-in counts and minimized reproducers,
+    # baselines/crashgrid-mutate-NAME.json. After an intentional change,
+    # regenerate each with `crashgrid --quick --mutate NAME --json FILE`.
+    for m in drop-committed-tc skip-cow-replay keep-uncommitted-eadr; do
+        echo "==> crashgrid --quick --mutate $m (oracle self-test, jobs 1 vs 4)"
+        gate "crashgrid --mutate $m" "baselines/crashgrid-mutate-$m.json" \
+            exits 1 cargo run --release --offline -q -p pmacc-bench --bin crashgrid -- \
+            --quick --mutate "$m"
+    done
 fi
 
 # Service-benchmark gate: the quick-scale open-system campaign (every

@@ -12,7 +12,7 @@ use pmacc::hwcost::HwOverhead;
 use pmacc::recovery::{check_recovery, recover, recovery_cost};
 use pmacc::scheme::sp::{self, SpMode};
 use pmacc::{RunConfig, RunReport, System};
-use pmacc_cpu::StallKind;
+use pmacc_cpu::{Op, StallKind};
 use pmacc_types::{MachineConfig, MemConfig, SchemeKind, SimError, WriteCause};
 use pmacc_workloads::{build, WorkloadKind};
 
@@ -853,7 +853,15 @@ pub fn table3(scale: Scale, seed: u64) -> FigTable {
         let w = build(kind, &scale.params(seed));
         let txs = w.trace.transactions().max(1);
         let stores = w.trace.ops().iter().filter(|o| o.is_store()).count() as u64;
-        let footprint = w.final_image.len() as u64 * 8;
+        // Every word the instance touches: its initial image plus the
+        // words it stores to.
+        let stored = w.trace.ops().iter().filter_map(|op| match op {
+            Op::Store { addr, .. } => Some(addr.word()),
+            _ => None,
+        });
+        let words: std::collections::BTreeSet<_> =
+            w.initial.iter().map(|&(a, _)| a).chain(stored).collect();
+        let footprint = words.len() as u64 * 8;
         let mut sizes = w.trace.tx_store_counts();
         sizes.sort_unstable();
         let p99 = sizes[(sizes.len() * 99 / 100).min(sizes.len() - 1)];

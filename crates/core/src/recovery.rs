@@ -97,7 +97,8 @@ pub struct CrashState {
     /// start-gap hardware keeps these registers in NVM for precisely
     /// this reason: without them the device image is unreadable.
     pub wear: Option<WearSnapshot>,
-    /// NVM image at simulation start (for the checker's replay).
+    /// NVM image at simulation start (for the checker's replay): the
+    /// frozen base the run's images overlay, shared rather than copied.
     pub initial_nvm: Backing,
     /// The running scheme's durable state beside the NVM image.
     pub durable: DurableState,
@@ -362,19 +363,24 @@ pub fn check_recovery(state: &CrashState, recovered: &Backing) -> Result<(), Rec
     // Compare every heap word either image holds, so stray uncommitted
     // writes are caught. A word only an in-flight transaction wrote reads
     // zero on both sides, so it cannot mismatch.
-    let mut words: Vec<WordAddr> = expected
-        .iter()
-        .chain(recovered.iter())
-        .map(|(w, _)| w)
-        .filter(|w| *w >= heap_base)
-        .collect();
-    words.sort_unstable();
-    words.dedup();
-    let mut mismatches: Vec<(WordAddr, Word, Word)> = words
-        .into_iter()
-        .map(|w| (w, expected.read_word(w), recovered.read_word(w)))
-        .filter(|(_, want, got)| want != got)
-        .collect();
+    // Both images iterate in ascending order, so one merge visits each
+    // word once; a word one image lacks reads zero there.
+    let mut mismatches: Vec<(WordAddr, Word, Word)> = Vec::new();
+    let mut want = expected.iter().filter(|&(w, _)| w >= heap_base).peekable();
+    let mut got = recovered.iter().filter(|&(w, _)| w >= heap_base).peekable();
+    loop {
+        let w = match (want.peek(), got.peek()) {
+            (Some(&(a, _)), Some(&(b, _))) => a.min(b),
+            (Some(&(w, _)), None) | (None, Some(&(w, _))) => w,
+            (None, None) => break,
+        };
+        let e = want.next_if(|&(x, _)| x == w).map_or(0, |(_, v)| v);
+        let r = got.next_if(|&(x, _)| x == w).map_or(0, |(_, v)| v);
+        if e != r {
+            mismatches.push((w, e, r));
+        }
+    }
+    drop(want); // it borrows `expected`, which moves below
     // Try to explain mismatches with in-flight transactions, one whole
     // transaction at a time: accept one only if *all* its heap words
     // match the image with the in-flight writes applied.

@@ -9,9 +9,9 @@
 //! word values so that crash recovery can be verified, not assumed: the
 //! NVM [`Backing`], the STT-RAM transaction caches, the SP log (parsed out
 //! of the NVM image) and the NVLLC committed-line image all survive a
-//! simulated crash; everything else dies with it. A run keeps one copy of
-//! the initial persistent image; the architectural image is copy-on-write
-//! over it, and DRAM contents are not modeled, since nothing reads them.
+//! simulated crash; everything else dies with it. A run freezes the initial
+//! persistent image once and every other image is a copy-on-write overlay on
+//! it; DRAM contents are not modeled, since nothing reads them.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -174,7 +174,7 @@ impl Sampler {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     CoreStep(usize),
-    MemPoke(u8), // 0 = NVM, 1 = DRAM
+    MemPoke(MemRegion),
     TcDrain(usize),
     /// Clock-only wake-up: advances the clock (and the sampler) to an
     /// exact cycle without touching any component — the skip-ahead
@@ -196,12 +196,10 @@ enum Origin {
     FlushAck {
         core: usize,
         words: [Word; WORDS_PER_LINE],
-        line: LineAddr,
     },
     TcAck {
         core: usize,
         slot: usize,
-        line: LineAddr,
         values: [Option<Word>; WORDS_PER_LINE],
         /// Commit order of the owning transaction, so acks of two cores'
         /// writes to one shared word apply in commit order regardless of
@@ -389,14 +387,7 @@ pub struct System {
     dram: MemController,
     /// Durable NVM contents: what the memory controller has written.
     nvm_backing: Backing,
-    /// The persistent words of the initial image, the one copy a run
-    /// keeps. Volatile (DRAM) initial words are dropped: DRAM contents
-    /// are not modeled, because nothing reads them.
-    initial_nvm: Backing,
-    /// The architectural image of persistent memory, copy-on-write over
-    /// `initial_nvm`: it holds only the lines the run has stored to, each
-    /// seeded from `initial_nvm` on its first store. A line never stored
-    /// reads from `initial_nvm`.
+    /// The architectural image of persistent memory: what stores wrote.
     arch_image: Backing,
     scheme: SchemeState,
     /// Oracle: per core, per transaction serial, the persistent data
@@ -516,7 +507,7 @@ impl System {
         };
         // In the given order: a shared-window word several cores' images
         // write keeps the last writer's value.
-        let initial_nvm: Backing = initial
+        let nvm_backing: Backing = initial
             .iter()
             .copied()
             .filter(|(w, _)| w.is_persistent())
@@ -528,9 +519,8 @@ impl System {
             tcs: (0..cfg.cores).map(|_| TxCache::new(&cfg.txcache)).collect(),
             nvm: MemController::new(MemRegion::Nvm, cfg.nvm),
             dram: MemController::new(MemRegion::Dram, cfg.dram),
-            nvm_backing: initial_nvm.clone(),
-            initial_nvm,
-            arch_image: Backing::new(),
+            arch_image: nvm_backing.base(),
+            nvm_backing,
             scheme: SchemeState::new(cfg.scheme, cfg.cores),
             durable_word_seq: FxHashMap::default(),
             shared_word_base: layout::shared_pool_base().word().raw(),
@@ -837,7 +827,7 @@ impl System {
         let i = (region == MemRegion::Dram) as usize;
         if self.mem_poke_at[i].is_none_or(|t| at < t) {
             self.mem_poke_at[i] = Some(at);
-            self.push_event(at, Event::MemPoke(i as u8));
+            self.push_event(at, Event::MemPoke(region));
         } else {
             self.engine.wakes_coalesced += 1;
         }
@@ -917,7 +907,7 @@ impl System {
             self.flush_samples(t);
             match ev {
                 Event::CoreStep(c) => self.handle_core_step(c),
-                Event::MemPoke(i) => self.handle_mem_poke(i),
+                Event::MemPoke(region) => self.handle_mem_poke(region),
                 Event::TcDrain(c) => self.handle_tc_drain(c),
                 Event::Wake => {}
             }
@@ -1072,7 +1062,7 @@ impl System {
                     logical.write_line(line, &words);
                 }
                 for line in self.hier.dirty_persistent_lines() {
-                    logical.write_line(line, &self.arch_line(line));
+                    logical.write_line(line, &self.arch_image.read_line(line));
                 }
                 DurableState::Eadr { undo: undo.clone() }
             }
@@ -1086,7 +1076,7 @@ impl System {
             cores: self.cfg.cores,
             nvm,
             wear,
-            initial_nvm: self.initial_nvm.clone(),
+            initial_nvm: self.nvm_backing.base(),
             durable,
             journal: self.journal.clone(),
             in_flight: (0..self.cores.len())
@@ -1228,8 +1218,9 @@ impl System {
             Op::LogStore { addr, meta, value } => {
                 // Functional: the record header lands in the word after
                 // the base; the store path below handles the base word.
-                self.arch_store(addr.word(), meta);
-                self.arch_store(WordAddr::new(addr.word().raw() + 1), value);
+                self.arch_image.write_word(addr.word(), meta);
+                self.arch_image
+                    .write_word(WordAddr::new(addr.word().raw() + 1), value);
                 self.do_store(c, addr, meta, StoreKind::Log)
             }
             Op::Flush { addr } => self.do_flush(c, addr),
@@ -1367,8 +1358,7 @@ impl System {
             .enqueue(req, arrival)
             .expect("checked can_accept");
         self.cores[c].load_inflight = true;
-        let wake = self.ctrl(region).next_wake().unwrap_or(arrival);
-        self.schedule_mem_poke(region, wake.max(self.clock));
+        self.poke_ctrl(region);
     }
 
     fn finish_load(&mut self, c: usize, lat: Cycle, persistent: bool) {
@@ -1451,7 +1441,7 @@ impl System {
         // Functional: architectural memory state (DRAM contents are not
         // modeled).
         if persistent {
-            let pre = self.arch_store(addr.word(), value);
+            let word = addr.word();
             // eADR undo log, first write wins: keep the pre-image of each
             // word the in-flight transaction overwrites. Under eADR the
             // store is already durable (the failure drain will persist
@@ -1460,8 +1450,10 @@ impl System {
             // serialized cross-core writers of this line, so the
             // pre-image is the latest committed value.
             if let (SchemeState::Eadr(undo), true) = (&mut self.scheme, tx_data) {
-                undo[c].entry(addr.word()).or_insert(pre);
+                let pre = self.arch_image.read_word(word);
+                undo[c].entry(word).or_insert(pre);
             }
+            self.arch_image.write_word(word, value);
         }
 
         // Timing: the store retires into the store buffer and drains in
@@ -1599,7 +1591,7 @@ impl System {
             // Escape hatch: forcibly unpin the oldest uncommitted line in
             // the set and persist it out of band (hardware COW).
             if let Some(victim) = self.hier.force_unpin_for(line) {
-                let words = self.arch_line(victim);
+                let words = self.arch_image.read_line(victim);
                 self.post_write(
                     victim,
                     WriteCause::Cow,
@@ -1626,17 +1618,10 @@ impl System {
         self.cores[c].stats.ops.inc();
         let dirty = self.hier.flush_line(c, line);
         if dirty {
-            let words = self.arch_line(line);
+            let words = self.arch_image.read_line(line);
             self.cores[c].pending_flushes += 1;
-            self.post_write(
-                line,
-                WriteCause::Flush,
-                Origin::FlushAck {
-                    core: c,
-                    words,
-                    line,
-                },
-            );
+            let origin = Origin::FlushAck { core: c, words };
+            self.post_write(line, WriteCause::Flush, origin);
         }
         self.cores[c].idx += 1;
     }
@@ -1840,23 +1825,18 @@ impl System {
             self.schedule_tc_drain(c, at);
             return;
         }
-        let id = self.req_id();
-        self.origins.insert(
-            id,
-            Origin::TcAck {
-                core: c,
-                slot,
-                line: entry.line,
-                values: entry.values,
-                seq: entry.commit_seq,
-            },
-        );
-        let req =
-            MemReq::write(id, entry.line, Some(c), WriteCause::TxCacheDrain).with_tx(entry.tx);
-        self.nvm.enqueue(req, self.clock).expect("checked can_accept");
+        let origin = Origin::TcAck {
+            core: c,
+            slot,
+            values: entry.values,
+            seq: entry.commit_seq,
+        };
+        let cause = WriteCause::TxCacheDrain;
+        let req = |id| MemReq::write(id, entry.line, Some(c), cause).with_tx(entry.tx);
+        // Never parks: the queue was checked above.
+        self.issue_write(origin, self.clock, req);
         self.tcs[c].mark_issued(slot);
-        let wake = self.nvm.next_wake().unwrap_or(self.clock);
-        self.schedule_mem_poke(MemRegion::Nvm, wake.max(self.clock));
+        self.poke_ctrl(MemRegion::Nvm);
         if self.tcs[c].next_issue().is_some() {
             self.schedule_tc_drain(c, self.clock + 1);
         }
@@ -1874,14 +1854,9 @@ impl System {
                         .offset(cow.cursor * WORD_BYTES)
                         .line();
                     cow.cursor += 8;
-                    let id = self.req_id();
-                    self.origins.insert(id, Origin::CowRecord { core: c, tx });
-                    let req = MemReq::write(id, line, Some(c), WriteCause::Cow).with_tx(tx);
-                    if self.nvm.enqueue(req, self.clock).is_err() {
-                        self.wb_pending.push(req);
-                    }
-                    let wake = self.nvm.next_wake().unwrap_or(self.clock);
-                    self.schedule_mem_poke(MemRegion::Nvm, wake.max(self.clock));
+                    let req = |id| MemReq::write(id, line, Some(c), WriteCause::Cow).with_tx(tx);
+                    self.issue_write(Origin::CowRecord { core: c, tx }, self.clock, req);
+                    self.poke_ctrl(MemRegion::Nvm);
                     self.cores[c].txend = Some((tx, Some(TxEndPhase::WaitCowRecord)));
                 }
             }
@@ -1954,36 +1929,15 @@ impl System {
             .line();
         cow.cursor += 2;
         cow.pending += 1;
-        let id = self.req_id();
-        self.origins.insert(id, Origin::CowData { core: c });
-        let req = MemReq::write(id, line, Some(c), WriteCause::Cow).with_tx(tx);
-        if self.nvm.enqueue(req, self.clock.max(self.cores[c].time)).is_err() {
-            self.wb_pending.push(req);
-        }
-        let wake = self.nvm.next_wake().unwrap_or(self.clock);
-        self.schedule_mem_poke(MemRegion::Nvm, wake.max(self.clock));
+        let at = self.clock.max(self.cores[c].time);
+        let req = |id| MemReq::write(id, line, Some(c), WriteCause::Cow).with_tx(tx);
+        self.issue_write(Origin::CowData { core: c }, at, req);
+        self.poke_ctrl(MemRegion::Nvm);
     }
 
     // ------------------------------------------------------------------
     // Eviction routing and write-backs
     // ------------------------------------------------------------------
-
-    /// The architectural contents of `line` (see `arch_image`).
-    fn arch_line(&self, line: LineAddr) -> [Word; WORDS_PER_LINE] {
-        let stored = self.arch_image.line(line);
-        stored.unwrap_or_else(|| self.initial_nvm.read_line(line))
-    }
-
-    /// Stores one word into the architectural image (its line is seeded
-    /// from the initial image on the first store) and returns the word's
-    /// old value.
-    fn arch_store(&mut self, word: WordAddr, value: Word) -> Word {
-        let line = word.line();
-        let mut words = self.arch_line(line);
-        let old = std::mem::replace(&mut words[word.index_in_line()], value);
-        self.arch_image.write_line(line, &words);
-        old
-    }
 
     fn route_evictions(&mut self, evictions: Vec<Eviction>) {
         for ev in evictions {
@@ -2007,7 +1961,7 @@ impl System {
                         committed.get(&w).copied().unwrap_or_else(durable)
                     })
                 }
-                _ => self.arch_line(ev.line),
+                _ => self.arch_image.read_line(ev.line),
             };
             self.post_write(
                 ev.line,
@@ -2018,15 +1972,26 @@ impl System {
     }
 
     fn post_write(&mut self, line: LineAddr, cause: WriteCause, origin: Origin) {
+        let req = |id| MemReq::write(id, line, None, cause);
+        self.issue_write(origin, self.clock, req);
+        self.poke_ctrl(line.region());
+    }
+
+    /// Registers `origin` under a fresh request id and enqueues the write
+    /// `req` builds at cycle `at`, or parks it in `wb_pending` while the
+    /// queue is full. The caller then wakes the controller (`poke_ctrl`).
+    fn issue_write(&mut self, origin: Origin, at: Cycle, req: impl FnOnce(ReqId) -> MemReq) {
         let id = self.req_id();
         self.origins.insert(id, origin);
-        let req = MemReq::write(id, line, None, cause);
-        let region = line.region();
-        let arrival = self.clock;
-        if self.ctrl(region).enqueue(req, arrival).is_err() {
+        let req = req(id);
+        if self.ctrl(req.addr.region()).enqueue(req, at).is_err() {
             self.wb_pending.push(req);
         }
-        let wake = self.ctrl(region).next_wake().unwrap_or(arrival);
+    }
+
+    /// Schedules `region`'s controller to run at its next wake-up.
+    fn poke_ctrl(&mut self, region: MemRegion) {
+        let wake = self.ctrl(region).next_wake().unwrap_or(self.clock);
         self.schedule_mem_poke(region, wake.max(self.clock));
     }
 
@@ -2048,19 +2013,15 @@ impl System {
     // Memory completions
     // ------------------------------------------------------------------
 
-    fn handle_mem_poke(&mut self, which: u8) {
-        let region = if which == 0 {
-            MemRegion::Nvm
-        } else {
-            MemRegion::Dram
-        };
+    fn handle_mem_poke(&mut self, region: MemRegion) {
+        let i = (region == MemRegion::Dram) as usize;
         // Only the event matching the dedup marker is live; duplicates
         // (from markers being re-armed at earlier times) must die here,
         // otherwise each one re-arms itself forever.
-        if self.mem_poke_at[which as usize] != Some(self.clock) {
+        if self.mem_poke_at[i] != Some(self.clock) {
             return;
         }
-        self.mem_poke_at[which as usize] = None;
+        self.mem_poke_at[i] = None;
         let now = self.clock;
         let completions: Vec<Completion> = self.ctrl(region).advance(now);
         let had_completions = !completions.is_empty();
@@ -2123,10 +2084,10 @@ impl System {
                     self.nvm_backing.write_line(line, &words);
                 }
             }
-            Origin::FlushAck { core, words, line } => {
+            Origin::FlushAck { core, words } => {
                 if region == MemRegion::Nvm {
                     self.record_boundary(BoundaryClass::DrainAck);
-                    self.nvm_backing.write_line(line, &words);
+                    self.nvm_backing.write_line(comp.req.addr, &words);
                 }
                 self.cores[core].pending_flushes -= 1;
                 if self.cores[core].blocked == Some(StallKind::Fence) {
@@ -2137,14 +2098,13 @@ impl System {
             Origin::TcAck {
                 core,
                 slot,
-                line,
                 values,
                 seq,
             } => {
                 self.record_boundary(BoundaryClass::DrainAck);
                 for (i, v) in values.iter().enumerate() {
                     if let Some(v) = v {
-                        self.durable_write(line.word(i), *v, seq);
+                        self.durable_write(comp.req.addr.word(i), *v, seq);
                     }
                 }
                 self.tcs[core].ack_slot(slot);
@@ -2183,25 +2143,20 @@ impl System {
                 } else {
                     cow.installs.insert(tx, records.len());
                 }
-                for (w, v) in records {
-                    let id = self.req_id();
-                    self.origins.insert(
-                        id,
-                        Origin::CowInstall {
-                            core,
-                            tx,
-                            word: w,
-                            value: v,
-                            seq,
-                        },
-                    );
-                    let req = MemReq::write(id, w.line(), Some(core), WriteCause::Cow);
-                    if self.nvm.enqueue(req, self.clock).is_err() {
-                        self.wb_pending.push(req);
-                    }
+                for (word, value) in records {
+                    let origin = Origin::CowInstall {
+                        core,
+                        tx,
+                        word,
+                        value,
+                        seq,
+                    };
+                    let req = |id| MemReq::write(id, word.line(), Some(core), WriteCause::Cow);
+                    self.issue_write(origin, self.clock, req);
                 }
-                let wake = self.nvm.next_wake().unwrap_or(self.clock);
-                self.schedule_mem_poke(MemRegion::Nvm, wake.max(self.clock));
+                // One wake-up for the batch: a wake per install would
+                // reorder same-cycle events.
+                self.poke_ctrl(MemRegion::Nvm);
                 // The overflowed transaction is durable; finish TX_END.
                 self.cow(core).active = false;
                 self.cores[core].time = self.cores[core].time.max(comp.done_at);

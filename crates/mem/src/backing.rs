@@ -11,6 +11,13 @@
 //! unchanged — the mask keeps "which words were ever written" exact, so
 //! [`Backing::len`], [`Backing::iter`] and equality behave as they did
 //! when every word was its own entry.
+//!
+//! A collected image is *frozen* into a shared, immutable base; writes go
+//! to a copy-on-write overlay of lines seeded from the base, mask included.
+//! Clones copy only the overlay, and none of this is visible to reads,
+//! `len`, `iter` or `==`.
+
+use std::sync::Arc;
 
 use pmacc_types::{FxHashMap, LineAddr, Word, WordAddr, WORDS_PER_LINE};
 
@@ -34,6 +41,13 @@ impl LineCell {
     }
 }
 
+/// A frozen image: its lines and their total written words.
+#[derive(Debug, Default)]
+struct Base {
+    lines: FxHashMap<LineAddr, LineCell>,
+    written: usize,
+}
+
 /// Word-granularity memory contents for one region.
 ///
 /// Unwritten words read as zero, matching zero-initialized simulated RAM.
@@ -49,10 +63,12 @@ impl LineCell {
 /// b.write_word(WordAddr::new(9), 42);
 /// assert_eq!(b.read_word(WordAddr::new(9)), 42);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Backing {
+    base: Arc<Base>,
+    /// The overlay: every line written since the base was frozen.
     lines: FxHashMap<LineAddr, LineCell>,
-    /// Total written words (sum of mask popcounts), kept so `len` is O(1).
+    /// Total written words of the whole image, kept so `len` is O(1).
     written: usize,
 }
 
@@ -63,46 +79,55 @@ impl Backing {
         Backing::default()
     }
 
+    /// The image as it was frozen, sharing this one's base (no copy); an
+    /// image never frozen has an empty base.
+    #[must_use]
+    pub fn base(&self) -> Backing {
+        Backing {
+            base: Arc::clone(&self.base),
+            lines: FxHashMap::default(),
+            written: self.base.written,
+        }
+    }
+
+    /// The line's cell: the overlay's, else the base's.
+    fn cell(&self, line: LineAddr) -> Option<&LineCell> {
+        self.lines.get(&line).or_else(|| self.base.lines.get(&line))
+    }
+
+    /// Marks the `mask` words of `line` written and lets `f` store them,
+    /// seeding the line's overlay cell from the base on its first write.
+    fn write(&mut self, line: LineAddr, mask: u8, f: impl FnOnce(&mut [Word; WORDS_PER_LINE])) {
+        let base = &self.base.lines;
+        let seed = || base.get(&line).copied().unwrap_or(LineCell::empty());
+        let cell = self.lines.entry(line).or_insert_with(seed);
+        self.written += (mask & !cell.mask).count_ones() as usize;
+        cell.mask |= mask;
+        f(&mut cell.words);
+    }
+
     /// Reads one word (zero if never written).
     #[must_use]
     pub fn read_word(&self, addr: WordAddr) -> Word {
-        self.lines
-            .get(&addr.line())
+        self.cell(addr.line())
             .map_or(0, |c| c.words[addr.index_in_line()])
     }
 
     /// Writes one word.
     pub fn write_word(&mut self, addr: WordAddr, value: Word) {
-        let cell = self.lines.entry(addr.line()).or_insert(LineCell::empty());
-        let bit = 1u8 << addr.index_in_line();
-        if cell.mask & bit == 0 {
-            cell.mask |= bit;
-            self.written += 1;
-        }
-        cell.words[addr.index_in_line()] = value;
+        let i = addr.index_in_line();
+        self.write(addr.line(), 1 << i, |words| words[i] = value);
     }
 
     /// Reads a whole line as its eight words.
     #[must_use]
     pub fn read_line(&self, line: LineAddr) -> [Word; WORDS_PER_LINE] {
-        self.lines
-            .get(&line)
-            .map_or([0; WORDS_PER_LINE], |c| c.words)
-    }
-
-    /// A line's eight words, or `None` if no word of it was ever written
-    /// (so a caller can tell an absent line from a line of zeros).
-    #[must_use]
-    pub fn line(&self, line: LineAddr) -> Option<[Word; WORDS_PER_LINE]> {
-        self.lines.get(&line).map(|c| c.words)
+        self.cell(line).map_or([0; WORDS_PER_LINE], |c| c.words)
     }
 
     /// Writes a whole line from its eight words.
     pub fn write_line(&mut self, line: LineAddr, values: &[Word; WORDS_PER_LINE]) {
-        let cell = self.lines.entry(line).or_insert(LineCell::empty());
-        self.written += (!cell.mask).count_ones() as usize;
-        cell.mask = !0;
-        cell.words = *values;
+        self.write(line, !0, |words| *words = *values);
     }
 
     /// Number of distinct words ever written.
@@ -121,10 +146,11 @@ impl Backing {
     /// address order (an iteration boundary, so it is sorted for
     /// determinism; callers that need a different order sort themselves).
     pub fn iter(&self) -> impl Iterator<Item = (WordAddr, Word)> + '_ {
-        let mut keys: Vec<LineAddr> = self.lines.keys().copied().collect();
-        keys.sort_unstable();
-        keys.into_iter().flat_map(move |line| {
-            let cell = self.lines[&line];
+        let (overlay, base) = (&self.lines, &self.base.lines);
+        let unshadowed = base.iter().filter(|(l, _)| !overlay.contains_key(l));
+        let mut cells: Vec<_> = overlay.iter().chain(unshadowed).collect();
+        cells.sort_unstable_by_key(|&(&line, _)| line);
+        cells.into_iter().flat_map(|(&line, &cell)| {
             (0..WORDS_PER_LINE)
                 .filter(move |i| cell.mask & (1 << i) != 0)
                 .map(move |i| (line.word(i), cell.words[i]))
@@ -132,10 +158,29 @@ impl Backing {
     }
 }
 
+impl PartialEq for Backing {
+    /// Equal iff the same words were written with the same values.
+    fn eq(&self, other: &Self) -> bool {
+        self.written == other.written && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Backing {}
+
 impl FromIterator<(WordAddr, Word)> for Backing {
+    /// Collects the words (a word's last write wins) and freezes them as the
+    /// base. The overlay starts with room for twice the base's lines, so a
+    /// run that writes about as many lines as it started with never
+    /// rehashes it (see DESIGN.md, "Functional model", on why it is sized).
     fn from_iter<I: IntoIterator<Item = (WordAddr, Word)>>(iter: I) -> Self {
         let mut b = Backing::new();
         b.extend(iter);
+        let room = 2 * b.lines.len();
+        let lines = FxHashMap::with_capacity_and_hasher(room, Default::default());
+        b.base = Arc::new(Base {
+            lines: std::mem::replace(&mut b.lines, lines),
+            written: b.written,
+        });
         b
     }
 }
@@ -159,7 +204,6 @@ mod tests {
         let vals = [1, 2, 3, 4, 5, 6, 7, 8];
         b.write_line(line, &vals);
         assert_eq!(b.read_line(line), vals);
-        assert_eq!(b.line(line), Some(vals));
         assert_eq!(b.read_word(line.word(3)), 4);
     }
 
@@ -167,8 +211,8 @@ mod tests {
     fn unwritten_reads_zero() {
         let b = Backing::new();
         assert_eq!(b.read_line(LineAddr::new(5)), [0; WORDS_PER_LINE]);
-        assert_eq!(b.line(LineAddr::new(5)), None, "absent, not a line of zeros");
         assert!(b.is_empty());
+        assert_eq!(b.base(), b, "an image never frozen has an empty base");
     }
 
     #[test]

@@ -165,16 +165,14 @@ impl WorkloadParams {
     }
 }
 
-/// A generated workload: the trace plus the functional images needed to
-/// seed and verify a simulation.
+/// A generated workload: the trace plus the initial image that seeds a
+/// simulation (the trace's stores replayed over it give the final memory).
 #[derive(Debug)]
 pub struct WorkloadTrace {
     /// The op stream (one per core; cores run independent instances).
     pub trace: Trace,
     /// Memory contents at recording start (seeds NVM/DRAM backing).
     pub initial: Vec<(WordAddr, Word)>,
-    /// Memory contents after the full trace ran (ground truth).
-    pub final_image: FxHashMap<WordAddr, Word>,
 }
 
 /// Builds the trace for one benchmark instance.
@@ -188,6 +186,16 @@ pub struct WorkloadTrace {
 /// ```
 #[must_use]
 pub fn build(kind: WorkloadKind, params: &WorkloadParams) -> WorkloadTrace {
+    let (trace, initial, _) = generate(kind, params).finish();
+    trace.validate().expect("generated trace is well formed");
+    if params.sharing == 0 {
+        return WorkloadTrace { trace, initial };
+    }
+    share_lines(kind, params, trace, initial)
+}
+
+/// Runs one benchmark instance: set-up unrecorded, operations recorded.
+fn generate(kind: WorkloadKind, params: &WorkloadParams) -> MemSession {
     // Each workload kind gets its own well-mixed generator stream: the
     // previous `seed ^ (kind as u64) * 0x9E37` derivation only perturbed
     // the low 16 bits, so seed pairs that differed in exactly those bits
@@ -291,16 +299,7 @@ pub fn build(kind: WorkloadKind, params: &WorkloadParams) -> WorkloadTrace {
             t.check(&s).expect("hashtable invariants");
         }
     }
-    let (trace, initial, final_image) = s.finish();
-    trace.validate().expect("generated trace is well formed");
-    if params.sharing == 0 {
-        return WorkloadTrace {
-            trace,
-            initial,
-            final_image,
-        };
-    }
-    share_lines(kind, params, trace, initial)
+    s
 }
 
 /// Process-wide memo of [`build`] results, capped at this many entries
@@ -349,10 +348,13 @@ pub fn build_shared(kind: WorkloadKind, params: &WorkloadParams) -> Arc<Workload
 }
 
 /// Applies the sharing knob: remaps the selected fraction of persistent-
-/// heap cache lines into the shared window and rebuilds the functional
-/// images to match. Runs after generation (and after the structure
-/// invariant checks), so the remap cannot perturb *what* the workload
-/// does — only where its lines live in the simulated address space.
+/// heap cache lines, in the trace and the initial image alike, into the
+/// shared window. Distinct heap lines can land on the same pool slot
+/// (that collision is the point of the knob); the initial image keeps
+/// their words in order, so the last one wins. Runs after generation
+/// (and after the structure invariant checks), so the remap cannot
+/// perturb *what* the workload does — only where its lines live in the
+/// simulated address space.
 fn share_lines(
     kind: WorkloadKind,
     params: &WorkloadParams,
@@ -379,22 +381,8 @@ fn share_lines(
         .into_iter()
         .map(|(w, v)| (remap(w.to_addr()).word(), v))
         .collect();
-    // Distinct heap lines can land on the same pool slot (that collision
-    // is the point of the knob), so the functional final image must be
-    // recomputed by replaying the remapped stores over the remapped
-    // initial words — later writes win, exactly as in the simulator.
-    let mut final_image: FxHashMap<WordAddr, Word> = initial.iter().copied().collect();
-    for op in trace.ops() {
-        if let Op::Store { addr, value } = op {
-            final_image.insert(addr.word(), *value);
-        }
-    }
     trace.validate().expect("remapped trace is well formed");
-    WorkloadTrace {
-        trace,
-        initial,
-        final_image,
-    }
+    WorkloadTrace { trace, initial }
 }
 
 /// Remaps one address under the sharing knob: a persistent-heap address
@@ -453,14 +441,14 @@ mod tests {
     #[test]
     fn replaying_trace_stores_over_initial_yields_final_image() {
         for kind in WorkloadKind::extended() {
-            let w = build(kind, &WorkloadParams::tiny(5));
-            let mut mem: FxHashMap<WordAddr, Word> = w.initial.iter().copied().collect();
-            for op in w.trace.ops() {
+            let (trace, initial, final_image) = generate(kind, &WorkloadParams::tiny(5)).finish();
+            let mut mem: FxHashMap<WordAddr, Word> = initial.into_iter().collect();
+            for op in trace.ops() {
                 if let Op::Store { addr, value } = op {
                     mem.insert(addr.word(), *value);
                 }
             }
-            assert_eq!(mem, w.final_image, "{kind:?} trace replay mismatch");
+            assert_eq!(mem, final_image, "{kind:?} trace replay mismatch");
         }
     }
 
@@ -513,20 +501,14 @@ mod tests {
     }
 
     #[test]
-    fn sharing_is_deterministic_and_replay_consistent() {
+    fn sharing_is_deterministic() {
         for kind in [WorkloadKind::Sps, WorkloadKind::Hashtable] {
             let mut p = WorkloadParams::tiny(5);
             p.sharing = 2;
             let a = build(kind, &p);
             let b = build(kind, &p);
             assert_eq!(a.trace, b.trace, "{kind:?} remap must be deterministic");
-            let mut mem: FxHashMap<WordAddr, Word> = a.initial.iter().copied().collect();
-            for op in a.trace.ops() {
-                if let Op::Store { addr, value } = op {
-                    mem.insert(addr.word(), *value);
-                }
-            }
-            assert_eq!(mem, a.final_image, "{kind:?} remapped replay mismatch");
+            assert_eq!(a.initial, b.initial, "{kind:?} remap must be deterministic");
         }
     }
 

@@ -1,8 +1,10 @@
 //! Cross-crate behavioural tests of the full system.
 
+use std::collections::BTreeMap;
+
 use pmacc::{RunConfig, System};
 use pmacc_cpu::{Op, Trace};
-use pmacc_types::{layout, MachineConfig, SchemeKind, WriteCause};
+use pmacc_types::{layout, MachineConfig, SchemeKind, Word, WordAddr, WriteCause};
 use pmacc_workloads::{build, WorkloadKind, WorkloadParams};
 
 fn machine(scheme: SchemeKind) -> MachineConfig {
@@ -102,7 +104,13 @@ fn functional_state_matches_workload_ground_truth() {
     let mut p0 = params;
     p0.seed = pmacc_types::rng::stream_seed(params.seed, 0);
     let w = build(WorkloadKind::Hashtable, &p0);
-    for (word, value) in w.final_image.iter() {
+    let mut final_image: BTreeMap<WordAddr, Word> = w.initial.iter().copied().collect();
+    for op in w.trace.ops() {
+        if let Op::Store { addr, value } = op {
+            final_image.insert(addr.word(), *value);
+        }
+    }
+    for (word, value) in &final_image {
         if word.is_persistent() {
             assert_eq!(
                 recovered.read_word(*word),
