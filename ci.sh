@@ -63,7 +63,9 @@ PMACC_BENCH_SAMPLES=1 PMACC_JOBS=1 cargo bench --offline -q -p pmacc-bench \
 # (normalized figure means, per-cell IPC, stall fractions, NVM writes by
 # cause) must match baselines/metrics-quick.json within each metric's
 # relative tolerance. The same run's metrics are published as
-# BENCH_pmacc.json for cross-commit trend tracking. A PR that changes
+# BENCH_pmacc.json for cross-commit trend tracking. A serial run must
+# then publish the same bytes: the grid's cells share memoized workload
+# inputs, so the worker pool must be invisible in them. A PR that changes
 # calibration *on purpose* refreshes the baseline
 # (`regress --write-baseline`, commit the result) — or sets
 # PMACC_SKIP_REGRESS=1 while iterating.
@@ -73,6 +75,13 @@ else
     echo "==> regress --quick (calibration gate, 4 workers)"
     PMACC_JOBS=4 cargo run --release --offline -q -p pmacc-bench --bin regress -- \
         --quick --json BENCH_pmacc.json
+    echo "==> regress --quick --jobs 1 (same report serially)"
+    serial="$(mktemp)"
+    cargo run --release --offline -q -p pmacc-bench --bin regress -- \
+        --quick --jobs 1 --json "$serial" > /dev/null
+    cmp "$serial" BENCH_pmacc.json \
+        || { echo "regress report differs between --jobs 1 and --jobs 4" >&2; exit 1; }
+    rm -f "$serial"
 fi
 
 # Crash-campaign gate: a quick-scale fault-injection sweep (every scheme

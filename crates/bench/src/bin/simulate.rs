@@ -80,6 +80,7 @@ fn run() -> Result<ExitCode, String> {
         machine.nvm.write_ns = ns;
     }
 
+    params.validate().map_err(|e| e.to_string())?;
     if let Some(path) = &dump_trace {
         let w = build(workload, &params);
         std::fs::write(path, pmacc_cpu::text::to_text(&w.trace))

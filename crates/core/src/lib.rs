@@ -41,6 +41,7 @@
 
 pub mod energy;
 pub mod hwcost;
+mod inputs;
 mod metrics;
 pub mod recovery;
 pub mod scheme;
@@ -50,5 +51,6 @@ mod txcache;
 
 pub use metrics::RunReport;
 pub use service::{ServeConfig, ServeCoreStats};
-pub use system::{strided_workloads, BoundaryClass, EngineStats, RunConfig, System};
+pub use inputs::strided_workloads;
+pub use system::{BoundaryClass, EngineStats, RunConfig, System};
 pub use txcache::{EntryState, TcEntry, TcFullError, TcStats, TxCache};

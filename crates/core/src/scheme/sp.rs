@@ -122,6 +122,15 @@ pub fn instrument(core: usize, trace: &Trace) -> Trace {
 /// fence placement.
 #[must_use]
 pub fn instrument_with(core: usize, trace: &Trace, mode: SpMode) -> Trace {
+    instrument_ops(core, trace.ops().iter().copied(), mode)
+}
+
+/// [`instrument_with`] over a stream of raw ops.
+pub(crate) fn instrument_ops(
+    core: usize,
+    ops: impl IntoIterator<Item = Op>,
+    mode: SpMode,
+) -> Trace {
     let mut out = Trace::new();
     let log_base = layout::log_area_base(core);
     let mut cursor: u64 = 0; // word offset into the log area
@@ -139,8 +148,8 @@ pub fn instrument_with(core: usize, trace: &Trace, mode: SpMode) -> Trace {
         *cursor += 2;
     };
 
-    for op in trace.ops() {
-        match *op {
+    for op in ops {
+        match op {
             Op::TxBegin => {
                 in_tx = true;
                 pending.clear();

@@ -9,32 +9,33 @@
 //! word values so that crash recovery can be verified, not assumed: the
 //! NVM [`Backing`], the STT-RAM transaction caches, the SP log (parsed out
 //! of the NVM image) and the NVLLC committed-line image all survive a
-//! simulated crash; everything else dies with it. A run freezes the initial
-//! persistent image once and every other image is a copy-on-write overlay on
-//! it; DRAM contents are not modeled, since nothing reads them.
+//! simulated crash; everything else dies with it. Every image of a run is a
+//! copy-on-write overlay on one frozen initial persistent image, which runs
+//! of the same workloads share with their oracle table and traces
+//! ([`crate::inputs`]); DRAM contents are not modeled, since nothing reads
+//! them.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 use pmacc_cache::{Access, Eviction, Hierarchy, HierarchyOpts, Level, Mshr, WriteBackBuffer};
 use pmacc_cpu::{CoreStats, Op, StallKind, StoreBuffer, Trace, TxRegs};
 use pmacc_cpu::{PendingStore, StoreKind};
 use pmacc_mem::{Backing, Completion, MemController};
-use pmacc_types::rng::stream_seed;
 use pmacc_types::{
     layout, AccessKind, Addr, ConfigError, Counter, Cycle, FxHashMap, LineAddr, MachineConfig,
     MemRegion, MemReq, ReqId, SchemeKind, SimError, TxId, Word, WordAddr, WriteCause,
     WORDS_PER_LINE, WORD_BYTES,
 };
-use pmacc_workloads::{build_shared, WorkloadKind, WorkloadParams};
+use pmacc_workloads::{WorkloadKind, WorkloadParams};
 
+use crate::inputs::{self, CoreTrace, RunInputs};
 use crate::metrics::RunReport;
 use crate::recovery::{CowTxShadow, CrashState, DurableState, TxRecord};
 use crate::scheme;
 use crate::service::{self, ReqTiming, ServeConfig, ServeCore, ServeCoreStats, ServeState};
 use crate::txcache::TxCache;
-
-use pmacc_types::layout::MAX_STRIDED_CORES;
 
 /// Batch limits for one core-step event (fairness between components).
 const STEP_OPS: usize = 64;
@@ -379,7 +380,7 @@ impl SchemeState {
 #[derive(Debug)]
 pub struct System {
     cfg: MachineConfig,
-    traces: Vec<Trace>,
+    traces: Vec<CoreTrace>,
     cores: Vec<CoreCtx>,
     hier: Hierarchy,
     tcs: Vec<TxCache>,
@@ -390,11 +391,9 @@ pub struct System {
     /// The architectural image of persistent memory: what stores wrote.
     arch_image: Backing,
     scheme: SchemeState,
-    /// Oracle: per core, per transaction serial, the persistent data
-    /// writes the transaction performs — derived statically from the
-    /// traces, so it is independent of how far execution got (SP's commit
-    /// marker can become durable before its deferred data stores run).
-    tx_write_table: Vec<Vec<Vec<(WordAddr, Word)>>>,
+    /// The frozen initial image both images above overlay, and the
+    /// oracle's write table; shared by every run of the same workloads.
+    inputs: Arc<RunInputs>,
     /// Per shared-window word, the highest commit order whose value has
     /// been applied to the durable NVM image. Two cores' committed writes
     /// to a shared word may complete at the NVM out of commit order; this
@@ -501,32 +500,37 @@ impl System {
             t.validate()
                 .map_err(|e| ConfigError::new(format!("bad trace: {e}")))?;
         }
+        let traces: Vec<CoreTrace> = traces.into_iter().map(CoreTrace::Owned).collect();
+        let inputs = Arc::new(RunInputs::new(initial.iter().copied(), &traces));
+        Ok(System::assemble(cfg, traces, inputs, run_cfg))
+    }
+
+    /// A machine at cycle 0 running `traces` over `inputs`; `cfg` is
+    /// valid and has one trace per core.
+    fn assemble(
+        cfg: MachineConfig,
+        traces: Vec<CoreTrace>,
+        inputs: Arc<RunInputs>,
+        run_cfg: &RunConfig,
+    ) -> Self {
         let freq = cfg.core.freq;
         let opts = HierarchyOpts {
             pin_uncommitted_in_llc: cfg.scheme == SchemeKind::NvLlc,
         };
-        // In the given order: a shared-window word several cores' images
-        // write keeps the last writer's value.
-        let nvm_backing: Backing = initial
-            .iter()
-            .copied()
-            .filter(|(w, _)| w.is_persistent())
-            .collect();
-        let tx_write_table = traces.iter().map(tx_writes_of).collect();
         let mut system = System {
             cores: (0..cfg.cores).map(|c| CoreCtx::new(c, &cfg)).collect(),
             hier: Hierarchy::new(cfg.cores, cfg.l1, cfg.l2, cfg.llc, opts),
             tcs: (0..cfg.cores).map(|_| TxCache::new(&cfg.txcache)).collect(),
             nvm: MemController::new(MemRegion::Nvm, cfg.nvm),
             dram: MemController::new(MemRegion::Dram, cfg.dram),
-            arch_image: nvm_backing.base(),
-            nvm_backing,
+            nvm_backing: inputs.initial.base(),
+            arch_image: inputs.initial.base(),
+            inputs,
             scheme: SchemeState::new(cfg.scheme, cfg.cores),
             durable_word_seq: FxHashMap::default(),
             shared_word_base: layout::shared_pool_base().word().raw(),
             shared_word_end: layout::extended_heap_base().word().raw(),
             tx_writers: FxHashMap::default(),
-            tx_write_table,
             measure_start: 0,
             warmup_done: false,
             journal: Vec::new(),
@@ -562,7 +566,7 @@ impl System {
         for c in 0..system.cfg.cores {
             system.push_event(0, Event::CoreStep(c));
         }
-        Ok(system)
+        system
     }
 
     /// Builds a system where every core runs an independent instance of
@@ -591,17 +595,22 @@ impl System {
     /// heterogeneous multiprogrammed mix (one workload kind per core,
     /// addresses striped per core as in [`System::for_workload`]).
     ///
+    /// Every scheme's run of the same kinds and parameters shares one
+    /// frozen initial image and one oracle table, and every non-SP core
+    /// fetches the memoized workload trace, strided as it goes.
+    ///
     /// # Errors
     ///
-    /// Returns a configuration error for invalid machines, a kind count
-    /// that does not match the core count, or more cores than the
-    /// striding scheme supports.
+    /// Returns a configuration error for invalid workload parameters or
+    /// machines, a kind count that does not match the core count, or more
+    /// cores than the striding scheme supports.
     pub fn for_workload_mix(
         cfg: MachineConfig,
         kinds: &[WorkloadKind],
         params: &WorkloadParams,
         run_cfg: &RunConfig,
     ) -> Result<Self, SimError> {
+        params.validate()?;
         cfg.validate()?;
         if kinds.len() != cfg.cores {
             return Err(ConfigError::new(format!(
@@ -611,8 +620,8 @@ impl System {
             ))
             .into());
         }
-        let (traces, initial) = strided_workloads(kinds, params)?;
-        System::new(cfg, traces, &initial, run_cfg)
+        let (traces, inputs) = inputs::prepare(cfg.scheme, kinds, params)?;
+        Ok(System::assemble(cfg, traces, inputs, run_cfg))
     }
 
     /// The machine configuration in use.
@@ -676,7 +685,7 @@ impl System {
         }
         let mut cores = Vec::with_capacity(self.cfg.cores);
         for (c, arrivals) in cfg.arrivals.into_iter().enumerate() {
-            let starts = pmacc_workloads::operation_starts(&self.traces[c]);
+            let starts = pmacc_workloads::operation_starts(self.traces[c].stored());
             if arrivals.len() != starts.len() {
                 return Err(ConfigError::new(format!(
                     "core {c}: {} arrivals for {} trace transactions",
@@ -765,7 +774,7 @@ impl System {
         if max_wait > 0 && now - arrival > max_wait {
             // Admission control: the request waited past its deadline.
             let next = sc.starts.get(sc.next_req + 1).copied();
-            core.idx = next.unwrap_or_else(|| self.traces[c].len());
+            core.idx = next.unwrap_or_else(|| self.traces[c].stored().len());
             core.regs.skip();
             sc.stats.shed += 1;
             sc.next_req += 1;
@@ -962,7 +971,7 @@ impl System {
     /// The oracle's write list for one transaction (empty for serials
     /// beyond the trace, which cannot happen in practice).
     fn oracle_writes(&self, core: usize, tx: TxId) -> Vec<(WordAddr, Word)> {
-        self.tx_write_table[core]
+        self.inputs.tx_writes[core]
             .get(tx.serial() as usize)
             .cloned()
             .unwrap_or_default()
@@ -2207,116 +2216,6 @@ impl System {
     }
 }
 
-/// Per-transaction persistent data writes of a trace, indexed by serial.
-fn tx_writes_of(trace: &Trace) -> Vec<Vec<(WordAddr, Word)>> {
-    let mut out = Vec::new();
-    let mut current: Option<Vec<(WordAddr, Word)>> = None;
-    for op in trace.ops() {
-        match *op {
-            Op::TxBegin => current = Some(Vec::new()),
-            Op::TxEnd => out.push(current.take().unwrap_or_default()),
-            Op::Store { addr, value } if addr.is_persistent() => {
-                if let Some(cur) = current.as_mut() {
-                    cur.push((addr.word(), value));
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// A memory image as (word, value) pairs.
-type InitialImage = Vec<(WordAddr, Word)>;
-
-/// The raw (uninstrumented) per-core traces and the initial memory image
-/// of a multiprogrammed run: core `c` runs an instance of `kinds[c]`
-/// built from its own seed stream and shifted into its private heap
-/// slice. This is the one place per-core seeds are derived; the
-/// [`System::for_workload`] constructors run its output, and harnesses
-/// that pre-instrument traces (e.g. the SP-fencing ablation) start from
-/// it.
-///
-/// # Errors
-///
-/// Returns a configuration error for more kinds than the striding scheme
-/// supports ([`pmacc_types::layout::MAX_STRIDED_CORES`]).
-pub fn strided_workloads(
-    kinds: &[WorkloadKind],
-    params: &WorkloadParams,
-) -> Result<(Vec<Trace>, InitialImage), SimError> {
-    if kinds.len() > MAX_STRIDED_CORES {
-        return Err(ConfigError::new(format!(
-            "workload striding supports at most {MAX_STRIDED_CORES} cores"
-        ))
-        .into());
-    }
-    let mut traces = Vec::with_capacity(kinds.len());
-    let mut initial = Vec::new();
-    for (core, kind) in kinds.iter().enumerate() {
-        let mut p = *params;
-        p.seed = stream_seed(params.seed, core as u64);
-        let w = build_shared(*kind, &p);
-        traces.push(stride_trace(&w.trace, core));
-        initial.extend(w.initial.iter().map(|&(a, v)| (stride_word(a, core), v)));
-    }
-    Ok((traces, initial))
-}
-
-/// Shifts a trace's heap addresses into `core`'s private 1 GiB slice —
-/// the transformation [`strided_workloads`] applies so per-core
-/// workload instances stay disjoint.
-#[must_use]
-fn stride_trace(trace: &Trace, core: usize) -> Trace {
-    trace
-        .ops()
-        .iter()
-        .map(|op| match *op {
-            Op::Load { addr } => Op::Load {
-                addr: stride_addr(addr, core),
-            },
-            Op::Store { addr, value } => Op::Store {
-                addr: stride_addr(addr, core),
-                value,
-            },
-            Op::LogStore { addr, meta, value } => Op::LogStore {
-                addr: stride_addr(addr, core),
-                meta,
-                value,
-            },
-            Op::Flush { addr } => Op::Flush {
-                addr: stride_addr(addr, core),
-            },
-            other => other,
-        })
-        .collect()
-}
-
-fn stride_addr(addr: Addr, core: usize) -> Addr {
-    let raw = addr.raw();
-    let volatile_heap = layout::volatile_heap_base().raw();
-    let nvm = Addr::nvm_base().raw();
-    let persistent_heap = layout::persistent_heap_base().raw();
-    let shared_pool = layout::shared_pool_base().raw();
-    // Only heap addresses stripe; the per-core log/COW scratch areas
-    // (between the NVM base and the persistent heap) are already private,
-    // and the shared window above the striped heap is shared by design —
-    // every core addresses it identically.
-    if (volatile_heap..nvm).contains(&raw) {
-        Addr::new(raw + layout::volatile_heap_stride(core))
-    } else if (persistent_heap..shared_pool).contains(&raw) {
-        Addr::new(raw + layout::persistent_heap_stride(core))
-    } else {
-        addr
-    }
-}
-
-/// Word-address counterpart of [`stride_trace`], for initial images.
-#[must_use]
-fn stride_word(w: WordAddr, core: usize) -> WordAddr {
-    stride_addr(w.to_addr(), core).word()
-}
-
 // The experiment harness fans independent `System` runs out across
 // threads (`pmacc_bench::pool`); each cell owns its entire machine, so
 // these types must stay `Send`. Compile-time audit — introducing a
@@ -2336,80 +2235,6 @@ mod tests {
     use super::*;
     use pmacc_types::layout::CORE_STRIDE;
     use pmacc_workloads::build;
-
-    #[test]
-    fn striding_keeps_cores_disjoint_and_leaves_scratch_areas() {
-        let heap = layout::persistent_heap_base();
-        // Heap addresses shift by one stride per core.
-        assert_eq!(stride_addr(heap, 0), heap);
-        assert_eq!(stride_addr(heap, 2).raw(), heap.raw() + 2 * CORE_STRIDE);
-        // Log/COW areas are already per-core and must not shift.
-        let log = layout::log_area_base(1);
-        assert_eq!(stride_addr(log, 3), log);
-        // Volatile heap shifts too.
-        let vol = layout::volatile_heap_base();
-        assert_eq!(stride_addr(vol, 1).raw(), vol.raw() + CORE_STRIDE);
-        // The shared window is shared by design: no shift for any core.
-        let shared = layout::shared_pool_base();
-        assert_eq!(stride_addr(shared, 0), shared);
-        assert_eq!(stride_addr(shared.offset(4096), 3), shared.offset(4096));
-        // Word form agrees with the byte form.
-        assert_eq!(
-            stride_word(heap.word(), 2).to_addr(),
-            stride_addr(heap, 2)
-        );
-    }
-
-    #[test]
-    fn stride_trace_rewrites_every_memory_op() {
-        let heap = layout::persistent_heap_base();
-        let t: Trace = [
-            Op::load(heap),
-            Op::store(heap.offset(64), 5),
-            Op::Flush { addr: heap },
-            Op::Compute(2),
-            Op::TxBegin,
-            Op::TxEnd,
-        ]
-        .into_iter()
-        .collect();
-        let s = stride_trace(&t, 1);
-        match s.get(0).unwrap() {
-            Op::Load { addr } => assert_eq!(addr.raw(), heap.raw() + CORE_STRIDE),
-            other => panic!("unexpected {other}"),
-        }
-        match s.get(1).unwrap() {
-            Op::Store { addr, value } => {
-                assert_eq!(addr.raw(), heap.raw() + 64 + CORE_STRIDE);
-                assert_eq!(value, 5);
-            }
-            other => panic!("unexpected {other}"),
-        }
-        assert_eq!(s.get(3).unwrap(), Op::Compute(2));
-    }
-
-    #[test]
-    fn tx_writes_table_matches_trace() {
-        let heap = layout::persistent_heap_base();
-        let t: Trace = [
-            Op::TxBegin,
-            Op::store(heap, 1),
-            Op::store(Addr::new(64), 2), // volatile: not in the table
-            Op::TxEnd,
-            Op::TxBegin,
-            Op::TxEnd,
-            Op::TxBegin,
-            Op::store(heap.offset(8), 3),
-            Op::TxEnd,
-        ]
-        .into_iter()
-        .collect();
-        let table = tx_writes_of(&t);
-        assert_eq!(table.len(), 3);
-        assert_eq!(table[0], vec![(heap.word(), 1)]);
-        assert!(table[1].is_empty());
-        assert_eq!(table[2], vec![(heap.offset(8).word(), 3)]);
-    }
 
     fn tiny_machine(scheme: SchemeKind) -> MachineConfig {
         MachineConfig::small().with_scheme(scheme)
@@ -2843,21 +2668,20 @@ mod tests {
         let sys =
             System::for_workload(cfg, WorkloadKind::Sps, &params, &RunConfig::default()).unwrap();
         let base = build(WorkloadKind::Sps, &params);
-        let strided_base = stride_trace(&base.trace, 0);
+        let strided_base = inputs::stride_trace(&base.trace, 0);
         assert!(
-            sys.traces[0] != scheme::instrument(SchemeKind::Optimal, 0, strided_base),
+            !sys.traces[0].ops().eq(strided_base.ops().iter().copied()),
             "core 0 must get its own seed stream, not the base seed"
         );
         // And the two cores run distinct instances: an sps trace is all
         // loads/stores at seed-chosen addresses, so the op sequences must
         // differ beyond the per-core address stride.
-        let destride = |t: &Trace| -> Vec<String> {
+        let destride = |t: &CoreTrace| -> Vec<String> {
             t.ops()
-                .iter()
-                .map(|op| match *op {
+                .map(|op| match op {
                     Op::Load { addr } => format!("L{}", addr.raw() % CORE_STRIDE),
                     Op::Store { addr, .. } => format!("S{}", addr.raw() % CORE_STRIDE),
-                    ref other => format!("{other:?}"),
+                    other => format!("{other:?}"),
                 })
                 .collect()
         };
@@ -2881,7 +2705,7 @@ mod tests {
         let closed_report = closed.run().unwrap();
 
         let mut open = System::new(cfg, traces, &[], &RunConfig::default()).unwrap();
-        let ntx = open.traces[0].transactions() as usize;
+        let ntx = open.traces[0].stored().transactions() as usize;
         let mut sc = ServeConfig::new(vec![vec![0; ntx]; 2]);
         sc.tc_high = f64::INFINITY;
         sc.nvm_write_high = f64::INFINITY;
@@ -2909,7 +2733,7 @@ mod tests {
         let cfg = tiny_machine(SchemeKind::TxCache);
         let traces = vec![simple_trace(); cfg.cores];
         let mut sys = System::new(cfg, traces, &[], &RunConfig::default()).unwrap();
-        let ntx = sys.traces[0].transactions() as usize;
+        let ntx = sys.traces[0].stored().transactions() as usize;
         let spacing = 50_000u64;
         let arrivals: Vec<Cycle> = (0..ntx as u64).map(|k| k * spacing).collect();
         sys.enable_serve(ServeConfig::new(vec![arrivals; 2])).unwrap();
@@ -2938,7 +2762,7 @@ mod tests {
         let cfg = tiny_machine(SchemeKind::TxCache);
         let traces = vec![simple_trace(); cfg.cores];
         let mut sys = System::new(cfg, traces, &[], &RunConfig::default()).unwrap();
-        let ntx = sys.traces[0].transactions() as usize;
+        let ntx = sys.traces[0].stored().transactions() as usize;
         let mut sc = ServeConfig::new(vec![vec![0; ntx]; 2]);
         sc.max_wait = 1;
         sc.tc_high = f64::INFINITY;
@@ -2970,7 +2794,7 @@ mod tests {
             "arrival count must match trace transactions"
         );
         let mut sys = System::new(cfg, traces, &[], &RunConfig::default()).unwrap();
-        let ntx = sys.traces[0].transactions() as usize;
+        let ntx = sys.traces[0].stored().transactions() as usize;
         let mut decreasing = vec![10; ntx];
         decreasing[ntx - 1] = 5;
         assert!(

@@ -12,10 +12,10 @@
 //! [`Backing::len`], [`Backing::iter`] and equality behave as they did
 //! when every word was its own entry.
 //!
-//! A collected image is *frozen* into a shared, immutable base; writes go
-//! to a copy-on-write overlay of lines seeded from the base, mask included.
-//! Clones copy only the overlay, and none of this is visible to reads,
-//! `len`, `iter` or `==`.
+//! A collected image is *frozen* into a shared, immutable base under an
+//! empty overlay; writes go to a copy-on-write overlay of lines seeded from
+//! the base, mask included. Clones copy only the overlay, and none of this
+//! is visible to reads, `len`, `iter` or `==`.
 
 use std::sync::Arc;
 
@@ -169,16 +169,12 @@ impl Eq for Backing {}
 
 impl FromIterator<(WordAddr, Word)> for Backing {
     /// Collects the words (a word's last write wins) and freezes them as the
-    /// base. The overlay starts with room for twice the base's lines, so a
-    /// run that writes about as many lines as it started with never
-    /// rehashes it (see DESIGN.md, "Functional model", on why it is sized).
+    /// base, under an empty overlay.
     fn from_iter<I: IntoIterator<Item = (WordAddr, Word)>>(iter: I) -> Self {
         let mut b = Backing::new();
         b.extend(iter);
-        let room = 2 * b.lines.len();
-        let lines = FxHashMap::with_capacity_and_hasher(room, Default::default());
         b.base = Arc::new(Base {
-            lines: std::mem::replace(&mut b.lines, lines),
+            lines: std::mem::take(&mut b.lines),
             written: b.written,
         });
         b

@@ -163,6 +163,32 @@ impl WorkloadParams {
             sharing: 0,
         }
     }
+
+    /// Checks the parameters a generator can run with: a non-empty key
+    /// space, an insert percentage of at most 100 and a sharing fraction
+    /// of at most eight eighths.
+    ///
+    /// # Errors
+    ///
+    /// Returns a configuration error naming the first bad field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.key_space == 0 {
+            return Err(ConfigError::new("workload key space must be at least 1"));
+        }
+        if self.insert_ratio > 100 {
+            return Err(ConfigError::new(format!(
+                "insert ratio {} is above 100 %",
+                self.insert_ratio
+            )));
+        }
+        if self.sharing > 8 {
+            return Err(ConfigError::new(format!(
+                "sharing {} is above 8 eighths",
+                self.sharing
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// A generated workload: the trace plus the initial image that seeds a
@@ -429,6 +455,44 @@ mod tests {
         let a = build(WorkloadKind::Rbtree, &WorkloadParams::tiny(7));
         let b = build(WorkloadKind::Rbtree, &WorkloadParams::tiny(7));
         assert_eq!(a.trace, b.trace);
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_key_space() {
+        let p = WorkloadParams {
+            key_space: 0,
+            ..WorkloadParams::tiny(1)
+        };
+        assert!(p.validate().unwrap_err().message().contains("key space"));
+        assert!(WorkloadParams::tiny(1).validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_an_insert_ratio_above_100() {
+        let p = WorkloadParams {
+            insert_ratio: 101,
+            ..WorkloadParams::tiny(1)
+        };
+        assert!(p.validate().unwrap_err().message().contains("insert ratio"));
+        let full = WorkloadParams {
+            insert_ratio: 100,
+            ..WorkloadParams::tiny(1)
+        };
+        assert!(full.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_sharing_above_eight_eighths() {
+        let p = WorkloadParams {
+            sharing: 9,
+            ..WorkloadParams::tiny(1)
+        };
+        assert!(p.validate().unwrap_err().message().contains("sharing"));
+        let all = WorkloadParams {
+            sharing: 8,
+            ..WorkloadParams::tiny(1)
+        };
+        assert!(all.validate().is_ok());
     }
 
     #[test]
