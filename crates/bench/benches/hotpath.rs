@@ -2,8 +2,9 @@
 //! data structures the indexed-CAM overhaul rewrote: transaction-cache
 //! probe/insert/ack under high occupancy, cache-hierarchy accesses, the
 //! memory controller, line-granular backing-store round trips, the
-//! in-repo fast hasher against SipHash, and the end-to-end
-//! cells-per-second figure a grid sweep is built from.
+//! in-repo fast hasher against SipHash, one crash point's snapshot,
+//! recovery and check, and the end-to-end cells-per-second figure a grid
+//! sweep is built from.
 //!
 //! Run with `cargo bench -p pmacc-bench --bench hotpath`;
 //! `PMACC_BENCH_SAMPLES=1` is the CI smoke mode.
@@ -12,6 +13,7 @@ use pmacc_bench::bench_main;
 use pmacc_bench::grid::{run_cell, Scale};
 use pmacc_bench::harness::Harness;
 
+use pmacc::recovery::{check_recovery, recover};
 use pmacc::TxCache;
 use pmacc_cache::{Access, Hierarchy, HierarchyOpts};
 use pmacc_mem::{Backing, MemController};
@@ -262,6 +264,26 @@ fn bench_engine(c: &mut Harness) {
     g.finish();
 }
 
+fn bench_recovery(c: &mut Harness) {
+    // One crash point of a forward crash walk: snapshot, recover and
+    // check a tiny TC system stopped mid-run.
+    let mut g = c.benchmark_group("recovery");
+    g.bench_function("tc_snapshot_recover_check", |b| {
+        let machine = pmacc_types::MachineConfig::small().with_scheme(SchemeKind::TxCache);
+        let params = pmacc_workloads::WorkloadParams::tiny(42);
+        let mut sys =
+            pmacc::System::for_workload(machine, WorkloadKind::Sps, &params, &Default::default())
+                .expect("system builds");
+        sys.run_until(2_000).expect("runs");
+        b.iter(|| {
+            let state = sys.crash_state();
+            let recovered = recover(&state);
+            check_recovery(&state, &recovered).is_ok()
+        });
+    });
+    g.finish();
+}
+
 fn bench_full_cell(c: &mut Harness) {
     // One whole quick-scale grid cell, the unit the reproduction sweeps
     // ~89 of: the end-to-end number every structural optimization above
@@ -287,4 +309,12 @@ fn bench_full_cell(c: &mut Harness) {
     g.finish();
 }
 
-bench_main!(bench_txcache_hot, bench_memsys, bench_backing, bench_hasher, bench_engine, bench_full_cell);
+bench_main!(
+    bench_txcache_hot,
+    bench_memsys,
+    bench_backing,
+    bench_hasher,
+    bench_engine,
+    bench_recovery,
+    bench_full_cell
+);

@@ -17,7 +17,7 @@ use pmacc::recovery::{check_recovery, recover, recovery_cost};
 use pmacc::{RunConfig, System};
 use pmacc_bench::cli::{self, Args};
 use pmacc_cpu::StallKind;
-use pmacc_types::{MachineConfig, SchemeKind, WriteCause};
+use pmacc_types::{ConfigError, MachineConfig, SchemeKind, WriteCause};
 use pmacc_workloads::{build, WorkloadKind, WorkloadParams};
 
 const USAGE: &str = "usage: simulate [--scheme S] [--workload W] [--machine M] \
@@ -81,6 +81,10 @@ fn run() -> Result<ExitCode, String> {
     }
 
     params.validate().map_err(|e| e.to_string())?;
+    if let Some(frac) = crash_at.filter(|f| !(0.0..=1.0).contains(f)) {
+        let e = ConfigError::new(format!("--crash-at must be a fraction in [0, 1], got {frac}"));
+        return Err(e.to_string());
+    }
     if let Some(path) = &dump_trace {
         let w = build(workload, &params);
         std::fs::write(path, pmacc_cpu::text::to_text(&w.trace))
@@ -137,7 +141,7 @@ fn run() -> Result<ExitCode, String> {
         let cost = recovery_cost(&state, &machine);
         let recovered = recover(&state);
         println!("--- crash at cycle {crash_cycle} ({:.0}% of the run) ---", frac * 100.0);
-        println!("committed at crash {}", state.journal.len());
+        println!("committed at crash {}", sys.journal().len());
         println!(
             "recovery: scanned {} words, replayed {} words, ~{:.1} µs",
             cost.words_scanned,

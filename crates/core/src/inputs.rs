@@ -532,7 +532,7 @@ mod tests {
     struct Outcome {
         crash_cycle: Cycle,
         crash_nvm: Backing,
-        crash_initial_nvm: Backing,
+        crash_committed: Backing,
         crash_durable: String,
         crash_journal: Vec<crate::recovery::TxRecord>,
         crash_in_flight: Vec<Option<crate::recovery::TxRecord>>,
@@ -545,13 +545,14 @@ mod tests {
         sys.run_until(crash_at).unwrap();
         let state = sys.crash_state();
         let recovered = recover(&state);
+        let crash_journal = sys.journal().to_vec();
         let report = sys.run().unwrap().to_json().to_compact();
         Outcome {
             crash_cycle: state.cycle,
             crash_nvm: state.nvm,
-            crash_initial_nvm: state.initial_nvm,
+            crash_committed: Backing::clone(&state.committed),
             crash_durable: format!("{:?}", state.durable),
-            crash_journal: state.journal,
+            crash_journal,
             crash_in_flight: state.in_flight,
             recovered,
             report,

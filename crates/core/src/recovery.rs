@@ -13,6 +13,7 @@
 
 use core::fmt;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use pmacc_mem::{Backing, WearSnapshot};
 use pmacc_types::{layout, Cycle, FxHashMap, SchemeKind, TxId, Word, WordAddr};
@@ -97,13 +98,14 @@ pub struct CrashState {
     /// start-gap hardware keeps these registers in NVM for precisely
     /// this reason: without them the device image is unreadable.
     pub wear: Option<WearSnapshot>,
-    /// NVM image at simulation start (for the checker's replay): the
-    /// frozen base the run's images overlay, shared rather than copied.
-    pub initial_nvm: Backing,
+    /// The committed image (oracle): the NVM image at simulation start
+    /// with every transaction that committed before the crash replayed in
+    /// global commit order. It overlays the frozen initial image, which
+    /// `committed.base()` returns, and is shared with the system that
+    /// took the snapshot rather than copied.
+    pub committed: Arc<Backing>,
     /// The running scheme's durable state beside the NVM image.
     pub durable: DurableState,
-    /// Golden journal of committed transactions (oracle).
-    pub journal: Vec<TxRecord>,
     /// Per-core transaction in flight at the crash (oracle): its identity
     /// and the persistent writes it had issued so far. A scheme may
     /// legitimately recover such a transaction completely — its commit
@@ -352,43 +354,25 @@ impl std::error::Error for RecoveryError {}
 /// Returns a [`RecoveryError`] describing the mismatching words.
 pub fn check_recovery(state: &CrashState, recovered: &Backing) -> Result<(), RecoveryError> {
     let heap_base = layout::persistent_heap_base().word();
-    // Expected image: initial + committed-transaction writes in order.
-    // Journal order is *global* commit order (the push order of TX_END
-    // completions), so shared-window words written by several cores'
-    // transactions replay in the order those transactions serialized.
-    let mut expected = state.initial_nvm.clone();
-    for rec in &state.journal {
-        expected.extend(rec.writes.iter().copied());
-    }
-    // Compare every heap word either image holds, so stray uncommitted
-    // writes are caught. A word only an in-flight transaction wrote reads
-    // zero on both sides, so it cannot mismatch.
-    // Both images iterate in ascending order, so one merge visits each
-    // word once; a word one image lacks reads zero there.
-    let mut mismatches: Vec<(WordAddr, Word, Word)> = Vec::new();
-    let mut want = expected.iter().filter(|&(w, _)| w >= heap_base).peekable();
-    let mut got = recovered.iter().filter(|&(w, _)| w >= heap_base).peekable();
-    loop {
-        let w = match (want.peek(), got.peek()) {
-            (Some(&(a, _)), Some(&(b, _))) => a.min(b),
-            (Some(&(w, _)), None) | (None, Some(&(w, _))) => w,
-            (None, None) => break,
-        };
-        let e = want.next_if(|&(x, _)| x == w).map_or(0, |(_, v)| v);
-        let r = got.next_if(|&(x, _)| x == w).map_or(0, |(_, v)| v);
-        if e != r {
-            mismatches.push((w, e, r));
-        }
-    }
-    drop(want); // it borrows `expected`, which moves below
+    // Every heap word either image holds is compared, so stray uncommitted
+    // writes are caught; a word only an in-flight transaction wrote reads
+    // zero on both sides, so it cannot mismatch. The bound is applied
+    // inside the diff: below it, scheme logs differ wholesale.
+    let mut mismatches = state.committed.diff(recovered, heap_base);
     // Try to explain mismatches with in-flight transactions, one whole
     // transaction at a time: accept one only if *all* its heap words
-    // match the image with the in-flight writes applied.
+    // match the committed image with the in-flight writes applied.
     if !mismatches.is_empty() {
-        let mut with_in_flight = expected;
+        let mut in_flight: FxHashMap<WordAddr, Word> = FxHashMap::default();
         for rec in state.in_flight.iter().flatten() {
-            with_in_flight.extend(rec.writes.iter().copied());
+            in_flight.extend(rec.writes.iter().copied());
         }
+        let with_in_flight = |w: WordAddr| {
+            in_flight
+                .get(&w)
+                .copied()
+                .unwrap_or_else(|| state.committed.read_word(w))
+        };
         for rec in state.in_flight.iter().flatten() {
             let words: BTreeSet<WordAddr> = rec
                 .writes
@@ -398,7 +382,7 @@ pub fn check_recovery(state: &CrashState, recovered: &Backing) -> Result<(), Rec
                 .collect();
             if words
                 .iter()
-                .all(|&w| recovered.read_word(w) == with_in_flight.read_word(w))
+                .all(|&w| recovered.read_word(w) == with_in_flight(w))
             {
                 mismatches.retain(|(w, _, _)| !words.contains(w));
             }
@@ -428,11 +412,15 @@ mod tests {
             cores: 1,
             nvm: Backing::new(),
             wear: None,
-            initial_nvm: Backing::new(),
+            committed: Arc::new(Backing::new()),
             durable,
-            journal: Vec::new(),
             in_flight: vec![None],
         }
+    }
+
+    /// Commits `writes` into the expected image, as a journal entry would.
+    fn commit(st: &mut CrashState, writes: &[(WordAddr, Word)]) {
+        Arc::make_mut(&mut st.committed).extend(writes.iter().copied());
     }
 
     fn tc_state(txcache: Vec<TcEntry>, cow: Vec<CowTxShadow>) -> CrashState {
@@ -483,11 +471,7 @@ mod tests {
         active.line = heap_word(8).line();
         active.commit_seq = 0;
         let mut st = tc_state(vec![committed, active], Vec::new());
-        st.journal.push(TxRecord {
-            tx: TxId::new(0, 0),
-            commit_cycle: 50,
-            writes: vec![(heap_word(0), 7)],
-        });
+        commit(&mut st, &[(heap_word(0), 7)]);
         let rec = recover(&st);
         assert_eq!(rec.read_word(heap_word(0)), 7);
         assert_eq!(rec.read_word(heap_word(8)), 0, "active entry discarded");
@@ -513,11 +497,7 @@ mod tests {
                 },
             ],
         );
-        st.journal.push(TxRecord {
-            tx: TxId::new(0, 0),
-            commit_cycle: 10,
-            writes: vec![(heap_word(1), 5)],
-        });
+        commit(&mut st, &[(heap_word(1), 5)]);
         let rec = recover(&st);
         assert_eq!(rec.read_word(heap_word(1)), 5);
         assert_eq!(rec.read_word(heap_word(2)), 0);
@@ -529,11 +509,7 @@ mod tests {
         let mut st = base_state(DurableState::NvLlc {
             committed: [(heap_word(3), 11)].into_iter().collect(),
         });
-        st.journal.push(TxRecord {
-            tx: TxId::new(0, 0),
-            commit_cycle: 10,
-            writes: vec![(heap_word(3), 11)],
-        });
+        commit(&mut st, &[(heap_word(3), 11)]);
         let rec = recover(&st);
         assert_eq!(rec.read_word(heap_word(3)), 11);
         check_recovery(&st, &rec).unwrap();
@@ -546,11 +522,7 @@ mod tests {
         // A committed transaction wrote word 0 = 7 (drained to NVM), then
         // an in-flight one overwrote it with 99 and wrote word 1 = 55;
         // the flush-on-failure drain persisted both uncommitted stores.
-        st.journal.push(TxRecord {
-            tx: TxId::new(0, 0),
-            commit_cycle: 10,
-            writes: vec![(heap_word(0), 7)],
-        });
+        commit(&mut st, &[(heap_word(0), 7)]);
         st.in_flight[0] = Some(TxRecord {
             tx: TxId::new(0, 1),
             commit_cycle: 100,
@@ -587,13 +559,9 @@ mod tests {
     #[test]
     fn checker_catches_lost_committed_write() {
         let mut st = base_state(DurableState::Optimal);
-        st.journal.push(TxRecord {
-            tx: TxId::new(0, 0),
-            commit_cycle: 10,
-            writes: vec![(heap_word(0), 9)],
-        });
-        // Nor did the initial value of word 5 survive.
-        st.initial_nvm.write_word(heap_word(5), 77);
+        commit(&mut st, &[(heap_word(0), 9)]);
+        // Nor did an earlier committed value of word 5 survive.
+        commit(&mut st, &[(heap_word(5), 77)]);
         let rec = recover(&st); // NVM never got the write
         let err = check_recovery(&st, &rec).unwrap_err();
         assert_eq!(err.total, 2);
@@ -629,10 +597,10 @@ mod tests {
     fn checker_ignores_log_area_noise() {
         let mut st = base_state(DurableState::Optimal);
         // Scratch words below the heap are scheme-private, in the
-        // recovered image and in the initial one alike.
+        // recovered image and in the committed one alike.
         st.nvm
             .write_word(Addr::nvm_base().word(), 0xDEAD);
-        st.initial_nvm.write_word(Addr::nvm_base().offset(8).word(), 0xBEEF);
+        commit(&mut st, &[(Addr::nvm_base().offset(8).word(), 0xBEEF)]);
         let rec = recover(&st);
         check_recovery(&st, &rec).unwrap();
     }
@@ -672,11 +640,7 @@ mod tests {
             sp.nvm.write_word(at.word(), meta);
             sp.nvm.write_word(at.offset(8).word(), value);
         }
-        sp.journal.push(TxRecord {
-            tx: TxId::new(0, 0),
-            commit_cycle: 10,
-            writes: vec![(heap_word(0), 5), (heap_word(1), 6)],
-        });
+        commit(&mut sp, &[(heap_word(0), 5), (heap_word(1), 6)]);
         let c = recovery_cost(&sp, &machine);
         assert_eq!((c.words_scanned, c.words_replayed), (2 * 4, 2));
         assert_eq!(
@@ -714,11 +678,7 @@ mod tests {
         // The logical image the crash should recover to...
         let mut logical = Backing::new();
         logical.write_word(heap_word(0), 42);
-        st.journal.push(TxRecord {
-            tx: TxId::new(0, 0),
-            commit_cycle: 10,
-            writes: vec![(heap_word(0), 42)],
-        });
+        commit(&mut st, &[(heap_word(0), 42)]);
         // ...is durably stored on device rows.
         st.nvm = snap.to_device(&logical);
         st.wear = Some(snap);
@@ -735,16 +695,8 @@ mod tests {
     #[test]
     fn later_commits_overwrite_earlier_ones_in_expectation() {
         let mut st = base_state(DurableState::Optimal);
-        st.journal.push(TxRecord {
-            tx: TxId::new(0, 0),
-            commit_cycle: 1,
-            writes: vec![(heap_word(0), 1)],
-        });
-        st.journal.push(TxRecord {
-            tx: TxId::new(0, 1),
-            commit_cycle: 2,
-            writes: vec![(heap_word(0), 2)],
-        });
+        commit(&mut st, &[(heap_word(0), 1)]);
+        commit(&mut st, &[(heap_word(0), 2)]);
         st.nvm.write_word(heap_word(0), 2);
         let rec = recover(&st);
         check_recovery(&st, &rec).unwrap();

@@ -15,6 +15,7 @@
 //! ([`crate::inputs`]); DRAM contents are not modeled, since nothing reads
 //! them.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
@@ -414,6 +415,10 @@ pub struct System {
     measure_start: Cycle,
     warmup_done: bool,
     journal: Vec<TxRecord>,
+    /// The committed image — the initial image with the first `.1`
+    /// journal entries replayed — which [`System::crash_state`] catches up
+    /// lazily and shares with the snapshots it takes.
+    committed: RefCell<(Arc<Backing>, usize)>,
     /// Durability-boundary cycles (empty unless
     /// [`RunConfig::record_boundaries`] is set).
     boundaries: Vec<(Cycle, BoundaryClass)>,
@@ -525,6 +530,7 @@ impl System {
             dram: MemController::new(MemRegion::Dram, cfg.dram),
             nvm_backing: inputs.initial.base(),
             arch_image: inputs.initial.base(),
+            committed: RefCell::new((Arc::new(inputs.initial.base()), 0)),
             inputs,
             scheme: SchemeState::new(cfg.scheme, cfg.cores),
             durable_word_seq: FxHashMap::default(),
@@ -1019,11 +1025,26 @@ impl System {
         }
     }
 
+    /// The committed image as of now, caught up from the journal entries
+    /// committed since the last call. A snapshot still holding the previous
+    /// image keeps it: `make_mut` copies the overlay instead of mutating it.
+    fn committed_image(&self) -> Arc<Backing> {
+        let (image, applied) = &mut *self.committed.borrow_mut();
+        if *applied < self.journal.len() {
+            let img = Arc::make_mut(image);
+            for rec in &self.journal[*applied..] {
+                img.extend(rec.writes.iter().copied());
+            }
+            *applied = self.journal.len();
+        }
+        Arc::clone(image)
+    }
+
     /// Snapshots the durable state at the current cycle — what survives a
     /// power failure: the NVM image, the STT-RAM transaction caches, the
     /// NVLLC committed-line image, the COW areas and (under eADR) the
     /// flush-on-failure drain of every dirty cache line plus the per-core
-    /// undo logs — together with the golden journal the checker compares
+    /// undo logs — together with the committed image the checker compares
     /// against.
     ///
     /// With wear leveling on, the NVM image is stored in *device row*
@@ -1085,9 +1106,8 @@ impl System {
             cores: self.cfg.cores,
             nvm,
             wear,
-            initial_nvm: self.nvm_backing.base(),
+            committed: self.committed_image(),
             durable,
-            journal: self.journal.clone(),
             in_flight: (0..self.cores.len())
                 .map(|c| {
                     let core = &self.cores[c];
@@ -2640,6 +2660,39 @@ mod tests {
         );
         assert!(
             matches!(&state.durable, DurableState::TxCache { txcaches, .. } if txcaches.len() == 2)
+        );
+    }
+
+    #[test]
+    fn crash_snapshots_keep_their_committed_image() {
+        let mut cfg = tiny_machine(SchemeKind::TxCache);
+        cfg.cores = 2;
+        let params = WorkloadParams::tiny(7);
+        let rc = RunConfig::default();
+        let build = || System::for_workload(cfg.clone(), WorkloadKind::Sps, &params, &rc).unwrap();
+        let total = build().run().unwrap().cycles;
+        // The initial image with the first `n` journal entries replayed.
+        let replay = |sys: &System, n: usize| {
+            let mut image = sys.inputs.initial.base();
+            for rec in &sys.journal[..n] {
+                image.extend(rec.writes.iter().copied());
+            }
+            image
+        };
+        let mut sys = build();
+        sys.run_until(total / 3).unwrap();
+        let (t1, n1) = (sys.crash_state(), sys.journal.len());
+        let kept = Backing::clone(&t1.committed);
+        sys.run_until(2 * total / 3).unwrap();
+        let (t2, n2) = (sys.crash_state(), sys.journal.len());
+        assert!(0 < n1 && n1 < n2, "commits before and after t1: {n1}, {n2}");
+        assert_eq!(*t1.committed, kept, "catching up never mutates a held image");
+        assert_eq!(*t1.committed, replay(&sys, n1));
+        assert_eq!(*t2.committed, replay(&sys, n2));
+        assert_eq!(t1.committed.base(), sys.inputs.initial);
+        assert!(
+            Arc::ptr_eq(&t2.committed, &sys.crash_state().committed),
+            "with nothing committed since, the next snapshot shares the image"
         );
     }
 

@@ -560,6 +560,7 @@ fn heap_word(i: u8) -> WordAddr {
 #[test]
 fn crash_snapshot_recovers_through_ring_wrap_holes() {
     use pmacc::recovery::{check_recovery, recover, CrashState, DurableState, TxRecord};
+    use std::sync::Arc;
     pmacc_prop::check("crash_snapshot_recovers_through_ring_wrap_holes", |g| {
         // 2–5 entries: a few hundred ops wrap the ring many times over.
         let entries = g.gen_range(2u64..6);
@@ -570,7 +571,8 @@ fn crash_snapshot_recovers_through_ring_wrap_holes() {
         };
         let mut tc = TxCache::new(&cfg);
         let mut nvm = pmacc_mem::Backing::new();
-        let mut journal: Vec<TxRecord> = Vec::new();
+        // The committed image: every committed transaction's writes.
+        let mut committed = pmacc_mem::Backing::new();
         let mut serial = 0u64;
         let mut cur_writes: Vec<(WordAddr, u64)> = Vec::new();
         // Outstanding NVM writes in issue (= FIFO) order.
@@ -590,11 +592,7 @@ fn crash_snapshot_recovers_through_ring_wrap_holes() {
                 }
                 CrashOp::Commit => {
                     tc.commit(tx, serial + 1);
-                    journal.push(TxRecord {
-                        tx,
-                        commit_cycle: step as u64,
-                        writes: std::mem::take(&mut cur_writes),
-                    });
+                    committed.extend(cur_writes.drain(..));
                     serial += 1;
                 }
                 CrashOp::Discard => {
@@ -649,12 +647,11 @@ fn crash_snapshot_recovers_through_ring_wrap_holes() {
                 cores: 1,
                 nvm: nvm.clone(),
                 wear: None,
-                initial_nvm: pmacc_mem::Backing::new(),
+                committed: Arc::new(committed.clone()),
                 durable: DurableState::TxCache {
                     txcaches: vec![snapshot],
                     cow: vec![Vec::new()],
                 },
-                journal: journal.clone(),
                 in_flight: vec![in_flight],
             };
             let recovered = recover(&state);

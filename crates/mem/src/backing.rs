@@ -142,13 +142,55 @@ impl Backing {
         self.written == 0
     }
 
+    /// Every line cell of the image once: the overlay's, then — with
+    /// `with_base` — the base cells the overlay does not shadow.
+    fn cells(&self, with_base: bool) -> impl Iterator<Item = (&LineAddr, &LineCell)> {
+        let base = with_base.then_some(&self.base.lines).into_iter().flatten();
+        let unshadowed = base.filter(|(l, _)| !self.lines.contains_key(l));
+        self.lines.iter().chain(unshadowed)
+    }
+
+    /// The words at or above `from` whose values differ, as
+    /// `(address, value here, value in other)` in ascending address order.
+    /// Values alone count: an unwritten word reads zero, so a written zero
+    /// matches it.
+    ///
+    /// When both images overlay the same frozen base, a line neither
+    /// overlay holds is the base's on both sides, so only overlay lines are
+    /// visited: the cost follows what was written since the freeze, not
+    /// the size of the image. Otherwise every line of both is visited.
+    #[must_use]
+    pub fn diff(&self, other: &Backing, from: WordAddr) -> Vec<(WordAddr, Word, Word)> {
+        let whole = !Arc::ptr_eq(&self.base, &other.base);
+        let held_here = |l: &LineAddr| {
+            self.lines.contains_key(l) || (whole && self.base.lines.contains_key(l))
+        };
+        let theirs = other.cells(whole).filter(|(l, _)| !held_here(l));
+        let mut out = Vec::new();
+        for (&line, _) in self.cells(whole).chain(theirs) {
+            if line.word(WORDS_PER_LINE - 1) < from {
+                continue;
+            }
+            let (a, b) = (self.read_line(line), other.read_line(line));
+            if a == b {
+                continue;
+            }
+            for (i, (&x, &y)) in a.iter().zip(&b).enumerate() {
+                let w = line.word(i);
+                if x != y && w >= from {
+                    out.push((w, x, y));
+                }
+            }
+        }
+        out.sort_unstable_by_key(|&(w, _, _)| w);
+        out
+    }
+
     /// Iterates over all written `(address, value)` pairs in ascending
     /// address order (an iteration boundary, so it is sorted for
     /// determinism; callers that need a different order sort themselves).
     pub fn iter(&self) -> impl Iterator<Item = (WordAddr, Word)> + '_ {
-        let (overlay, base) = (&self.lines, &self.base.lines);
-        let unshadowed = base.iter().filter(|(l, _)| !overlay.contains_key(l));
-        let mut cells: Vec<_> = overlay.iter().chain(unshadowed).collect();
+        let mut cells: Vec<_> = self.cells(true).collect();
         cells.sort_unstable_by_key(|&(&line, _)| line);
         cells.into_iter().flat_map(|(&line, &cell)| {
             (0..WORDS_PER_LINE)
@@ -266,6 +308,77 @@ mod tests {
         }
         let got: Vec<(u64, u64)> = b.iter().map(|(w, v)| (w.raw(), v)).collect();
         assert_eq!(got, vec![(3, 2), (8, 4), (99, 3), (168, 5), (170, 1)]);
+    }
+
+    /// `(word, a, b)` for every word of `a` and `b` below `LineAddr(16)`
+    /// at or above `from` whose values differ, read word by word.
+    fn naive_diff(a: &Backing, b: &Backing, from: u64) -> Vec<(WordAddr, Word, Word)> {
+        (from..16 * WORDS_PER_LINE as u64)
+            .map(WordAddr::new)
+            .map(|w| (w, a.read_word(w), b.read_word(w)))
+            .filter(|&(_, x, y)| x != y)
+            .collect()
+    }
+
+    #[test]
+    fn diff_agrees_on_shared_and_distinct_bases() {
+        let base: Backing = (0..40u64).map(|w| (WordAddr::new(w), w + 1)).collect();
+        let (mut a, mut b) = (base.clone(), base.clone());
+        a.write_word(WordAddr::new(3), 100); // base line, changed in a only
+        b.write_word(WordAddr::new(3), 3 + 1); // rewritten to its base value
+        b.write_word(WordAddr::new(70), 7); // a line only b's overlay holds
+        a.write_line(LineAddr::new(4), &[1, 2, 3, 4, 5, 6, 7, 8]);
+        b.write_line(LineAddr::new(4), &[1, 2, 0, 4, 5, 6, 7, 9]);
+        let want = vec![
+            (WordAddr::new(3), 100, 4),
+            (WordAddr::new(34), 3, 0),
+            (WordAddr::new(39), 8, 9),
+            (WordAddr::new(70), 0, 7),
+        ];
+        assert_eq!(a.diff(&b, WordAddr::new(0)), want, "shared base");
+        assert_eq!(naive_diff(&a, &b, 0), want);
+        // The same words, each image frozen into a base of its own.
+        let (fa, fb): (Backing, Backing) = (a.iter().collect(), b.iter().collect());
+        assert_eq!(fa.diff(&fb, WordAddr::new(0)), want, "distinct bases");
+        assert_eq!(fa.diff(&b, WordAddr::new(0)), want, "one frozen, one overlay");
+        let flipped: Vec<_> = want.iter().map(|&(w, x, y)| (w, y, x)).collect();
+        assert_eq!(b.diff(&a, WordAddr::new(0)), flipped);
+        assert!(a.diff(&a.clone(), WordAddr::new(0)).is_empty());
+    }
+
+    #[test]
+    fn diff_counts_values_not_written_masks() {
+        let base: Backing = [(WordAddr::new(1), 5)].into_iter().collect();
+        let mut a = base.clone();
+        a.write_word(WordAddr::new(2), 0);
+        assert_ne!(a, base, "an explicit zero write is a written word...");
+        assert!(
+            a.diff(&base, WordAddr::new(0)).is_empty(),
+            "...but its value equals the unwritten word's"
+        );
+        assert_eq!(Backing::new().diff(&a, WordAddr::new(0)).len(), 1);
+    }
+
+    #[test]
+    fn diff_bound_applies_mid_line_and_output_ascends() {
+        let mut a = Backing::new();
+        let b = Backing::new();
+        // Scattered over several lines, written out of order.
+        for w in [90u64, 17, 3, 64, 21, 5, 127, 16] {
+            a.write_word(WordAddr::new(w), w + 1);
+        }
+        let all: Vec<u64> = a
+            .diff(&b, WordAddr::new(0))
+            .iter()
+            .map(|&(w, _, _)| w.raw())
+            .collect();
+        assert_eq!(all, vec![3, 5, 16, 17, 21, 64, 90, 127]);
+        // A bound in the middle of line 2 (words 16..24) keeps the bound
+        // word and the words above it.
+        let from = WordAddr::new(17);
+        let bounded: Vec<u64> = a.diff(&b, from).iter().map(|&(w, _, _)| w.raw()).collect();
+        assert_eq!(bounded, vec![17, 21, 64, 90, 127]);
+        assert_eq!(a.diff(&b, from), naive_diff(&a, &b, 17));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property test of the copy-on-write [`Backing`]: an image frozen from a
 //! random base, then written and cloned in random interleavings, must be
-//! indistinguishable — reads, `len`, `iter` and `==` — from a flat
+//! indistinguishable — reads, `len`, `iter`, `==` and `diff` — from a flat
 //! base-less `Backing` that received the same writes. Replayable via
 //! `PMACC_PROP_SEED`.
 
@@ -20,6 +20,16 @@ fn word(g: &mut Gen) -> WordAddr {
 /// Small values, zero included: a written zero is still a written word.
 fn value(g: &mut Gen) -> Word {
     g.gen_range(0..4u64)
+}
+
+/// `(word, a, b)` for every word at or above `from` whose values differ,
+/// read word by word.
+fn naive_diff(a: &Backing, b: &Backing, from: WordAddr) -> Vec<(WordAddr, Word, Word)> {
+    (from.raw()..WORDS)
+        .map(WordAddr::new)
+        .map(|w| (w, a.read_word(w), b.read_word(w)))
+        .filter(|&(_, x, y)| x != y)
+        .collect()
 }
 
 /// Every observable of `overlay` matches the flat `oracle`.
@@ -90,14 +100,21 @@ fn overlay_backing_matches_a_flat_copy() {
                 _ => Some((overlay.clone(), oracle.clone())),
             };
             images.extend(fork);
+            let from = word(g);
             let (overlay, oracle) = &images[i];
             assert_same(overlay, oracle);
             assert_same(&overlay.base(), &flat_base);
             // Equality between overlays that share a base agrees with
-            // equality of their flat oracles' written words.
+            // equality of their flat oracles' written words, and so does
+            // `diff`, whether it walks overlays only (two images sharing a
+            // base) or whole images (an overlay against a flat oracle).
             for (other, other_oracle) in &images {
                 let same = oracle.iter().eq(other_oracle.iter());
                 assert_eq!(overlay == other, same, "== across clones");
+                let want = naive_diff(oracle, other_oracle, from);
+                assert_eq!(overlay.diff(other, from), want, "diff across clones");
+                assert_eq!(oracle.diff(other_oracle, from), want, "diff, no base");
+                assert_eq!(overlay.diff(other_oracle, from), want, "diff across bases");
             }
         }
     });

@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!(
         "crashed at cycle {crash_at} with {} committed transactions: \
          recovery is transaction-atomic and the queue is intact",
-        state.journal.len()
+        system.journal().len()
     );
     Ok(())
 }

@@ -65,9 +65,10 @@ fn snapshot_case(kind: WorkloadKind, seed: u64, crash_frac: f64, cores: usize, w
     let heap_base = layout::persistent_heap_base().word();
 
     // Strict committed image: initial image + journal replay in global
-    // commit order. Deliberately *no* in-flight alternative.
-    let mut expected = state.initial_nvm.clone();
-    for rec in &state.journal {
+    // commit order, rebuilt here rather than taken from the snapshot's
+    // committed image. Deliberately *no* in-flight alternative.
+    let mut expected = state.committed.base();
+    for rec in sys.journal() {
         expected.extend(rec.writes.iter().copied());
     }
     // Compare over every heap word either image holds, so both a lost
