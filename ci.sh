@@ -65,7 +65,9 @@ PMACC_BENCH_SAMPLES=1 PMACC_JOBS=1 cargo bench --offline -q -p pmacc-bench \
 # relative tolerance. The same run's metrics are published as
 # BENCH_pmacc.json for cross-commit trend tracking. A serial run must
 # then publish the same bytes: the grid's cells share memoized workload
-# inputs, so the worker pool must be invisible in them. A PR that changes
+# inputs, so the worker pool must be invisible in them. The report must
+# also equal the baseline bit for bit, as the other gates' reports do,
+# so drift inside the tolerances fails too. A PR that changes
 # calibration *on purpose* refreshes the baseline
 # (`regress --write-baseline`, commit the result) — or sets
 # PMACC_SKIP_REGRESS=1 while iterating.
@@ -82,6 +84,8 @@ else
     cmp "$serial" BENCH_pmacc.json \
         || { echo "regress report differs between --jobs 1 and --jobs 4" >&2; exit 1; }
     rm -f "$serial"
+    cmp BENCH_pmacc.json baselines/metrics-quick.json \
+        || { echo "BENCH_pmacc.json drifted from baselines/metrics-quick.json" >&2; exit 1; }
 fi
 
 # Crash-campaign gate: a quick-scale fault-injection sweep (every scheme

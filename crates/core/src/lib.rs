@@ -12,11 +12,11 @@
 //!
 //! * [`TxCache`] — the CAM-FIFO transaction cache of §4.1;
 //! * [`scheme`] — the five persistence schemes (the four of §5,
-//!   `Optimal`, `SP`, `TC` and `NVLLC`, plus the `eADR` upper bound) as
-//!   trace instrumentation plus runtime behaviour;
+//!   `Optimal`, `SP`, `TC` and `NVLLC`, plus the `eADR` upper bound): the
+//!   instrumentation, and one file per scheme of hooks and recovery;
 //! * [`System`] — the full-system simulator (cores, hierarchy, transaction
 //!   caches, NVM/DRAM controllers) that produces the paper's figures;
-//! * [`recovery`] — crash injection, per-scheme recovery procedures and a
+//! * [`recovery`] — crash snapshots, the recovery entry points and a
 //!   transaction-atomicity checker;
 //! * [`hwcost`] — the Table 1 hardware-overhead calculator.
 //!

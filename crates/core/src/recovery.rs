@@ -1,25 +1,24 @@
-//! Crash injection, per-scheme recovery and the atomicity checker.
+//! Crash injection, recovery and the atomicity checker.
 //!
 //! A simulated crash keeps only what the hardware keeps: the NVM image,
 //! the STT-RAM transaction caches (data *and* state bits, Table 1), the
 //! NVLLC's committed lines, the durable COW areas and — under eADR —
 //! the flush-on-failure drain of every dirty cache line plus the per-core
 //! undo logs. Everything beside the NVM image is one [`DurableState`]
-//! variant, so a crash image holds only its own scheme's state. Each
-//! scheme's recovery procedure rebuilds a consistent NVM image from those, and
+//! variant, so a crash image holds only its own scheme's state; each
+//! scheme's file in [`crate::scheme`] rebuilds a consistent image from it.
 //! [`check_recovery`] verifies the result equals replaying exactly the
 //! transactions that committed before the crash — all-or-nothing, in
 //! program order.
 
 use core::fmt;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pmacc_mem::{Backing, WearSnapshot};
 use pmacc_types::{layout, Cycle, FxHashMap, SchemeKind, TxId, Word, WordAddr};
 
-use crate::scheme::sp::{self, LogElem};
-use crate::txcache::{EntryState, TcEntry};
+pub use crate::scheme::{CowTxShadow, DurableState};
 
 /// One committed transaction in the golden journal (oracle only — real
 /// recovery never reads this).
@@ -31,53 +30,6 @@ pub struct TxRecord {
     pub commit_cycle: Cycle,
     /// Persistent writes, in program order.
     pub writes: Vec<(WordAddr, Word)>,
-}
-
-/// Durable image of one overflowed (copy-on-write) transaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CowTxShadow {
-    /// Transaction identity.
-    pub tx: TxId,
-    /// Shadow copies durable in the COW area.
-    pub records: Vec<(WordAddr, Word)>,
-    /// Whether the commit record persisted.
-    pub committed: bool,
-    /// Global commit order (1-based journal index) stamped when the commit
-    /// record persisted; 0 while uncommitted. Shares the replay ordering
-    /// of [`TcEntry::commit_seq`].
-    pub commit_seq: u64,
-}
-
-/// What the running scheme keeps durable beside the NVM image — one
-/// variant per scheme, so a crash image can only hold the state its own
-/// scheme persists (an eADR undo log inside a TC image is unrepresentable).
-#[derive(Debug, Clone)]
-pub enum DurableState {
-    /// No persistence support: the NVM image is all there is.
-    Optimal,
-    /// Software logging: the write-ahead logs live in the NVM image
-    /// itself, so nothing else survives.
-    Sp,
-    /// The transaction cache.
-    TxCache {
-        /// Per-core transaction-cache contents (STT-RAM), FIFO order.
-        txcaches: Vec<Vec<TcEntry>>,
-        /// Per-core COW-area shadows of overflowed transactions.
-        cow: Vec<Vec<CowTxShadow>>,
-    },
-    /// The nonvolatile LLC.
-    NvLlc {
-        /// Committed-line image (word granularity).
-        committed: FxHashMap<WordAddr, Word>,
-    },
-    /// Flush-on-failure caches.
-    Eadr {
-        /// Per-core undo log: the first-write pre-image of every heap
-        /// word the in-flight transaction has overwritten. Durable with
-        /// the drained caches: uncommitted stores *do* persist under
-        /// eADR, so rollback needs these pre-images.
-        undo: Vec<BTreeMap<WordAddr, Word>>,
-    },
 }
 
 /// Everything that survives a power failure, plus the checking oracle.
@@ -118,13 +70,7 @@ impl CrashState {
     /// The scheme that was running.
     #[must_use]
     pub fn scheme(&self) -> SchemeKind {
-        match self.durable {
-            DurableState::Optimal => SchemeKind::Optimal,
-            DurableState::Sp => SchemeKind::Sp,
-            DurableState::TxCache { .. } => SchemeKind::TxCache,
-            DurableState::NvLlc { .. } => SchemeKind::NvLlc,
-            DurableState::Eadr { .. } => SchemeKind::Eadr,
-        }
+        self.durable.scheme()
     }
 
     /// The durable NVM image in *logical* line space: reconstructs the
@@ -165,114 +111,8 @@ impl CrashState {
 #[must_use]
 pub fn recover(state: &CrashState) -> Backing {
     let mut nvm = state.logical_nvm();
-    walk(state, &mut nvm);
+    state.durable.recover(state.cores, &mut nvm, None);
     nvm
-}
-
-/// The one recovery walk: applies the scheme's redo or rollback to `nvm`
-/// (the logical image) and counts the durable words it scanned and
-/// replayed. The machine-dependent scans are left to [`recovery_cost`].
-fn walk(state: &CrashState, nvm: &mut Backing) -> RecoveryCost {
-    let mut cost = RecoveryCost::default();
-    match &state.durable {
-        DurableState::Optimal => {}
-        DurableState::Sp => {
-            // Parse each core's write-ahead log out of the NVM image and
-            // redo the records of committed transactions, in log order.
-            // Every record and every (padded) commit marker is two words.
-            for core in 0..state.cores {
-                let elems = sp::parse_log(core, &|w| nvm.read_word(w));
-                cost.words_scanned += 2 * elems.len() as u64;
-                let committed: Vec<u64> = elems
-                    .iter()
-                    .filter_map(|e| match e {
-                        LogElem::Commit { serial } => Some(*serial),
-                        LogElem::Record { .. } => None,
-                    })
-                    .collect();
-                for e in &elems {
-                    if let LogElem::Record {
-                        serial,
-                        addr,
-                        value,
-                    } = e
-                    {
-                        if committed.contains(serial) {
-                            nvm.write_word(*addr, *value);
-                            cost.words_replayed += 1;
-                        }
-                    }
-                }
-            }
-        }
-        DurableState::TxCache { txcaches, cow } => {
-            // Merge the durable sources of *all* cores — committed
-            // transaction-cache entries (FIFO order within a transaction)
-            // and committed COW shadows — and redo them in ascending
-            // global commit order (the `commit_seq` each transaction was
-            // stamped with at TX_END). Per core commit order equals
-            // program order, so with disjoint data this degenerates to
-            // the old per-core serial replay; when two cores' committed
-            // transactions wrote the same shared line, the replay lands
-            // the writes in the order the transactions serialized. A
-            // transaction is entirely in one source: overflowing to the
-            // COW path discards its TC entries. Each shadow record is an
-            // address + value pair, plus a two-word commit record.
-            let mut by_seq: BTreeMap<u64, Vec<(WordAddr, Word)>> = BTreeMap::new();
-            for (entries, shadows) in txcaches.iter().zip(cow) {
-                for e in entries {
-                    if e.state == EntryState::Committed {
-                        let bucket = by_seq.entry(e.commit_seq).or_default();
-                        for (i, v) in e.values.iter().enumerate() {
-                            if let Some(v) = v {
-                                bucket.push((e.line.word(i), *v));
-                            }
-                        }
-                    }
-                }
-                for s in shadows {
-                    cost.words_scanned += 2 * s.records.len() as u64 + 2;
-                    if s.committed {
-                        by_seq
-                            .entry(s.commit_seq)
-                            .or_default()
-                            .extend(s.records.iter().copied());
-                    }
-                }
-            }
-            for (w, v) in by_seq.into_values().flatten() {
-                nvm.write_word(w, v);
-                cost.words_replayed += 1;
-            }
-        }
-        DurableState::NvLlc { committed } => {
-            // The nonvolatile LLC's committed lines are part of the
-            // persistence domain: overlay them. Recovery only walks the
-            // tag array to discard uncommitted lines; no data moves, so
-            // nothing counts as replayed.
-            for (&w, &v) in committed {
-                nvm.write_word(w, v);
-            }
-        }
-        DurableState::Eadr { undo } => {
-            // The flush-on-failure drain persisted every dirty line —
-            // including the stores of transactions that never committed.
-            // Roll those back with the durable undo log (address +
-            // pre-image word per record): each in-flight transaction's
-            // first-write pre-images restore exactly the committed image
-            // (the conflict gate serializes cross-core writers of a line,
-            // so a pre-image is always the latest committed value of its
-            // word).
-            for log in undo {
-                cost.words_scanned += 2 * log.len() as u64;
-                cost.words_replayed += log.len() as u64;
-                for (&w, &v) in log {
-                    nvm.write_word(w, v);
-                }
-            }
-        }
-    }
-    cost
 }
 
 /// The work a scheme's recovery procedure performs after a crash —
@@ -301,17 +141,9 @@ pub fn recovery_cost(
     // The walk reads logical addresses, so under wear leveling the image
     // is un-remapped first (the cost of that register-driven translation
     // is not charged — it is pure address arithmetic, not device traffic).
-    let mut cost = walk(state, &mut state.logical_nvm());
-    cost.words_scanned += match &state.durable {
-        // The whole STT-RAM array of every core is read out once.
-        DurableState::TxCache { txcaches, .. } => {
-            txcaches.len() as u64 * machine.txcache.entries() as u64 * WORDS_PER_LINE as u64
-        }
-        // The NV-LLC is already in the persistence domain: recovery walks
-        // its tag array.
-        DurableState::NvLlc { .. } => machine.llc.lines(),
-        DurableState::Optimal | DurableState::Sp | DurableState::Eadr { .. } => 0,
-    };
+    let mut cost = state
+        .durable
+        .recover(state.cores, &mut state.logical_nvm(), Some(machine));
     let lines_scanned = cost.words_scanned.div_ceil(WORDS_PER_LINE as u64);
     let lines_replayed = cost.words_replayed.div_ceil(WORDS_PER_LINE as u64);
     cost.estimated_ns = (lines_scanned as f64 * machine.nvm.read_ns
@@ -400,6 +232,8 @@ pub fn check_recovery(state: &CrashState, recovered: &Backing) -> Result<(), Rec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::sp;
+    use crate::txcache::{EntryState, TcEntry};
     use pmacc_types::Addr;
 
     fn heap_word(i: u64) -> WordAddr {

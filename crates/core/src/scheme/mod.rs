@@ -5,21 +5,35 @@
 //!
 //! 1. **Trace instrumentation** — what extra instructions software must
 //!    execute. Only `SP` instruments anything (write-ahead logging with
-//!    `clwb`/`sfence` write-order control, Figure 3a); `Optimal`, `TC`,
-//!    `NVLLC` and `eADR` run the raw trace, because their persistence
-//!    support (none / transaction cache / nonvolatile LLC / residual-energy
-//!    cache drain) is in hardware.
-//! 2. **Runtime behaviour** — how the system layer routes stores, commits,
-//!    LLC misses and LLC evictions. That half lives in [`crate::System`]:
-//!    one enum variant per scheme holds that scheme's runtime state, and
-//!    every routing decision matches on it. A crash turns the variant into
-//!    the matching [`crate::recovery::DurableState`], which
-//!    [`crate::recovery::recover`] walks.
+//!    `clwb`/`sfence` write-order control, Figure 3a); the others' support
+//!    (none / transaction cache / nonvolatile LLC / residual-energy cache
+//!    drain) is in hardware.
+//! 2. **Hooks** — how the machine routes stores, commits, LLC misses and
+//!    evictions, what survives a crash ([`DurableState`]), and how
+//!    recovery rebuilds a consistent image from it. Each scheme keeps its
+//!    state, hooks and recovery in one file (`sp`, `tc`, `nvllc`, `eadr`;
+//!    `Optimal` has none); this module holds one `match` per hook.
 
+mod eadr;
+mod nvllc;
 pub mod sp;
+mod tc;
 
+use std::collections::BTreeMap;
+
+use pmacc_cache::{Access, HierarchyOpts};
 use pmacc_cpu::Trace;
-use pmacc_types::SchemeKind;
+use pmacc_mem::Backing;
+use pmacc_types::{
+    Addr, Cycle, FxHashMap, LineAddr, MachineConfig, SchemeKind, TxId, Word, WordAddr,
+    WORDS_PER_LINE,
+};
+
+use crate::recovery::RecoveryCost;
+use crate::txcache::TcEntry;
+use crate::System;
+pub use tc::CowTxShadow;
+pub(crate) use tc::TcWrite;
 
 /// Applies the scheme's software instrumentation to a core's trace.
 /// Hardware schemes return the trace unchanged, without copying it.
@@ -46,5 +60,210 @@ pub fn instrument(scheme: SchemeKind, core: usize, trace: Trace) -> Trace {
     match scheme {
         SchemeKind::Sp => sp::instrument(core, &trace),
         SchemeKind::Optimal | SchemeKind::TxCache | SchemeKind::NvLlc | SchemeKind::Eadr => trace,
+    }
+}
+
+/// What the running scheme keeps durable beside the NVM image — one
+/// variant per scheme, so a crash image can only hold the state its own
+/// scheme persists (an eADR undo log inside a TC image is unrepresentable).
+#[derive(Debug, Clone)]
+pub enum DurableState {
+    /// No persistence support: the NVM image is all there is.
+    Optimal,
+    /// Software logging: the write-ahead logs live in the NVM image
+    /// itself, so nothing else survives.
+    Sp,
+    /// The transaction cache.
+    TxCache {
+        /// Per-core transaction-cache contents (STT-RAM), FIFO order.
+        txcaches: Vec<Vec<TcEntry>>,
+        /// Per-core COW-area shadows of overflowed transactions.
+        cow: Vec<Vec<CowTxShadow>>,
+    },
+    /// The nonvolatile LLC.
+    NvLlc {
+        /// Committed-line image (word granularity).
+        committed: FxHashMap<WordAddr, Word>,
+    },
+    /// Flush-on-failure caches.
+    Eadr {
+        /// Per-core undo log: the first-write pre-image of every heap
+        /// word the in-flight transaction has overwritten. Durable with
+        /// the drained caches: uncommitted stores *do* persist under
+        /// eADR, so rollback needs these pre-images.
+        undo: Vec<BTreeMap<WordAddr, Word>>,
+    },
+}
+
+impl DurableState {
+    /// The scheme that persisted this state.
+    pub(crate) fn scheme(&self) -> SchemeKind {
+        match self {
+            DurableState::Optimal => SchemeKind::Optimal,
+            DurableState::Sp => SchemeKind::Sp,
+            DurableState::TxCache { .. } => SchemeKind::TxCache,
+            DurableState::NvLlc { .. } => SchemeKind::NvLlc,
+            DurableState::Eadr { .. } => SchemeKind::Eadr,
+        }
+    }
+
+    /// Redoes or rolls back `nvm` (the logical image), counting the words
+    /// scanned (with `machine`, all of them) and replayed.
+    pub(crate) fn recover(
+        &self,
+        cores: usize,
+        nvm: &mut Backing,
+        machine: Option<&MachineConfig>,
+    ) -> RecoveryCost {
+        match self {
+            DurableState::Optimal => RecoveryCost::default(),
+            DurableState::Sp => sp::recover(cores, nvm),
+            DurableState::TxCache { txcaches, cow } => tc::recover(txcaches, cow, nvm, machine),
+            DurableState::NvLlc { committed } => nvllc::recover(committed, nvm, machine),
+            DurableState::Eadr { undo } => eadr::recover(undo, nvm),
+        }
+    }
+}
+
+/// The running scheme's runtime state: no run carries another scheme's.
+#[derive(Debug, Default)]
+pub(crate) enum SchemeState {
+    #[default]
+    Optimal,
+    Sp,
+    TxCache(tc::Tc),
+    NvLlc(nvllc::NvLlc),
+    Eadr(eadr::Eadr),
+}
+
+impl SchemeState {
+    /// The state `cfg`'s scheme starts a run with.
+    pub(crate) fn new(cfg: &MachineConfig) -> Self {
+        match cfg.scheme {
+            SchemeKind::Optimal => SchemeState::Optimal,
+            SchemeKind::Sp => SchemeState::Sp,
+            SchemeKind::TxCache => SchemeState::TxCache(tc::Tc::new(cfg.cores)),
+            SchemeKind::NvLlc => SchemeState::NvLlc(nvllc::NvLlc::new(cfg)),
+            SchemeKind::Eadr => SchemeState::Eadr(eadr::Eadr::new(cfg.cores)),
+        }
+    }
+
+    /// The LLC's pinning option and hit latency: NVLLC's STT-RAM array
+    /// pins uncommitted lines and is slower to hit than the SRAM LLC.
+    pub(crate) fn llc(&self, cfg: &MachineConfig) -> (HierarchyOpts, Cycle) {
+        let (pin, ns) = match self {
+            SchemeState::NvLlc(_) => (true, cfg.nvllc.read_ns),
+            _ => (false, cfg.llc.latency_ns),
+        };
+        let opts = HierarchyOpts {
+            pin_uncommitted_in_llc: pin,
+        };
+        (opts, cfg.core.freq.ns_to_cycles(ns))
+    }
+}
+
+impl System {
+    /// Runs `hook` on the scheme's state taken out of the machine, so it can
+    /// drive the machine too. Hooks never nest, so none sees the stand-in.
+    fn detached<R>(&mut self, hook: impl FnOnce(&mut SchemeState, &mut System) -> R) -> R {
+        let mut scheme = std::mem::take(&mut self.scheme);
+        let out = hook(&mut scheme, self);
+        self.scheme = scheme;
+        out
+    }
+
+    /// Runs a TC-only path on the TC's state; a no-op under other schemes.
+    pub(crate) fn on_tc(&mut self, path: impl FnOnce(&mut tc::Tc, &mut System)) {
+        if !matches!(self.scheme, SchemeState::TxCache(_)) {
+            return;
+        }
+        self.detached(|scheme, sys| {
+            if let SchemeState::TxCache(tc) = scheme {
+                path(tc, sys);
+            }
+        });
+    }
+
+    /// Store hook, before any side effect: core `c`'s hierarchy access, or
+    /// `None` when it stalls. `tx` is set for transactional data stores.
+    pub(crate) fn store_access(
+        &mut self,
+        c: usize,
+        addr: Addr,
+        tx: Option<TxId>,
+    ) -> Option<Access> {
+        let acc = Access::store(addr.line());
+        match (&mut self.scheme, tx) {
+            (SchemeState::TxCache(_), Some(tx)) => {
+                let mut admitted = false;
+                self.on_tc(|tc, sys| admitted = tc.admit_store(sys, c, tx));
+                admitted.then_some(acc)
+            }
+            // NVLLC tags persistent stores in a transaction for pinning.
+            (SchemeState::NvLlc(_), _) => match self.cores[c].regs.current() {
+                Some(tx) if addr.is_persistent() => Some(acc.with_tx(tx)),
+                _ => Some(acc),
+            },
+            (SchemeState::Eadr(eadr), Some(_)) => {
+                eadr.log_pre_image(c, addr.word(), &self.arch_image);
+                Some(acc)
+            }
+            _ => Some(acc),
+        }
+    }
+
+    /// LLC-miss hook: whether a side path serves the fill of `line`.
+    pub(crate) fn probe_side_path(&mut self, line: LineAddr) -> bool {
+        matches!(self.scheme, SchemeState::TxCache(_)) && tc::probe(&mut self.tcs, line)
+    }
+
+    /// `TX_END` hook: `tx` retires ([`System::finish_txend`]) once durable.
+    pub(crate) fn tx_end(&mut self, c: usize, tx: TxId) {
+        self.detached(|scheme, sys| match scheme {
+            SchemeState::TxCache(tc) => tc.tx_end(sys, c, tx),
+            SchemeState::NvLlc(nvllc) => nvllc.tx_end(sys, c, tx),
+            SchemeState::Eadr(eadr) => eadr.tx_end(sys, c),
+            SchemeState::Optimal | SchemeState::Sp => sys.finish_txend(c),
+        });
+    }
+
+    /// Eviction hook: what a dirty evicted line writes back, if anything.
+    pub(crate) fn evicted_words(&mut self, line: LineAddr) -> Option<[Word; WORDS_PER_LINE]> {
+        match &self.scheme {
+            // §3: the transaction cache is the only persistent path.
+            SchemeState::TxCache(_) if line.is_persistent() => {
+                self.dropped_llc_writes.inc();
+                None
+            }
+            SchemeState::NvLlc(nvllc) if line.is_persistent() => {
+                Some(nvllc.committed_line(line, &self.nvm_backing))
+            }
+            _ => Some(self.arch_image.read_line(line)),
+        }
+    }
+
+    /// Report hook: dirty persistent lines still owed to the NVM.
+    pub(crate) fn residual_nvm_lines(&self) -> u64 {
+        match self.scheme {
+            // TC dropped them on eviction: its own path persists them.
+            SchemeState::TxCache(_) => 0,
+            // Uncommitted (pinned) lines are not owed to the NVM.
+            SchemeState::NvLlc(_) => self.hier.residual_persistent_dirty_lines(true),
+            // eADR caches are ordinary write-back caches until power is
+            // lost, so their dirty lines are owed to the NVM like Optimal's.
+            _ => self.hier.residual_persistent_dirty_lines(false),
+        }
+    }
+
+    /// Crash hook: the durable state beside `logical`, the NVM image in
+    /// logical line space, after any drain the scheme applies to it.
+    pub(crate) fn durable_state(&self, logical: &mut Backing) -> DurableState {
+        match &self.scheme {
+            SchemeState::Optimal => DurableState::Optimal,
+            SchemeState::Sp => DurableState::Sp,
+            SchemeState::TxCache(tc) => tc.snapshot(&self.tcs),
+            SchemeState::NvLlc(nvllc) => nvllc.snapshot(),
+            SchemeState::Eadr(eadr) => eadr.snapshot(self, logical),
+        }
     }
 }

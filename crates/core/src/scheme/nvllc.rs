@@ -1,0 +1,90 @@
+//! NVLLC: the Kiln-style nonvolatile last-level cache (§5.1), an STT-RAM
+//! array inside the persistence domain that pins uncommitted lines. A
+//! crash keeps its committed lines; recovery overlays them on the NVM.
+
+use pmacc_cpu::StallKind;
+use pmacc_mem::Backing;
+use pmacc_types::{
+    Cycle, FxHashMap, LineAddr, MachineConfig, TxId, Word, WordAddr, WORDS_PER_LINE,
+};
+
+use crate::recovery::{DurableState, RecoveryCost};
+use crate::System;
+
+/// NVLLC's runtime state: the committed words, and the port occupancy of
+/// one line's commit flush (the STT-RAM write).
+#[derive(Debug)]
+pub(crate) struct NvLlc {
+    committed: FxHashMap<WordAddr, Word>,
+    write_lat: Cycle,
+}
+
+impl NvLlc {
+    pub(crate) fn new(cfg: &MachineConfig) -> Self {
+        let write_lat = cfg.core.freq.ns_to_cycles(cfg.nvllc.write_ns);
+        let committed = FxHashMap::default();
+        NvLlc {
+            committed,
+            write_lat,
+        }
+    }
+
+    /// `TX_END`: commits `tx`'s values in the LLC with a blocking flush of
+    /// its dirty lines from L1/L2, which occupies the LLC write port (the
+    /// §5.2 "bursts of traffic"), then retires it.
+    pub(crate) fn tx_end(&mut self, sys: &mut System, c: usize, tx: TxId) {
+        self.committed
+            .extend(sys.cores[c].tx_writes.iter().copied());
+        let lines: Vec<LineAddr> = sys.cores[c].tx_lines.clone();
+        let t0 = sys.cores[c].time;
+        let mut t = t0;
+        for line in lines {
+            if sys.hier.demote_tx_line(c, line, tx) {
+                // Read the private copy (L2 latency) and initiate the LLC
+                // write; the core moves on to the next line while the
+                // STT-RAM write holds the bank — that hold is what "blocks
+                // subsequent cache and memory requests during transaction
+                // commits" (§5.2).
+                let w = sys.llc_port_hold(line, t, self.write_lat);
+                t += w + sys.lat_l2 + 1;
+            }
+            sys.hier.unpin_line(line);
+        }
+        if t > t0 {
+            sys.cores[c].stats.add_stall(StallKind::CommitFlush, t - t0);
+            sys.cores[c].time = t;
+        }
+        sys.finish_txend(c);
+    }
+
+    /// What an evicted persistent line writes back: its committed version.
+    pub(crate) fn committed_line(&self, line: LineAddr, nvm: &Backing) -> [Word; WORDS_PER_LINE] {
+        std::array::from_fn(|i| {
+            let w = line.word(i);
+            let durable = || nvm.read_word(w);
+            self.committed.get(&w).copied().unwrap_or_else(durable)
+        })
+    }
+
+    /// What survives a crash: the committed lines.
+    pub(crate) fn snapshot(&self) -> DurableState {
+        DurableState::NvLlc {
+            committed: self.committed.clone(),
+        }
+    }
+}
+
+/// NVLLC recovery: overlays the committed lines. It walks the tag array
+/// (with `machine`, every LLC line) to discard uncommitted lines; no data
+/// moves, so nothing counts as replayed.
+pub(crate) fn recover(
+    committed: &FxHashMap<WordAddr, Word>,
+    nvm: &mut Backing,
+    machine: Option<&MachineConfig>,
+) -> RecoveryCost {
+    nvm.extend(committed.iter().map(|(&w, &v)| (w, v)));
+    RecoveryCost {
+        words_scanned: machine.map_or(0, |m| m.llc.lines()),
+        ..RecoveryCost::default()
+    }
+}

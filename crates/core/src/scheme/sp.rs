@@ -24,7 +24,10 @@
 //! the cursor only moves forward).
 
 use pmacc_cpu::{Op, Trace};
+use pmacc_mem::Backing;
 use pmacc_types::{layout, Addr, Word, WordAddr, WORD_BYTES};
+
+use crate::recovery::RecoveryCost;
 
 const COMMIT_BIT: Word = 1 << 63;
 const ADDR_MASK: Word = (1 << 40) - 1;
@@ -93,6 +96,37 @@ pub fn parse_log(core: usize, read: &dyn Fn(WordAddr) -> Word) -> Vec<LogElem> {
         }
     }
     out
+}
+
+/// SP recovery: parses each core's log out of the NVM image and redoes the
+/// committed records in log order. Records and commit markers are 2 words.
+pub(crate) fn recover(cores: usize, nvm: &mut Backing) -> RecoveryCost {
+    let mut cost = RecoveryCost::default();
+    for core in 0..cores {
+        let elems = parse_log(core, &|w| nvm.read_word(w));
+        cost.words_scanned += 2 * elems.len() as u64;
+        let committed: Vec<u64> = elems
+            .iter()
+            .filter_map(|e| match e {
+                LogElem::Commit { serial } => Some(*serial),
+                LogElem::Record { .. } => None,
+            })
+            .collect();
+        for e in &elems {
+            if let LogElem::Record {
+                serial,
+                addr,
+                value,
+            } = e
+            {
+                if committed.contains(serial) {
+                    nvm.write_word(*addr, *value);
+                    cost.words_replayed += 1;
+                }
+            }
+        }
+    }
+    cost
 }
 
 /// Fence placement for the SP instrumentation.

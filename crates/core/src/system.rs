@@ -17,24 +17,23 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use pmacc_cache::{Access, Eviction, Hierarchy, HierarchyOpts, Level, Mshr, WriteBackBuffer};
+use pmacc_cache::{Access, Eviction, Hierarchy, Level, Mshr, WriteBackBuffer};
 use pmacc_cpu::{CoreStats, Op, StallKind, StoreBuffer, Trace, TxRegs};
 use pmacc_cpu::{PendingStore, StoreKind};
 use pmacc_mem::{Backing, Completion, MemController};
 use pmacc_types::{
-    layout, AccessKind, Addr, ConfigError, Counter, Cycle, FxHashMap, LineAddr, MachineConfig,
-    MemRegion, MemReq, ReqId, SchemeKind, SimError, TxId, Word, WordAddr, WriteCause,
-    WORDS_PER_LINE, WORD_BYTES,
+    AccessKind, Addr, ConfigError, Counter, Cycle, FxHashMap, LineAddr, MachineConfig, MemRegion,
+    MemReq, ReqId, SimError, TxId, Word, WordAddr, WriteCause, WORDS_PER_LINE,
 };
 use pmacc_workloads::{WorkloadKind, WorkloadParams};
 
 use crate::inputs::{self, CoreTrace, RunInputs};
 use crate::metrics::RunReport;
-use crate::recovery::{CowTxShadow, CrashState, DurableState, TxRecord};
-use crate::scheme;
+use crate::recovery::{CrashState, TxRecord};
+use crate::scheme::{self, SchemeState, TcWrite};
 use crate::service::{self, ReqTiming, ServeConfig, ServeCore, ServeCoreStats, ServeState};
 use crate::txcache::TxCache;
 
@@ -45,6 +44,8 @@ const STEP_CYCLES: Cycle = 256;
 const PIN_RETRY_LIMIT: u32 = 8;
 /// Abort with [`SimError::Deadlock`] beyond this many cycles.
 const MAX_CYCLES: Cycle = 20_000_000_000;
+/// Retry interval for a demand load that found the read queue or MSHRs full.
+const LOAD_RETRY: Cycle = 16;
 /// Retry interval when an NVLLC fill finds its LLC set fully pinned (a
 /// remote commit is what unpins the set, so the blocked core polls).
 const PIN_RETRY: Cycle = 64;
@@ -174,7 +175,7 @@ impl Sampler {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Event {
+pub(crate) enum Event {
     CoreStep(usize),
     MemPoke(MemRegion),
     TcDrain(usize),
@@ -186,73 +187,56 @@ enum Event {
     Wake,
 }
 
+impl Event {
+    /// The slot of a deduplicated wake: per memory region, then per core.
+    fn slot(self) -> usize {
+        match self {
+            Event::MemPoke(region) => usize::from(region == MemRegion::Dram),
+            Event::TcDrain(c) => 2 + c,
+            Event::CoreStep(_) | Event::Wake => unreachable!("{self:?} is not deduplicated"),
+        }
+    }
+}
+
+/// What an outstanding memory request was issued for.
 #[derive(Debug, Clone)]
-enum Origin {
+pub(crate) enum Origin {
     LoadFill {
         core: usize,
     },
+    /// An eviction, a forced unpin, or a `clwb` by core `flusher`.
     Writeback {
         line: LineAddr,
         words: [Word; WORDS_PER_LINE],
+        flusher: Option<usize>,
     },
-    FlushAck {
-        core: usize,
-        words: [Word; WORDS_PER_LINE],
-    },
-    TcAck {
-        core: usize,
-        slot: usize,
-        values: [Option<Word>; WORDS_PER_LINE],
-        /// Commit order of the owning transaction, so acks of two cores'
-        /// writes to one shared word apply in commit order regardless of
-        /// NVM completion order.
-        seq: u64,
-    },
-    CowData {
-        core: usize,
-    },
-    CowRecord {
-        core: usize,
-        tx: TxId,
-    },
-    CowInstall {
-        core: usize,
-        tx: TxId,
-        word: WordAddr,
-        value: Word,
-        /// Commit order of the overflowed transaction (see `TcAck::seq`).
-        seq: u64,
-    },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxEndPhase {
-    WaitCowData,
-    WaitCowRecord,
+    /// A write on one of the TC's own paths.
+    Tc(TcWrite),
 }
 
 #[derive(Debug)]
-struct CoreCtx {
+pub(crate) struct CoreCtx {
     idx: usize,
-    time: Cycle,
+    pub(crate) time: Cycle,
     slot_accum: u32,
-    regs: TxRegs,
+    pub(crate) regs: TxRegs,
     sb: StoreBuffer,
     sb_times: VecDeque<Cycle>,
     last_drain: Cycle,
     pending_flushes: usize,
-    blocked: Option<StallKind>,
+    pub(crate) blocked: Option<StallKind>,
     stall_started: Cycle,
     finished: bool,
-    stats: CoreStats,
+    pub(crate) stats: CoreStats,
     // An outstanding demand load: (line, arrival, started, persistent).
     pending_load: Option<(LineAddr, Cycle, Cycle, bool)>,
     // Whether the pending load has been accepted by a memory controller.
     load_inflight: bool,
     // Current-transaction bookkeeping.
-    tx_writes: Vec<(WordAddr, Word)>,
-    tx_lines: Vec<LineAddr>,
-    txend: Option<(TxId, Option<TxEndPhase>)>,
+    pub(crate) tx_writes: Vec<(WordAddr, Word)>,
+    pub(crate) tx_lines: Vec<LineAddr>,
+    /// The transaction whose `TX_END` is in progress.
+    pub(crate) txend: Option<TxId>,
     pin_retries: u32,
     /// One-shot pass issued by the deadlock-avoidance rule: the next
     /// conflict check on this core is skipped so the lowest-index member
@@ -308,65 +292,16 @@ impl CoreCtx {
         }
     }
 
-    fn begin_stall(&mut self, kind: StallKind) {
+    pub(crate) fn begin_stall(&mut self, kind: StallKind) {
         self.blocked = Some(kind);
         self.stall_started = self.time;
     }
 
-    fn end_stall(&mut self, now: Cycle) {
+    pub(crate) fn end_stall(&mut self, now: Cycle) {
         if let Some(kind) = self.blocked.take() {
             let t = now.max(self.stall_started);
             self.stats.add_stall(kind, t - self.stall_started);
             self.time = self.time.max(t);
-        }
-    }
-}
-
-/// One core's copy-on-write fall-back state (TC overflow).
-#[derive(Debug, Clone, Default)]
-struct CowCore {
-    /// Shadows of overflowed transactions, in issue order.
-    shadows: Vec<CowTxShadow>,
-    /// Outstanding home-location installs per overflowed transaction:
-    /// its shadow is freed when the count reaches zero, and the core's
-    /// TC drains wait while any install is outstanding.
-    installs: FxHashMap<TxId, usize>,
-    /// The running transaction has overflowed to the COW area.
-    active: bool,
-    /// Shadow writes issued but not yet durable.
-    pending: usize,
-    /// Next free word offset in the core's COW area.
-    cursor: u64,
-}
-
-/// The running scheme's own state: the one place each scheme's runtime
-/// bookkeeping lives, so no run carries another scheme's fields.
-/// [`System::crash_state`] turns it into the matching [`DurableState`].
-#[derive(Debug)]
-enum SchemeState {
-    Optimal,
-    Sp,
-    /// Per-core COW overflow state (the TC arrays themselves are
-    /// `System::tcs`, which every scheme reports).
-    TxCache(Vec<CowCore>),
-    /// The NVLLC committed-line image (word granularity).
-    NvLlc(FxHashMap<WordAddr, Word>),
-    /// Per core, the first-write pre-image of every persistent word the
-    /// in-flight transaction has overwritten. Under eADR an uncommitted
-    /// store is durable the moment it is written, so rollback after a
-    /// crash needs these pre-images; the log is modeled as part of the
-    /// residual-energy-protected domain. Cleared at commit.
-    Eadr(Vec<BTreeMap<WordAddr, Word>>),
-}
-
-impl SchemeState {
-    fn new(scheme: SchemeKind, cores: usize) -> Self {
-        match scheme {
-            SchemeKind::Optimal => SchemeState::Optimal,
-            SchemeKind::Sp => SchemeState::Sp,
-            SchemeKind::TxCache => SchemeState::TxCache(vec![CowCore::default(); cores]),
-            SchemeKind::NvLlc => SchemeState::NvLlc(FxHashMap::default()),
-            SchemeKind::Eadr => SchemeState::Eadr(vec![BTreeMap::new(); cores]),
         }
     }
 }
@@ -382,30 +317,20 @@ impl SchemeState {
 pub struct System {
     cfg: MachineConfig,
     traces: Vec<CoreTrace>,
-    cores: Vec<CoreCtx>,
-    hier: Hierarchy,
-    tcs: Vec<TxCache>,
-    nvm: MemController,
+    pub(crate) cores: Vec<CoreCtx>,
+    pub(crate) hier: Hierarchy,
+    pub(crate) tcs: Vec<TxCache>,
+    pub(crate) nvm: MemController,
     dram: MemController,
     /// Durable NVM contents: what the memory controller has written.
-    nvm_backing: Backing,
+    pub(crate) nvm_backing: Backing,
     /// The architectural image of persistent memory: what stores wrote.
-    arch_image: Backing,
-    scheme: SchemeState,
+    pub(crate) arch_image: Backing,
+    /// The running scheme's state, which [`crate::scheme`] dispatches on.
+    pub(crate) scheme: SchemeState,
     /// The frozen initial image both images above overlay, and the
     /// oracle's write table; shared by every run of the same workloads.
     inputs: Arc<RunInputs>,
-    /// Per shared-window word, the highest commit order whose value has
-    /// been applied to the durable NVM image. Two cores' committed writes
-    /// to a shared word may complete at the NVM out of commit order; this
-    /// keeps the functional image ordered by commit without perturbing
-    /// timing. Private (striped) words never alias, so they skip the map.
-    durable_word_seq: FxHashMap<WordAddr, u64>,
-    /// Cached [`layout::shared_pool_base`] word bound for the check above.
-    shared_word_base: u64,
-    /// Cached [`layout::extended_heap_base`] word bound: words at or above
-    /// it are extended-core private images, which never alias either.
-    shared_word_end: u64,
     /// Per line, a bitmap of cores whose in-flight transaction (active or
     /// awaiting commit durability) has written it. Bit `c` is set iff
     /// `line` is in `cores[c].tx_lines`; the conflict check reads this map
@@ -414,7 +339,7 @@ pub struct System {
     /// Cycle at which measurement started (after warm-up, if any).
     measure_start: Cycle,
     warmup_done: bool,
-    journal: Vec<TxRecord>,
+    pub(crate) journal: Vec<TxRecord>,
     /// The committed image — the initial image with the first `.1`
     /// journal entries replayed — which [`System::crash_state`] catches up
     /// lazily and shares with the snapshots it takes.
@@ -422,11 +347,11 @@ pub struct System {
     /// Durability-boundary cycles (empty unless
     /// [`RunConfig::record_boundaries`] is set).
     boundaries: Vec<(Cycle, BoundaryClass)>,
-    dropped_llc_writes: Counter,
-    clock: Cycle,
+    pub(crate) dropped_llc_writes: Counter,
+    pub(crate) clock: Cycle,
     events: BinaryHeap<Reverse<(Cycle, u64, Event)>>,
     seq: u64,
-    origins: FxHashMap<ReqId, Origin>,
+    pub(crate) origins: FxHashMap<ReqId, Origin>,
     next_req: u64,
     /// Banked LLC port model: one access per cycle per bank; NVLLC commit
     /// bursts hold a single bank for the full STT-RAM write.
@@ -436,8 +361,8 @@ pub struct System {
     mshr: Mshr<usize>,
     /// Write-backs waiting for memory-controller queue room.
     wb_pending: WriteBackBuffer,
-    mem_poke_at: [Option<Cycle>; 2],
-    tc_drain_at: Vec<Option<Cycle>>,
+    /// Per deduplicated wake ([`Event::slot`]), its live event's cycle.
+    wake_at: Vec<Option<Cycle>>,
     /// Open-system service mode ([`System::enable_serve`]); `None` runs
     /// the classic closed loop.
     serve: Option<ServeState>,
@@ -447,11 +372,9 @@ pub struct System {
     pub engine: EngineStats,
     // Cached latencies (cycles).
     lat_l1: Cycle,
-    lat_l2: Cycle,
+    pub(crate) lat_l2: Cycle,
     lat_llc: Cycle,
     lat_tc: Cycle,
-    /// NVLLC commit-flush (STT-RAM write) port occupancy per line.
-    lat_llc_write: Cycle,
 }
 
 impl System {
@@ -519,9 +442,8 @@ impl System {
         run_cfg: &RunConfig,
     ) -> Self {
         let freq = cfg.core.freq;
-        let opts = HierarchyOpts {
-            pin_uncommitted_in_llc: cfg.scheme == SchemeKind::NvLlc,
-        };
+        let scheme = SchemeState::new(&cfg);
+        let (opts, lat_llc) = scheme.llc(&cfg);
         let mut system = System {
             cores: (0..cfg.cores).map(|c| CoreCtx::new(c, &cfg)).collect(),
             hier: Hierarchy::new(cfg.cores, cfg.l1, cfg.l2, cfg.llc, opts),
@@ -532,10 +454,7 @@ impl System {
             arch_image: inputs.initial.base(),
             committed: RefCell::new((Arc::new(inputs.initial.base()), 0)),
             inputs,
-            scheme: SchemeState::new(cfg.scheme, cfg.cores),
-            durable_word_seq: FxHashMap::default(),
-            shared_word_base: layout::shared_pool_base().word().raw(),
-            shared_word_end: layout::extended_heap_base().word().raw(),
+            scheme,
             tx_writers: FxHashMap::default(),
             measure_start: 0,
             warmup_done: false,
@@ -550,21 +469,14 @@ impl System {
             llc_port_free: [0; 4],
             mshr: Mshr::new(16),
             wb_pending: WriteBackBuffer::new(4096),
-            mem_poke_at: [None, None],
-            tc_drain_at: vec![None; cfg.cores],
+            wake_at: vec![None; 2 + cfg.cores],
             serve: None,
             run_cfg: *run_cfg,
             sampler: Sampler::new(run_cfg.sample_period),
             engine: EngineStats::default(),
             lat_l1: freq.ns_to_cycles(cfg.l1.latency_ns),
             lat_l2: freq.ns_to_cycles(cfg.l2.latency_ns),
-            // Kiln's LLC is an STT-RAM array: slower than the SRAM LLC.
-            lat_llc: if cfg.scheme == SchemeKind::NvLlc {
-                freq.ns_to_cycles(cfg.nvllc.read_ns)
-            } else {
-                freq.ns_to_cycles(cfg.llc.latency_ns)
-            },
-            lat_llc_write: freq.ns_to_cycles(cfg.nvllc.write_ns),
+            lat_llc,
             lat_tc: cfg.txcache.latency_cycles(freq),
             traces,
             cfg,
@@ -826,35 +738,35 @@ impl System {
     }
 
     /// Appends a durability-boundary record (no-op unless enabled).
-    fn record_boundary(&mut self, class: BoundaryClass) {
+    pub(crate) fn record_boundary(&mut self, class: BoundaryClass) {
         if self.run_cfg.record_boundaries {
             self.boundaries.push((self.clock, class));
         }
     }
 
-    fn push_event(&mut self, at: Cycle, ev: Event) {
+    pub(crate) fn push_event(&mut self, at: Cycle, ev: Event) {
         self.seq += 1;
         self.engine.wakes_scheduled += 1;
         self.events.push(Reverse((at, self.seq, ev)));
     }
 
-    fn schedule_mem_poke(&mut self, region: MemRegion, at: Cycle) {
-        let i = (region == MemRegion::Dram) as usize;
-        if self.mem_poke_at[i].is_none_or(|t| at < t) {
-            self.mem_poke_at[i] = Some(at);
-            self.push_event(at, Event::MemPoke(region));
+    /// Schedules the deduplicated wake `ev` (a memory poke or a TC drain)
+    /// at `at`, unless the same wake is already due no later.
+    pub(crate) fn schedule_wake(&mut self, ev: Event, at: Cycle) {
+        let due = &mut self.wake_at[ev.slot()];
+        if due.is_none_or(|t| at < t) {
+            *due = Some(at);
+            self.push_event(at, ev);
         } else {
             self.engine.wakes_coalesced += 1;
         }
     }
 
-    fn schedule_tc_drain(&mut self, c: usize, at: Cycle) {
-        if self.tc_drain_at[c].is_none_or(|t| at < t) {
-            self.tc_drain_at[c] = Some(at);
-            self.push_event(at, Event::TcDrain(c));
-        } else {
-            self.engine.wakes_coalesced += 1;
-        }
+    /// Whether `ev` is its deduplicated wake's live event, which it then
+    /// consumes: superseded copies die here, or each would re-arm forever.
+    fn take_wake(&mut self, ev: Event) -> bool {
+        let now = self.clock;
+        self.wake_at[ev.slot()].take_if(|t| *t == now).is_some()
     }
 
     fn req_id(&mut self) -> ReqId {
@@ -922,9 +834,9 @@ impl System {
             self.flush_samples(t);
             match ev {
                 Event::CoreStep(c) => self.handle_core_step(c),
-                Event::MemPoke(region) => self.handle_mem_poke(region),
-                Event::TcDrain(c) => self.handle_tc_drain(c),
-                Event::Wake => {}
+                Event::MemPoke(region) if self.take_wake(ev) => self.handle_mem_poke(region),
+                Event::TcDrain(c) if self.take_wake(ev) => self.on_tc(|tc, sys| tc.drain(sys, c)),
+                Event::MemPoke(_) | Event::TcDrain(_) | Event::Wake => {}
             }
         }
         Ok(())
@@ -992,18 +904,6 @@ impl System {
             s.cycles = c.time.saturating_sub(self.measure_start);
             cores.push(s);
         }
-        let residual_nvm_lines = match self.scheme {
-            // Dropped on eviction: the TC path already persisted them.
-            SchemeState::TxCache(_) => 0,
-            // Uncommitted (pinned/tagged) lines are not owed to the NVM.
-            SchemeState::NvLlc(_) => self.hier.residual_persistent_dirty_lines(true),
-            // eADR caches are ordinary write-back caches in normal
-            // operation (the drain only happens at power loss), so their
-            // dirty lines are still owed to the NVM like Optimal's.
-            SchemeState::Optimal | SchemeState::Sp | SchemeState::Eadr(_) => {
-                self.hier.residual_persistent_dirty_lines(false)
-            }
-        };
         RunReport {
             scheme: self.cfg.scheme,
             cycles: self
@@ -1019,7 +919,7 @@ impl System {
             dram: self.dram.stats.clone(),
             tc: self.tcs.iter().map(|t| t.stats.clone()).collect(),
             dropped_llc_writes: self.dropped_llc_writes.value(),
-            residual_nvm_lines,
+            residual_nvm_lines: self.residual_nvm_lines(),
             series: self.sampler.freeze(),
             engine: self.engine,
         }
@@ -1055,48 +955,7 @@ impl System {
     pub fn crash_state(&self) -> CrashState {
         let wear = self.nvm.wear_snapshot();
         let mut logical = self.nvm_backing.clone();
-        let durable = match &self.scheme {
-            SchemeState::Optimal => DurableState::Optimal,
-            SchemeState::Sp => DurableState::Sp,
-            SchemeState::TxCache(cow) => DurableState::TxCache {
-                txcaches: self.tcs.iter().map(TxCache::entries_fifo).collect(),
-                cow: cow.iter().map(|k| k.shadows.clone()).collect(),
-            },
-            SchemeState::NvLlc(committed) => DurableState::NvLlc {
-                committed: committed.clone(),
-            },
-            SchemeState::Eadr(undo) => {
-                // Residual energy drains every dirty persistent line in
-                // L1/L2/LLC to the NVM at power loss, so the crash image
-                // sees them as-if-flushed — committed or not. The
-                // memory-controller queues were already inside the ADR
-                // domain, so write-backs still in flight (queued, or
-                // parked awaiting queue room) drain first, oldest request
-                // id to newest — a line evicted twice lands its newest
-                // snapshot last — and the cache drain lands newest of
-                // all. The whole drain operates on logical line addresses
-                // (same path as a write-back), so it composes *before*
-                // the wear remap translates the image into device rows.
-                let mut pending: Vec<(ReqId, LineAddr, [Word; WORDS_PER_LINE])> = self
-                    .origins
-                    .iter()
-                    .filter_map(|(&id, origin)| match origin {
-                        Origin::Writeback { line, words } if line.is_persistent() => {
-                            Some((id, *line, *words))
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                pending.sort_unstable_by_key(|&(id, _, _)| id);
-                for (_, line, words) in pending {
-                    logical.write_line(line, &words);
-                }
-                for line in self.hier.dirty_persistent_lines() {
-                    logical.write_line(line, &self.arch_image.read_line(line));
-                }
-                DurableState::Eadr { undo: undo.clone() }
-            }
-        };
+        let durable = self.durable_state(&mut logical);
         let nvm = match &wear {
             Some(snap) => snap.to_device(&logical),
             None => logical,
@@ -1111,7 +970,7 @@ impl System {
             in_flight: (0..self.cores.len())
                 .map(|c| {
                     let core = &self.cores[c];
-                    let tx = core.regs.current().or(core.txend.map(|(t, _)| t))?;
+                    let tx = core.regs.current().or(core.txend)?;
                     Some(TxRecord {
                         tx,
                         commit_cycle: self.clock,
@@ -1167,18 +1026,11 @@ impl System {
                     return;
                 }
                 if let Some((line, arrival, _started, _p)) = self.cores[c].pending_load {
-                    let region = line.region();
-                    let ctrl = self.ctrl(region);
-                    if ctrl.can_accept(AccessKind::Read) {
-                        self.issue_load_fill(c, line, arrival);
-                    } else {
-                        let at = self.clock + 16;
-                        self.push_event(at, Event::CoreStep(c));
-                    }
+                    self.issue_load(c, line, arrival);
                 }
             }
             Some(StallKind::Fence) => self.try_finish_fence(c),
-            Some(StallKind::TxCacheFull) => self.try_resume_tc(c),
+            Some(StallKind::TxCacheFull) => self.on_tc(|tc, sys| tc.resume(sys, c)),
             Some(StallKind::PinBlocked) => {
                 let now = self.clock.max(self.cores[c].time);
                 self.cores[c].end_stall(now);
@@ -1268,7 +1120,7 @@ impl System {
     /// Holds `line`'s LLC bank for `dur` cycles (one per ordinary access;
     /// the full STT-RAM write for NVLLC commit bursts), returning the
     /// wait before the hold could start.
-    fn llc_port_hold(&mut self, line: LineAddr, t: Cycle, dur: Cycle) -> Cycle {
+    pub(crate) fn llc_port_hold(&mut self, line: LineAddr, t: Cycle, dur: Cycle) -> Cycle {
         let b = Self::llc_bank(line);
         let wait = self.llc_port_free[b].saturating_sub(t);
         self.llc_port_free[b] = self.llc_port_free[b].max(t) + dur;
@@ -1318,76 +1170,45 @@ impl System {
                 };
                 if out.hit.is_some() {
                     self.finish_load(c, lat, persistent);
-                } else if self.tc_probe_any(line) {
+                } else if self.probe_side_path(line) {
                     self.finish_load(c, lat + self.lat_tc, persistent);
                 } else {
                     // Fill from memory.
                     let arrival = t + lat;
                     self.cores[c].begin_stall(StallKind::Load);
                     self.cores[c].pending_load = Some((line, arrival, t, persistent));
-                    if self.ctrl(line.region()).can_accept(AccessKind::Read) {
-                        self.issue_load_fill(c, line, arrival);
-                    } else {
-                        let at = self.clock + 16;
-                        self.push_event(at, Event::CoreStep(c));
-                    }
+                    self.issue_load(c, line, arrival);
                 }
             }
         }
     }
 
-    /// Under the TC scheme an LLC miss on a persistent line probes the
-    /// transaction cache *in parallel* with the NVM request (§3); a hit
-    /// serves the fill at CAM latency without touching the NVM. Returns
-    /// whether such a probe hit.
-    ///
-    /// The probe is broadcast to every core's transaction cache,
-    /// stopping at the first hit (as `iter().any` would). A TC whose
-    /// presence filter says the line cannot be buffered skips the CAM
-    /// search entirely but still counts the broadcast as a probe miss —
-    /// the probe statistics feed both the report and the energy model, so
-    /// the filter must be invisible to them.
-    fn tc_probe_any(&mut self, line: LineAddr) -> bool {
-        if !line.is_persistent() || !matches!(self.scheme, SchemeState::TxCache(_)) {
-            return false;
-        }
-        for tc in &mut self.tcs {
-            if tc.contains_line(line) {
-                if tc.probe(line).is_some() {
-                    return true;
-                }
-            } else {
-                tc.record_probe_miss();
-            }
-        }
-        false
-    }
-
-    fn issue_load_fill(&mut self, c: usize, line: LineAddr, arrival: Cycle) {
-        // Merge with an outstanding fill of the same line if one exists.
-        match self.mshr.allocate(line, c) {
-            Ok(true) => {} // primary miss: fetch below
-            Ok(false) => {
-                // Secondary miss: the primary's completion wakes us.
-                self.cores[c].load_inflight = true;
-                return;
-            }
-            Err(_) => {
-                // MSHR full: retry shortly.
-                let at = self.clock + 16;
-                self.push_event(at, Event::CoreStep(c));
-                return;
-            }
-        }
-        let id = self.req_id();
-        self.origins.insert(id, Origin::LoadFill { core: c });
+    /// Sends core `c`'s fill of `line` to memory, merged with an outstanding
+    /// fill of the line if any, or retries while the queue or MSHRs are full.
+    fn issue_load(&mut self, c: usize, line: LineAddr, arrival: Cycle) {
         let region = line.region();
-        let req = MemReq::read(id, line, Some(c));
-        self.ctrl(region)
-            .enqueue(req, arrival)
-            .expect("checked can_accept");
-        self.cores[c].load_inflight = true;
-        self.poke_ctrl(region);
+        if self.ctrl(region).can_accept(AccessKind::Read) {
+            match self.mshr.allocate(line, c) {
+                Ok(true) => {
+                    let id = self.req_id();
+                    self.origins.insert(id, Origin::LoadFill { core: c });
+                    let req = MemReq::read(id, line, Some(c));
+                    self.ctrl(region)
+                        .enqueue(req, arrival)
+                        .expect("checked can_accept");
+                    self.cores[c].load_inflight = true;
+                    self.poke_ctrl(region);
+                    return;
+                }
+                Ok(false) => {
+                    // Secondary miss: the primary's completion wakes us.
+                    self.cores[c].load_inflight = true;
+                    return;
+                }
+                Err(_) => {}
+            }
+        }
+        self.push_event(self.clock + LOAD_RETRY, Event::CoreStep(c));
     }
 
     fn finish_load(&mut self, c: usize, lat: Cycle, persistent: bool) {
@@ -1410,10 +1231,9 @@ impl System {
 
     fn do_store(&mut self, c: usize, addr: Addr, value: Word, kind: StoreKind) {
         let persistent = addr.is_persistent();
-        let in_tx = self.cores[c].regs.in_tx();
         let tx = self.cores[c].regs.current();
-        let tx_data = persistent && in_tx && kind == StoreKind::Data;
-        let tc_route = tx_data && matches!(self.scheme, SchemeState::TxCache(_));
+        // The transaction of a transactional persistent data store.
+        let tx_data = tx.filter(|_| persistent && kind == StoreKind::Data);
 
         // Cross-core conflict serialization, checked before any other
         // side effect so the retried op is idempotent: a transactional
@@ -1423,7 +1243,7 @@ impl System {
         // writes reach the persistence domain (§3's program-order rule,
         // lifted across cores). Inert without sharing — striped cores
         // never hold the same line.
-        if tx_data {
+        if tx_data.is_some() {
             if self.cores[c].conflict_exempt {
                 self.cores[c].conflict_exempt = false;
             } else if self.conflicting_core(c, addr.line()).is_some() {
@@ -1435,27 +1255,12 @@ impl System {
             }
         }
 
-        // The transaction cache may need to stall *before* any other side
-        // effect so that the retried op is idempotent.
-        if tc_route && !self.cow(c).active {
-            if self.tcs[c].overflow_triggered() {
-                self.overflow_to_cow(c, tx.expect("in tx"));
-            } else if self.tcs[c].is_full() {
-                self.cores[c].begin_stall(StallKind::TxCacheFull);
-                // An acknowledgment completion wakes the core.
-                let at = self.clock + 512;
-                self.push_event(at, Event::CoreStep(c));
-                return;
-            }
-        }
-
+        // The scheme may stall the store, also before any other side
+        // effect.
+        let Some(acc) = self.store_access(c, addr, tx_data) else {
+            return;
+        };
         let line = addr.line();
-        // NVLLC tags transactional persistent stores so the hierarchy can
-        // pin them; the TC scheme needs no tagging (hierarchy unmodified).
-        let mut acc = Access::store(line);
-        if let (SchemeState::NvLlc(_), true, Some(t)) = (&self.scheme, persistent, tx) {
-            acc = acc.with_tx(t);
-        }
         let outcome = match self.hier.access(c, acc) {
             Err(_) => {
                 self.pin_blocked(c, line);
@@ -1470,19 +1275,7 @@ impl System {
         // Functional: architectural memory state (DRAM contents are not
         // modeled).
         if persistent {
-            let word = addr.word();
-            // eADR undo log, first write wins: keep the pre-image of each
-            // word the in-flight transaction overwrites. Under eADR the
-            // store is already durable (the failure drain will persist
-            // it), so this pre-image is what rollback restores if the
-            // transaction never commits. The conflict gate above
-            // serialized cross-core writers of this line, so the
-            // pre-image is the latest committed value.
-            if let (SchemeState::Eadr(undo), true) = (&mut self.scheme, tx_data) {
-                let pre = self.arch_image.read_word(word);
-                undo[c].entry(word).or_insert(pre);
-            }
-            self.arch_image.write_word(word, value);
+            self.arch_image.write_word(addr.word(), value);
         }
 
         // Timing: the store retires into the store buffer and drains in
@@ -1495,7 +1288,7 @@ impl System {
                 let llc = self.lat_l2 + self.llc_port_hold(line, t, 1) + self.lat_llc;
                 if hit.is_some() {
                     llc
-                } else if self.tc_probe_any(line) {
+                } else if self.probe_side_path(line) {
                     llc + self.lat_tc
                 } else {
                     llc + self.ctrl(line.region()).read_estimate()
@@ -1523,17 +1316,8 @@ impl System {
         });
         self.cores[c].sb_times.push_back(drain_at);
 
-        // Scheme-specific persistent-store handling.
-        if tc_route {
-            if self.cow(c).active {
-                self.cow_write(c, tx.expect("in tx"), addr.word(), value);
-            } else {
-                self.tcs[c]
-                    .insert(tx.expect("in tx"), addr.word(), value)
-                    .expect("fullness checked above");
-            }
-        }
-        if tx_data {
+        if let Some(tx) = tx_data {
+            self.on_tc(|tc, sys| tc.buffer(sys, c, tx, addr.word(), value));
             self.cores[c].tx_writes.push((addr.word(), value));
             // Every scheme tracks the written lines: NVLLC commits them,
             // and the conflict check above reads them on remote cores
@@ -1621,14 +1405,12 @@ impl System {
             // the set and persist it out of band (hardware COW).
             if let Some(victim) = self.hier.force_unpin_for(line) {
                 let words = self.arch_image.read_line(victim);
-                self.post_write(
-                    victim,
-                    WriteCause::Cow,
-                    Origin::Writeback {
-                        line: victim,
-                        words,
-                    },
-                );
+                let origin = Origin::Writeback {
+                    line: victim,
+                    words,
+                    flusher: None,
+                };
+                self.post_write(victim, WriteCause::Cow, origin);
             }
             self.cores[c].pin_retries = 0;
         }
@@ -1649,7 +1431,11 @@ impl System {
         if dirty {
             let words = self.arch_image.read_line(line);
             self.cores[c].pending_flushes += 1;
-            let origin = Origin::FlushAck { core: c, words };
+            let origin = Origin::Writeback {
+                line,
+                words,
+                flusher: Some(c),
+            };
             self.post_write(line, WriteCause::Flush, origin);
         }
         self.cores[c].idx += 1;
@@ -1700,84 +1486,20 @@ impl System {
     fn do_txend(&mut self, c: usize) {
         if self.cores[c].txend.is_none() {
             let tx = self.cores[c].regs.end();
-            self.cores[c].txend = Some((tx, None));
-            match &mut self.scheme {
-                // eADR commits are free: every store is already durable,
-                // so TX_END only has to publish the commit (retire the
-                // journal entry and release the conflict gate) — same
-                // instant-retirement path as Optimal and SP.
-                SchemeState::Optimal | SchemeState::Sp | SchemeState::Eadr(_) => {
-                    self.finish_txend(c);
-                }
-                SchemeState::TxCache(cow) => {
-                    let cow_active = cow[c].active;
-                    // The commit order is the journal index this
-                    // transaction takes: `finish_txend` pushes it within
-                    // this same event in the non-COW case. In the COW
-                    // case the TC holds no entries for this transaction
-                    // (overflow discarded them), so this stamp is a
-                    // no-op; the shadow's authoritative order is set when
-                    // its commit record persists.
-                    let seq = self.journal.len() as u64 + 1;
-                    self.tcs[c].commit(tx, seq);
-                    let at = self.clock.max(self.cores[c].time);
-                    self.schedule_tc_drain(c, at);
-                    if cow_active {
-                        self.cores[c].begin_stall(StallKind::TxCacheFull);
-                        self.cores[c].txend = Some((tx, Some(TxEndPhase::WaitCowData)));
-                        self.try_resume_tc(c);
-                    } else {
-                        self.finish_txend(c);
-                    }
-                }
-                SchemeState::NvLlc(committed) => {
-                    // Functional: the transaction's values are now
-                    // committed in the nonvolatile LLC.
-                    for &(w, v) in &self.cores[c].tx_writes {
-                        committed.insert(w, v);
-                    }
-                    // Blocking commit flush: push the transaction's dirty
-                    // lines from L1/L2 into the nonvolatile LLC, occupying
-                    // the LLC write port (the §5.2 "bursts of traffic").
-                    let lines: Vec<LineAddr> = self.cores[c].tx_lines.clone();
-                    let t0 = self.cores[c].time;
-                    let mut t = t0;
-                    for line in lines {
-                        let moved = self.hier.demote_tx_line(c, line, tx);
-                        if moved {
-                            // Read the private copy (L2 latency) and
-                            // initiate the LLC write; the core moves on to
-                            // the next line while the STT-RAM write holds
-                            // the bank — that hold is what "blocks
-                            // subsequent cache and memory requests during
-                            // transaction commits" (§5.2).
-                            let w = self.llc_port_hold(line, t, self.lat_llc_write);
-                            t += w + self.lat_l2 + 1;
-                        }
-                        self.hier.unpin_line(line);
-                    }
-                    if t > t0 {
-                        self.cores[c].stats.add_stall(StallKind::CommitFlush, t - t0);
-                        self.cores[c].time = t;
-                    }
-                    self.finish_txend(c);
-                }
-            }
+            self.cores[c].txend = Some(tx);
+            self.tx_end(c, tx);
         } else if self.cores[c].blocked.is_none() {
             self.finish_txend(c);
         }
     }
 
-    fn finish_txend(&mut self, c: usize) {
-        let (tx, _) = self.cores[c].txend.take().expect("txend in progress");
+    /// Retires core `c`'s `TX_END` once its scheme made it durable: the
+    /// transaction enters the journal and releases the conflict gate.
+    pub(crate) fn finish_txend(&mut self, c: usize) {
+        let tx = self.cores[c].txend.take().expect("txend in progress");
         self.record_boundary(BoundaryClass::TxEnd);
         self.cores[c].tx_writes.clear();
         self.clear_tx_lines(c);
-        // The committed transaction's eADR undo pre-images are dead: its
-        // stores are now the committed image.
-        if let SchemeState::Eadr(undo) = &mut self.scheme {
-            undo[c].clear();
-        }
         // This retirement is exactly when a remote core stalled on one of
         // this transaction's lines may proceed, so wake Conflict-blocked
         // cores now instead of leaving them to the periodic retry
@@ -1829,142 +1551,6 @@ impl System {
     }
 
     // ------------------------------------------------------------------
-    // Transaction-cache paths (drain, overflow COW)
-    // ------------------------------------------------------------------
-
-    fn handle_tc_drain(&mut self, c: usize) {
-        if self.tc_drain_at[c] != Some(self.clock) {
-            return; // stale or duplicate drain event
-        }
-        self.tc_drain_at[c] = None;
-        // §3: "different write requests of conflicted addresses are issued
-        // to the NVM in program order". An overflowed transaction's COW
-        // installs are earlier in program order than anything still in
-        // the FIFO, so drains wait until the installs are durable.
-        if !self.cow(c).installs.is_empty() {
-            return; // the last install completion re-arms the drain
-        }
-        // One entry per drain event: the FIFO drains at one line per cycle.
-        let Some((slot, entry)) = self.tcs[c].next_issue() else {
-            return;
-        };
-        if !self.nvm.can_accept(AccessKind::Write) {
-            // Retry after the queue drains a little.
-            let at = self.clock + 32;
-            self.schedule_tc_drain(c, at);
-            return;
-        }
-        let origin = Origin::TcAck {
-            core: c,
-            slot,
-            values: entry.values,
-            seq: entry.commit_seq,
-        };
-        let cause = WriteCause::TxCacheDrain;
-        let req = |id| MemReq::write(id, entry.line, Some(c), cause).with_tx(entry.tx);
-        // Never parks: the queue was checked above.
-        self.issue_write(origin, self.clock, req);
-        self.tcs[c].mark_issued(slot);
-        self.poke_ctrl(MemRegion::Nvm);
-        if self.tcs[c].next_issue().is_some() {
-            self.schedule_tc_drain(c, self.clock + 1);
-        }
-    }
-
-    fn try_resume_tc(&mut self, c: usize) {
-        // Two reasons to be TxCacheFull-blocked: a store waiting for a
-        // free entry, or a COW'd transaction waiting out its commit.
-        match self.cores[c].txend {
-            Some((tx, Some(TxEndPhase::WaitCowData))) => {
-                let cow = self.cow(c);
-                if cow.pending == 0 {
-                    // All shadow data durable: persist the commit record.
-                    let line = layout::cow_area_base(c)
-                        .offset(cow.cursor * WORD_BYTES)
-                        .line();
-                    cow.cursor += 8;
-                    let req = |id| MemReq::write(id, line, Some(c), WriteCause::Cow).with_tx(tx);
-                    self.issue_write(Origin::CowRecord { core: c, tx }, self.clock, req);
-                    self.poke_ctrl(MemRegion::Nvm);
-                    self.cores[c].txend = Some((tx, Some(TxEndPhase::WaitCowRecord)));
-                }
-            }
-            Some((_, Some(TxEndPhase::WaitCowRecord))) => {
-                // Completion handler finishes the commit.
-            }
-            _ => {
-                // A store stalled on a full FIFO: resume when room exists.
-                if !self.tcs[c].is_full() {
-                    let now = self.clock.max(self.cores[c].time);
-                    self.cores[c].end_stall(now);
-                    self.push_event(now, Event::CoreStep(c));
-                }
-            }
-        }
-    }
-
-    /// Core `c`'s COW overflow state; the overflow path runs only under
-    /// the TC scheme.
-    fn cow(&mut self, c: usize) -> &mut CowCore {
-        match &mut self.scheme {
-            SchemeState::TxCache(cow) => &mut cow[c],
-            _ => unreachable!("the COW overflow path runs only under TC"),
-        }
-    }
-
-    fn overflow_to_cow(&mut self, c: usize, tx: TxId) {
-        self.tcs[c].stats.overflows.inc();
-        self.cow(c).active = true;
-        // Migrate the transaction's buffered entries to the COW area.
-        let entries = self.tcs[c].entries_fifo();
-        let mut moved = Vec::new();
-        for e in entries {
-            if e.tx == tx && e.state == crate::txcache::EntryState::Active {
-                for (i, v) in e.values.iter().enumerate() {
-                    if let Some(v) = v {
-                        moved.push((e.line.word(i), *v));
-                    }
-                }
-            }
-        }
-        self.tcs[c].discard_active(tx);
-        for (w, v) in moved {
-            self.cow_write(c, tx, w, v);
-        }
-    }
-
-    fn cow_write(&mut self, c: usize, tx: TxId, word: WordAddr, value: Word) {
-        // Record the shadow copy in *issue* (program) order; NVM writes
-        // may complete out of order across banks, but the commit record is
-        // only written after every shadow ack, so a committed shadow is
-        // always fully durable and must replay in program order.
-        let cow = self.cow(c);
-        if let Some(last) = cow
-            .shadows
-            .last_mut()
-            .filter(|s| s.tx == tx && !s.committed)
-        {
-            last.records.push((word, value));
-        } else {
-            cow.shadows.push(CowTxShadow {
-                tx,
-                records: vec![(word, value)],
-                committed: false,
-                commit_seq: 0,
-            });
-        }
-        let line = layout::cow_area_base(c)
-            .offset(cow.cursor * WORD_BYTES)
-            .line();
-        cow.cursor += 2;
-        cow.pending += 1;
-        let at = self.clock.max(self.cores[c].time);
-        let req = |id| MemReq::write(id, line, Some(c), WriteCause::Cow).with_tx(tx);
-        self.issue_write(Origin::CowData { core: c }, at, req);
-        self.poke_ctrl(MemRegion::Nvm);
-    }
-
-    // ------------------------------------------------------------------
     // Eviction routing and write-backs
     // ------------------------------------------------------------------
 
@@ -1973,30 +1559,15 @@ impl System {
             if !ev.dirty {
                 continue;
             }
-            let words = match &self.scheme {
-                SchemeState::TxCache(_) if ev.line.is_persistent() => {
-                    // §3: dirty persistent LLC evictions are simply
-                    // dropped — the transaction cache is the only
-                    // persistent path.
-                    self.dropped_llc_writes.inc();
-                    continue;
-                }
-                // NVLLC write-backs carry the *committed* version of the
-                // line.
-                SchemeState::NvLlc(committed) if ev.line.is_persistent() => {
-                    std::array::from_fn(|i| {
-                        let w = ev.line.word(i);
-                        let durable = || self.nvm_backing.read_word(w);
-                        committed.get(&w).copied().unwrap_or_else(durable)
-                    })
-                }
-                _ => self.arch_image.read_line(ev.line),
+            let Some(words) = self.evicted_words(ev.line) else {
+                continue;
             };
-            self.post_write(
-                ev.line,
-                WriteCause::Eviction,
-                Origin::Writeback { line: ev.line, words },
-            );
+            let origin = Origin::Writeback {
+                line: ev.line,
+                words,
+                flusher: None,
+            };
+            self.post_write(ev.line, WriteCause::Eviction, origin);
         }
     }
 
@@ -2009,7 +1580,12 @@ impl System {
     /// Registers `origin` under a fresh request id and enqueues the write
     /// `req` builds at cycle `at`, or parks it in `wb_pending` while the
     /// queue is full. The caller then wakes the controller (`poke_ctrl`).
-    fn issue_write(&mut self, origin: Origin, at: Cycle, req: impl FnOnce(ReqId) -> MemReq) {
+    pub(crate) fn issue_write(
+        &mut self,
+        origin: Origin,
+        at: Cycle,
+        req: impl FnOnce(ReqId) -> MemReq,
+    ) {
         let id = self.req_id();
         self.origins.insert(id, origin);
         let req = req(id);
@@ -2019,9 +1595,9 @@ impl System {
     }
 
     /// Schedules `region`'s controller to run at its next wake-up.
-    fn poke_ctrl(&mut self, region: MemRegion) {
+    pub(crate) fn poke_ctrl(&mut self, region: MemRegion) {
         let wake = self.ctrl(region).next_wake().unwrap_or(self.clock);
-        self.schedule_mem_poke(region, wake.max(self.clock));
+        self.schedule_wake(Event::MemPoke(region), wake.max(self.clock));
     }
 
     fn drain_wb_pending(&mut self) {
@@ -2043,14 +1619,6 @@ impl System {
     // ------------------------------------------------------------------
 
     fn handle_mem_poke(&mut self, region: MemRegion) {
-        let i = (region == MemRegion::Dram) as usize;
-        // Only the event matching the dedup marker is live; duplicates
-        // (from markers being re-armed at earlier times) must die here,
-        // otherwise each one re-arms itself forever.
-        if self.mem_poke_at[i] != Some(self.clock) {
-            return;
-        }
-        self.mem_poke_at[i] = None;
         let now = self.clock;
         let completions: Vec<Completion> = self.ctrl(region).advance(now);
         let had_completions = !completions.is_empty();
@@ -2069,7 +1637,7 @@ impl System {
             }
         }
         if let Some(wake) = self.ctrl(region).next_wake() {
-            self.schedule_mem_poke(region, wake.max(self.clock + 1));
+            self.schedule_wake(Event::MemPoke(region), wake.max(self.clock + 1));
         }
     }
 
@@ -2107,132 +1675,25 @@ impl System {
             }
             // A DRAM write-back just retires: DRAM contents are not
             // modeled.
-            Origin::Writeback { line, words } => {
+            Origin::Writeback {
+                line,
+                words,
+                flusher,
+            } => {
                 if region == MemRegion::Nvm {
                     self.record_boundary(BoundaryClass::DrainAck);
                     self.nvm_backing.write_line(line, &words);
                 }
-            }
-            Origin::FlushAck { core, words } => {
-                if region == MemRegion::Nvm {
-                    self.record_boundary(BoundaryClass::DrainAck);
-                    self.nvm_backing.write_line(comp.req.addr, &words);
-                }
-                self.cores[core].pending_flushes -= 1;
-                if self.cores[core].blocked == Some(StallKind::Fence) {
-                    self.cores[core].time = self.cores[core].time.max(comp.done_at);
-                    self.try_finish_fence(core);
-                }
-            }
-            Origin::TcAck {
-                core,
-                slot,
-                values,
-                seq,
-            } => {
-                self.record_boundary(BoundaryClass::DrainAck);
-                for (i, v) in values.iter().enumerate() {
-                    if let Some(v) = v {
-                        self.durable_write(comp.req.addr.word(i), *v, seq);
-                    }
-                }
-                self.tcs[core].ack_slot(slot);
-                self.schedule_tc_drain(core, self.clock);
-                if self.cores[core].blocked == Some(StallKind::TxCacheFull) {
-                    self.try_resume_tc(core);
-                }
-            }
-            Origin::CowData { core } => {
-                // The shadow copy (already recorded at issue, in program
-                // order) is durable now.
-                self.cow(core).pending -= 1;
-                if self.cores[core].blocked == Some(StallKind::TxCacheFull) {
-                    self.cores[core].time = self.cores[core].time.max(comp.done_at);
-                    self.try_resume_tc(core);
-                }
-            }
-            Origin::CowRecord { core, tx } => {
-                self.record_boundary(BoundaryClass::CowCommit);
-                // The journal index this transaction takes: its
-                // `finish_txend` runs below, within this same event.
-                let seq = self.journal.len() as u64 + 1;
-                let cow = self.cow(core);
-                // Install the shadow copies in their home locations; the
-                // shadow is truncated once every install is durable.
-                let records = match cow.shadows.iter_mut().rev().find(|s| s.tx == tx) {
-                    Some(s) => {
-                        s.committed = true;
-                        s.commit_seq = seq;
-                        s.records.clone()
-                    }
-                    None => Vec::new(),
-                };
-                if records.is_empty() {
-                    cow.shadows.retain(|s| s.tx != tx);
-                } else {
-                    cow.installs.insert(tx, records.len());
-                }
-                for (word, value) in records {
-                    let origin = Origin::CowInstall {
-                        core,
-                        tx,
-                        word,
-                        value,
-                        seq,
-                    };
-                    let req = |id| MemReq::write(id, word.line(), Some(core), WriteCause::Cow);
-                    self.issue_write(origin, self.clock, req);
-                }
-                // One wake-up for the batch: a wake per install would
-                // reorder same-cycle events.
-                self.poke_ctrl(MemRegion::Nvm);
-                // The overflowed transaction is durable; finish TX_END.
-                self.cow(core).active = false;
-                self.cores[core].time = self.cores[core].time.max(comp.done_at);
-                self.cores[core].end_stall(comp.done_at);
-                self.finish_txend(core);
-                let at = self.cores[core].time;
-                self.push_event(at, Event::CoreStep(core));
-            }
-            Origin::CowInstall {
-                core,
-                tx,
-                word,
-                value,
-                seq,
-            } => {
-                self.record_boundary(BoundaryClass::CowCommit);
-                self.durable_write(word, value, seq);
-                let cow = self.cow(core);
-                if let Some(n) = cow.installs.get_mut(&tx) {
-                    *n -= 1;
-                    if *n == 0 {
-                        // Every home copy is durable: free the COW area
-                        // and release the core's drain barrier.
-                        cow.installs.remove(&tx);
-                        cow.shadows.retain(|s| s.tx != tx);
-                        self.schedule_tc_drain(core, self.clock);
+                if let Some(core) = flusher {
+                    self.cores[core].pending_flushes -= 1;
+                    if self.cores[core].blocked == Some(StallKind::Fence) {
+                        self.cores[core].time = self.cores[core].time.max(comp.done_at);
+                        self.try_finish_fence(core);
                     }
                 }
             }
+            Origin::Tc(write) => self.on_tc(|tc, sys| tc.write_done(sys, write, &comp)),
         }
-    }
-
-    /// Applies one committed durable word write in commit order: two
-    /// cores' transactions may both write a shared word, and their NVM
-    /// completions can land out of commit order across banks, so shared-
-    /// window words keep the highest-`seq` value. Private (striped) words
-    /// — both below the window and in the extended bank above it — never
-    /// alias across cores and skip the sequence map entirely.
-    fn durable_write(&mut self, word: WordAddr, value: Word, seq: u64) {
-        if (self.shared_word_base..self.shared_word_end).contains(&word.raw()) {
-            let e = self.durable_word_seq.entry(word).or_insert(0);
-            if *e > seq {
-                return;
-            }
-            *e = seq;
-        }
-        self.nvm_backing.write_word(word, value);
     }
 }
 
@@ -2253,6 +1714,8 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::DurableState;
+    use pmacc_types::{layout, SchemeKind};
     use pmacc_types::layout::CORE_STRIDE;
     use pmacc_workloads::build;
 

@@ -85,6 +85,11 @@ impl TcEntry {
             commit_seq: 0,
         }
     }
+
+    /// The buffered word writes, in word order.
+    pub(crate) fn writes(self) -> impl Iterator<Item = (WordAddr, Word)> {
+        (0..WORDS_PER_LINE).filter_map(move |i| Some((self.line.word(i), self.values[i]?)))
+    }
 }
 
 /// Counters for one transaction cache.
@@ -442,10 +447,11 @@ impl TxCache {
 
     /// Serves an acknowledgment for slot `idx` (the simulator routes acks
     /// by request identity; [`TxCache::ack_line`] provides the paper's
-    /// nearest-tail CAM form).
-    pub fn ack_slot(&mut self, idx: usize) {
+    /// nearest-tail CAM form), returning the entry it frees.
+    pub fn ack_slot(&mut self, idx: usize) -> TcEntry {
         let e = &mut self.entries[idx];
         debug_assert!(e.issued && e.state == EntryState::Committed);
+        let acked = *e;
         e.state = EntryState::Available;
         e.issued = false;
         let line = e.line;
@@ -453,6 +459,7 @@ impl TxCache {
         self.len -= 1;
         self.stats.acks.inc();
         self.compact_tail();
+        acked
     }
 
     /// Serves an acknowledgment message by line address: the matching
@@ -517,8 +524,8 @@ impl TxCache {
     }
 
     /// Read-only CAM probe: the in-use entry holding `line` nearest the
-    /// head, without touching the probe counters. Inspection paths (and
-    /// presence pre-filters) use this so they do not need `&mut self`.
+    /// head, without touching the probe counters. Inspection paths use
+    /// this so they do not need `&mut self`.
     #[must_use]
     pub fn probe_ref(&self, line: LineAddr) -> Option<&TcEntry> {
         let slot = *self.line_index.get(&line)?.last()?;
@@ -527,18 +534,11 @@ impl TxCache {
         Some(e)
     }
 
-    /// Whether any in-use entry holds `line` — the cheap presence filter a
-    /// miss path checks before paying for a stat-recording probe.
+    /// Whether any in-use entry holds `line`, without touching the probe
+    /// counters.
     #[must_use]
     pub fn contains_line(&self, line: LineAddr) -> bool {
         self.line_index.contains_key(&line)
-    }
-
-    /// Counts a miss probe that was answered by the presence filter
-    /// without a CAM search (the hardware still served the broadcast, so
-    /// the probe statistics and the energy model must see it).
-    pub fn record_probe_miss(&mut self) {
-        self.stats.probe_misses.inc();
     }
 
     /// The in-use entries in FIFO order (tail to head), as crash recovery

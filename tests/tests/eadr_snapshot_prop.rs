@@ -8,11 +8,12 @@
 //! leveling is toggled randomly, exercising the drain ∘ device-row-remap
 //! composition and its inverse on the recovery side.
 
-use pmacc::recovery::recover;
+use pmacc::recovery::{check_recovery, recover};
 use pmacc::{RunConfig, System};
+use pmacc_cpu::{Op, Trace};
 use pmacc_mem::Backing;
 use pmacc_prop::Config;
-use pmacc_types::{layout, MachineConfig, SchemeKind, WearConfig, WordAddr};
+use pmacc_types::{layout, MachineConfig, SchemeKind, WearConfig, WordAddr, LINE_BYTES};
 use pmacc_workloads::{WorkloadKind, WorkloadParams};
 
 const WORKLOADS: [WorkloadKind; 5] = [
@@ -125,4 +126,46 @@ fn eadr_crash_image_is_the_committed_image() {
         let wear = g.gen::<bool>();
         snapshot_case(kind, seed, crash_frac, cores, wear);
     });
+}
+
+/// A `clwb` write-back still in flight at the crash sits in the memory
+/// controller's queue, inside the ADR domain, so the flush-on-failure
+/// drain must land it like an eviction write-back. The flushed line is
+/// clean in the caches, so the cache drain cannot cover for it: each of
+/// these 40 transactions stores to its own heap line and flushes it after
+/// commit, and a crash at any cycle must recover to the committed image.
+#[test]
+fn eadr_drain_lands_flush_write_backs_in_flight() {
+    let heap = layout::persistent_heap_base();
+    let mut trace = Trace::new();
+    for i in 0..40 {
+        let addr = heap.offset(i * LINE_BYTES);
+        trace.push(Op::TxBegin);
+        trace.push(Op::store(addr, i + 1));
+        trace.push(Op::TxEnd);
+        trace.push(Op::Flush { addr });
+    }
+    let mut cfg = MachineConfig::small().with_scheme(SchemeKind::Eadr);
+    cfg.cores = 1;
+    let build = || {
+        System::new(cfg.clone(), vec![trace.clone()], &[], &RunConfig::default())
+            .expect("system builds")
+    };
+    let end = build().run().expect("full run").cycles;
+    let failing: Vec<_> = (0..=end)
+        .filter_map(|at| {
+            let mut sys = build();
+            sys.run_until(at).expect("partial run");
+            let state = sys.crash_state();
+            check_recovery(&state, &recover(&state))
+                .err()
+                .map(|e| (at, e.to_string()))
+        })
+        .collect();
+    assert!(
+        failing.is_empty(),
+        "{} of {} crash points fail: {failing:?}",
+        failing.len(),
+        end + 1
+    );
 }
