@@ -3,8 +3,8 @@
 //! probe/insert/ack under high occupancy, cache-hierarchy accesses, the
 //! memory controller, line-granular backing-store round trips, the
 //! in-repo fast hasher against SipHash, one crash point's snapshot,
-//! recovery and check, and the end-to-end cells-per-second figure a grid
-//! sweep is built from.
+//! recovery and check, one workload's generation, and the end-to-end
+//! cells-per-second figure a grid sweep is built from.
 //!
 //! Run with `cargo bench -p pmacc-bench --bench hotpath`;
 //! `PMACC_BENCH_SAMPLES=1` is the CI smoke mode.
@@ -21,7 +21,7 @@ use pmacc_types::{
     Addr, CacheConfig, FxHashMap, LineAddr, MemConfig, MemRegion, MemReq, ReqId, SchemeKind,
     TxCacheConfig, TxId, WriteCause,
 };
-use pmacc_workloads::WorkloadKind;
+use pmacc_workloads::{build, WorkloadKind};
 
 /// A transaction cache filled to high occupancy (60 of 64 entries) with
 /// committed-but-unacked lines, the state a loaded system probes against.
@@ -309,6 +309,18 @@ fn bench_full_cell(c: &mut Harness) {
     g.finish();
 }
 
+fn bench_workloads(c: &mut Harness) {
+    // Generation alone, through the uncached `build`: the set-up phase's
+    // functional memory is what a grid's `workloads.build_s` measures.
+    let params = Scale::Quick.params(42);
+    let mut g = c.benchmark_group("workloads");
+    g.sample_size(5);
+    g.bench_function("build_quick_rbtree", |b| {
+        b.iter(|| build(WorkloadKind::Rbtree, &params).trace.len());
+    });
+    g.finish();
+}
+
 bench_main!(
     bench_txcache_hot,
     bench_memsys,
@@ -316,5 +328,6 @@ bench_main!(
     bench_hasher,
     bench_engine,
     bench_recovery,
+    bench_workloads,
     bench_full_cell
 );

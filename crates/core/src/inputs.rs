@@ -25,7 +25,7 @@ use pmacc_types::rng::stream_seed;
 use pmacc_types::{Addr, ConfigError, SchemeKind, SimError, Word, WordAddr};
 use pmacc_workloads::{build_shared, WorkloadKind, WorkloadParams, WorkloadTrace};
 
-use crate::scheme::sp;
+use crate::scheme;
 
 /// One core's op stream.
 #[derive(Debug)]
@@ -145,15 +145,12 @@ pub(crate) fn prepare(
     let inputs = memoized(kinds, params, || {
         RunInputs::new(strided_initial(&raws), &traces)
     });
-    if scheme != SchemeKind::Sp {
-        return Ok((traces, inputs));
-    }
-    let instrumented = traces
+    let instrumented: Option<Vec<CoreTrace>> = traces
         .iter()
         .enumerate()
-        .map(|(core, t)| CoreTrace::Owned(sp::instrument_ops(core, t.ops(), sp::SpMode::Batched)))
+        .map(|(core, t)| scheme::instrument_ops(scheme, core, t.ops()).map(CoreTrace::Owned))
         .collect();
-    Ok((instrumented, inputs))
+    Ok((instrumented.unwrap_or(traces), inputs))
 }
 
 impl Memo {
@@ -352,6 +349,7 @@ impl Stride {
 mod tests {
     use super::*;
     use crate::recovery::recover;
+    use crate::scheme::sp;
     use crate::{RunConfig, System};
     use pmacc_telemetry::ToJson;
     use pmacc_types::layout::CORE_STRIDE;

@@ -22,7 +22,7 @@ mod tc;
 use std::collections::BTreeMap;
 
 use pmacc_cache::{Access, HierarchyOpts};
-use pmacc_cpu::Trace;
+use pmacc_cpu::{Op, Trace};
 use pmacc_mem::Backing;
 use pmacc_types::{
     Addr, Cycle, FxHashMap, LineAddr, MachineConfig, SchemeKind, TxId, Word, WordAddr,
@@ -57,9 +57,20 @@ pub(crate) use tc::TcWrite;
 /// ```
 #[must_use]
 pub fn instrument(scheme: SchemeKind, core: usize, trace: Trace) -> Trace {
+    instrument_ops(scheme, core, trace.ops().iter().copied()).unwrap_or(trace)
+}
+
+/// The scheme's instrumentation of a core's raw op stream: the one place
+/// that decides which schemes instrument. `None` means the scheme runs
+/// the raw trace as it is.
+pub(crate) fn instrument_ops(
+    scheme: SchemeKind,
+    core: usize,
+    ops: impl IntoIterator<Item = Op>,
+) -> Option<Trace> {
     match scheme {
-        SchemeKind::Sp => sp::instrument(core, &trace),
-        SchemeKind::Optimal | SchemeKind::TxCache | SchemeKind::NvLlc | SchemeKind::Eadr => trace,
+        SchemeKind::Sp => Some(sp::instrument_ops(core, ops, sp::SpMode::Batched)),
+        SchemeKind::Optimal | SchemeKind::TxCache | SchemeKind::NvLlc | SchemeKind::Eadr => None,
     }
 }
 

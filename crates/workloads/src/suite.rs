@@ -212,12 +212,27 @@ pub struct WorkloadTrace {
 /// ```
 #[must_use]
 pub fn build(kind: WorkloadKind, params: &WorkloadParams) -> WorkloadTrace {
-    let (trace, initial, _) = generate(kind, params).finish();
+    let (trace, initial) = generate(kind, params).into_recording();
     trace.validate().expect("generated trace is well formed");
     if params.sharing == 0 {
         return WorkloadTrace { trace, initial };
     }
-    share_lines(kind, params, trace, initial)
+    share_lines(kind, params, trace, map_order(initial))
+}
+
+/// The initial image in the order [`share_lines`] resolves pool
+/// collisions by: an `FxHashMap`'s iteration order after inserting the
+/// words one at a time in first-write order. The session kept its memory
+/// in such a map before it kept dense heaps, and the sharing baselines
+/// pin which colliding word won. One insert at a time matters:
+/// `collect`/`extend` may reserve up front and so lay the table out, and
+/// iterate it, differently.
+fn map_order(initial: Vec<(WordAddr, Word)>) -> Vec<(WordAddr, Word)> {
+    let mut map = FxHashMap::default();
+    for (w, v) in initial {
+        map.insert(w, v);
+    }
+    map.into_iter().collect()
 }
 
 /// Runs one benchmark instance: set-up unrecorded, operations recorded.
@@ -436,6 +451,7 @@ fn share_addr(addr: Addr, salt: u64, sharing: u8, pool_lines: u64) -> Addr {
 mod tests {
     use super::*;
     use pmacc_cpu::Op;
+    use std::collections::BTreeMap;
 
     #[test]
     fn every_workload_generates_valid_traces() {
@@ -514,6 +530,63 @@ mod tests {
             }
             assert_eq!(mem, final_image, "{kind:?} trace replay mismatch");
         }
+    }
+
+    /// The dense session against the map-backed oracle it replaced (run
+    /// beside it in test builds): every read agrees, so the program, and
+    /// the trace it records, is the one the map gives; the initial image
+    /// holds the same words; the sharing remap resolves collisions in the
+    /// map's order; and the final images match.
+    #[test]
+    fn dense_session_matches_the_map_oracle() {
+        // The harness's quick scale (`Scale::Quick` in pmacc-bench).
+        let quick = WorkloadParams {
+            num_ops: 1_000,
+            setup_items: 60_000,
+            key_space: 200_000,
+            ..WorkloadParams::evaluation(42)
+        };
+        let tiny = WorkloadKind::extended()
+            .into_iter()
+            .flat_map(|k| [1, 5, 42].map(|seed| (k, WorkloadParams::tiny(seed))));
+        for (kind, params) in tiny.chain([(WorkloadKind::Rbtree, quick)]) {
+            let s = generate(kind, &params);
+            let oracle = s.oracle.clone();
+            let case = format!("{kind:?} seed {}", params.seed);
+            assert_eq!(oracle.read_mismatches, 0, "{case}: reads disagree");
+            let (trace, initial, final_image) = s.finish();
+            let set = |v: &[(WordAddr, Word)]| v.iter().copied().collect::<BTreeMap<_, _>>();
+            assert_eq!(initial.len(), oracle.initial.len(), "{case}");
+            assert_eq!(set(&initial), set(&oracle.initial), "{case}: initial image");
+            assert_eq!(final_image, oracle.mem, "{case}: final image");
+            assert_eq!(map_order(initial), oracle.initial, "{case}: map order");
+            for sharing in [2, 4, 8] {
+                let p = WorkloadParams { sharing, ..params };
+                let built = build(kind, &p);
+                let old = share_lines(kind, &p, trace.clone(), oracle.initial.clone());
+                assert_eq!(built.trace, old.trace, "{case} sharing {sharing}");
+                assert_eq!(built.initial, old.initial, "{case} sharing {sharing}");
+            }
+        }
+    }
+
+    /// Words first written in scattered order, across both heaps and
+    /// outside them, collide in the map's table; only inserting them one
+    /// at a time, in first-write order, lays it out as the session's map
+    /// did.
+    #[test]
+    fn map_order_replays_scattered_first_writes() {
+        let mut s = MemSession::new(3);
+        let heaps = [s.alloc_p(4096), s.alloc_v(4096), layout::shared_pool_base()];
+        for v in 0..1_500 {
+            let heap = heaps[s.rng().gen_range(0..3)];
+            let w = s.rng().gen_range(0..4096u64);
+            s.write(heap.offset(8 * w), v);
+        }
+        s.start_recording();
+        let oracle = s.oracle.clone();
+        let (_, initial, _) = s.finish();
+        assert_eq!(map_order(initial), oracle.initial);
     }
 
     #[test]
