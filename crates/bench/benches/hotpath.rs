@@ -55,7 +55,7 @@ fn bench_txcache_hot(c: &mut Harness) {
         let absent = Addr::nvm_base().offset(1 << 20).line();
         b.iter(|| tc.probe(std::hint::black_box(absent)).is_some());
     });
-    g.bench_function("probe_ref_presence_filter", |b| {
+    g.bench_function("contains_line_presence_filter", |b| {
         let (tc, _) = high_occupancy_tc();
         let absent = Addr::nvm_base().offset(1 << 20).line();
         b.iter(|| tc.contains_line(std::hint::black_box(absent)));
@@ -81,20 +81,6 @@ fn bench_txcache_hot(c: &mut Harness) {
         b.iter(|| {
             v += 1;
             tc.insert(tx, w, v).expect("coalesces");
-            tc.occupancy()
-        });
-    });
-    g.bench_function("ack_line_full_window_cycle", |b| {
-        // Insert/commit/issue 60 lines, then retire them all by
-        // line-addressed acknowledgment — the nearest-tail CAM match.
-        b.iter(|| {
-            let (mut tc, lines) = high_occupancy_tc();
-            while let Some((slot, _)) = tc.next_issue() {
-                tc.mark_issued(slot);
-            }
-            for line in &lines {
-                tc.ack_line(*line).expect("issued entry");
-            }
             tc.occupancy()
         });
     });

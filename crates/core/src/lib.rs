@@ -45,12 +45,10 @@ mod inputs;
 mod metrics;
 pub mod recovery;
 pub mod scheme;
-mod service;
 mod system;
 mod txcache;
 
 pub use metrics::RunReport;
-pub use service::{ServeConfig, ServeCoreStats};
 pub use inputs::strided_workloads;
-pub use system::{BoundaryClass, EngineStats, RunConfig, System};
+pub use system::{BoundaryClass, EngineStats, RunConfig, ServeConfig, ServeCoreStats, System};
 pub use txcache::{EntryState, TcEntry, TcFullError, TcStats, TxCache};

@@ -145,13 +145,6 @@ pub enum SpMode {
     Strict,
 }
 
-/// Rewrites a raw transactional trace into the paper's SP form
-/// ([`SpMode::Batched`], the Figure 3(a) listing).
-#[must_use]
-pub fn instrument(core: usize, trace: &Trace) -> Trace {
-    instrument_with(core, trace, SpMode::Batched)
-}
-
 /// Rewrites a raw transactional trace into the SP form with the given
 /// fence placement.
 #[must_use]
@@ -258,7 +251,7 @@ mod tests {
 
     #[test]
     fn instrumented_trace_is_valid_and_larger() {
-        let t = instrument(0, &raw_tx());
+        let t = instrument_with(0, &raw_tx(), SpMode::Batched);
         t.validate().unwrap();
         assert!(t.len() > raw_tx().len() * 2);
         assert_eq!(t.transactions(), 1);
@@ -274,7 +267,7 @@ mod tests {
 
     #[test]
     fn data_stores_follow_the_commit_marker() {
-        let t = instrument(0, &raw_tx());
+        let t = instrument_with(0, &raw_tx(), SpMode::Batched);
         let marker_pos = t
             .ops()
             .iter()
@@ -294,7 +287,7 @@ mod tests {
         raw.push(Op::TxBegin);
         raw.push(Op::store(Addr::new(64), 1)); // DRAM region
         raw.push(Op::TxEnd);
-        let t = instrument(0, &raw);
+        let t = instrument_with(0, &raw, SpMode::Batched);
         assert!(t
             .ops()
             .iter()
@@ -313,7 +306,7 @@ mod tests {
     fn log_replay_reconstructs_transaction_writes() {
         // Execute the instrumented trace's log stores into a fake NVM and
         // parse it back.
-        let t = instrument(2, &raw_tx());
+        let t = instrument_with(2, &raw_tx(), SpMode::Batched);
         let nvm = log_image(&t);
         let elems = parse_log(2, &|w| nvm.read_word(w));
         assert_eq!(elems.len(), 3); // two records + one commit
@@ -337,7 +330,7 @@ mod tests {
         let data = Addr::nvm_base().offset(1 << 20);
         raw.push(Op::store(data, 7));
         raw.push(Op::TxEnd);
-        let t = instrument(0, &raw);
+        let t = instrument_with(0, &raw, SpMode::Batched);
         let log0 = layout::log_area_base(0);
         let expected = vec![
             Op::TxBegin,
@@ -444,7 +437,7 @@ mod tests {
         let mut raw = raw_tx();
         let more = raw_tx();
         raw.extend_ops(more.ops().iter().copied());
-        let t = instrument(1, &raw);
+        let t = instrument_with(1, &raw, SpMode::Batched);
         let nvm = log_image(&t);
         let elems = parse_log(1, &|w| nvm.read_word(w));
         let commits: Vec<u64> = elems

@@ -17,44 +17,35 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use pmacc_cache::{Access, Eviction, Hierarchy, Level, Mshr, WriteBackBuffer};
-use pmacc_cpu::{CoreStats, Op, StallKind, StoreBuffer, Trace, TxRegs};
-use pmacc_cpu::{PendingStore, StoreKind};
-use pmacc_mem::{Backing, Completion, MemController};
+use pmacc_cache::{Hierarchy, Mshr, WriteBackBuffer};
+use pmacc_cpu::{CoreStats, StallKind, Trace};
+use pmacc_mem::{Backing, MemController};
 use pmacc_types::{
-    AccessKind, Addr, ConfigError, Counter, Cycle, FxHashMap, LineAddr, MachineConfig, MemRegion,
-    MemReq, ReqId, SimError, TxId, Word, WordAddr, WriteCause, WORDS_PER_LINE,
+    ConfigError, Counter, Cycle, FxHashMap, LineAddr, MachineConfig, MemRegion, ReqId, SimError,
+    Word, WordAddr, WORDS_PER_LINE,
 };
 use pmacc_workloads::{WorkloadKind, WorkloadParams};
 
 use crate::inputs::{self, CoreTrace, RunInputs};
 use crate::metrics::RunReport;
-use crate::recovery::{CrashState, TxRecord};
+use crate::recovery::TxRecord;
 use crate::scheme::{self, SchemeState, TcWrite};
-use crate::service::{self, ReqTiming, ServeConfig, ServeCore, ServeCoreStats, ServeState};
 use crate::txcache::TxCache;
+use cores::CoreCtx;
+use serve::ServeState;
+pub use serve::{ServeConfig, ServeCoreStats};
 
-/// Batch limits for one core-step event (fairness between components).
-const STEP_OPS: usize = 64;
-const STEP_CYCLES: Cycle = 256;
-/// Forced unpins start after this many pin-blocked retries.
-const PIN_RETRY_LIMIT: u32 = 8;
+mod cores;
+mod crash;
+mod mempath;
+mod serve;
+mod tx;
+
 /// Abort with [`SimError::Deadlock`] beyond this many cycles.
 const MAX_CYCLES: Cycle = 20_000_000_000;
-/// Retry interval for a demand load that found the read queue or MSHRs full.
-const LOAD_RETRY: Cycle = 16;
-/// Retry interval when an NVLLC fill finds its LLC set fully pinned (a
-/// remote commit is what unpins the set, so the blocked core polls).
-const PIN_RETRY: Cycle = 64;
-/// Poll interval for a transactional store serialized behind a remote
-/// core's conflicting active transaction. The common wake-up is *exact* —
-/// [`System`] re-checks every Conflict-blocked core the moment a
-/// transaction commit retires — so this interval only paces the
-/// deadlock-cycle detector, which has no commit event to ride on.
-const CONFLICT_RETRY: Cycle = 64;
 
 /// Run-level options.
 #[derive(Debug, Clone, Copy)]
@@ -201,9 +192,8 @@ impl Event {
 /// What an outstanding memory request was issued for.
 #[derive(Debug, Clone)]
 pub(crate) enum Origin {
-    LoadFill {
-        core: usize,
-    },
+    /// A demand-load fill, whose waiters the MSHR holds.
+    LoadFill,
     /// An eviction, a forced unpin, or a `clwb` by core `flusher`.
     Writeback {
         line: LineAddr,
@@ -212,98 +202,6 @@ pub(crate) enum Origin {
     },
     /// A write on one of the TC's own paths.
     Tc(TcWrite),
-}
-
-#[derive(Debug)]
-pub(crate) struct CoreCtx {
-    idx: usize,
-    pub(crate) time: Cycle,
-    slot_accum: u32,
-    pub(crate) regs: TxRegs,
-    sb: StoreBuffer,
-    sb_times: VecDeque<Cycle>,
-    last_drain: Cycle,
-    pending_flushes: usize,
-    pub(crate) blocked: Option<StallKind>,
-    stall_started: Cycle,
-    finished: bool,
-    pub(crate) stats: CoreStats,
-    // An outstanding demand load: (line, arrival, started, persistent).
-    pending_load: Option<(LineAddr, Cycle, Cycle, bool)>,
-    // Whether the pending load has been accepted by a memory controller.
-    load_inflight: bool,
-    // Current-transaction bookkeeping.
-    pub(crate) tx_writes: Vec<(WordAddr, Word)>,
-    pub(crate) tx_lines: Vec<LineAddr>,
-    /// The transaction whose `TX_END` is in progress.
-    pub(crate) txend: Option<TxId>,
-    pin_retries: u32,
-    /// One-shot pass issued by the deadlock-avoidance rule: the next
-    /// conflict check on this core is skipped so the lowest-index member
-    /// of a mutually blocked cycle can proceed.
-    conflict_exempt: bool,
-    /// A `pcommit` is waiting for the NVM writes accepted before it (this
-    /// durable-count target) to complete.
-    pcommit: Option<u64>,
-}
-
-impl CoreCtx {
-    fn new(core: usize, cfg: &MachineConfig) -> Self {
-        CoreCtx {
-            idx: 0,
-            time: 0,
-            slot_accum: 0,
-            regs: TxRegs::new(core as u8),
-            sb: StoreBuffer::new(cfg.core.store_buffer),
-            sb_times: VecDeque::new(),
-            last_drain: 0,
-            pending_flushes: 0,
-            blocked: None,
-            stall_started: 0,
-            finished: false,
-            stats: CoreStats::new(),
-            pending_load: None,
-            load_inflight: false,
-            tx_writes: Vec::new(),
-            tx_lines: Vec::new(),
-            txend: None,
-            pin_retries: 0,
-            conflict_exempt: false,
-            pcommit: None,
-        }
-    }
-
-    /// Charges `slots` issue slots at the configured width.
-    fn charge(&mut self, slots: u32, width: u32) {
-        self.slot_accum += slots;
-        self.time += Cycle::from(self.slot_accum / width);
-        self.slot_accum %= width;
-    }
-
-    /// Pops store-buffer entries that have drained by `self.time`.
-    fn drain_sb(&mut self) {
-        while let Some(&t) = self.sb_times.front() {
-            if t <= self.time {
-                self.sb_times.pop_front();
-                self.sb.pop();
-            } else {
-                break;
-            }
-        }
-    }
-
-    pub(crate) fn begin_stall(&mut self, kind: StallKind) {
-        self.blocked = Some(kind);
-        self.stall_started = self.time;
-    }
-
-    pub(crate) fn end_stall(&mut self, now: Cycle) {
-        if let Some(kind) = self.blocked.take() {
-            let t = now.max(self.stall_started);
-            self.stats.add_stall(kind, t - self.stall_started);
-            self.time = self.time.max(t);
-        }
-    }
 }
 
 /// The simulated machine plus the traces it executes.
@@ -573,177 +471,6 @@ impl System {
         self.clock
     }
 
-    /// Switches the run into open-system service mode: every transaction
-    /// of every core's trace becomes a *request* with the given arrival
-    /// cycle. Cores idle until a request arrives, defer admission while
-    /// the transaction cache or the NVM write queue is saturated
-    /// ([`ServeConfig::tc_high`] / [`ServeConfig::nvm_write_high`]), shed
-    /// requests whose queueing delay exceeds [`ServeConfig::max_wait`],
-    /// and record per-request latency into the histograms returned by
-    /// [`System::serve_stats`].
-    ///
-    /// Must be called before the first [`System::run`]/
-    /// [`System::run_until`] step; intended for runs with
-    /// [`RunConfig::warmup_commits`] of zero (a measurement reset would
-    /// clear the stall baselines mid-request).
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error if the arrival vectors do not match
-    /// the core count or the per-core transaction counts, or if any
-    /// per-core arrival sequence decreases.
-    pub fn enable_serve(&mut self, cfg: ServeConfig) -> Result<(), SimError> {
-        if cfg.arrivals.len() != self.cfg.cores {
-            return Err(ConfigError::new(format!(
-                "{} arrival streams supplied for {} cores",
-                cfg.arrivals.len(),
-                self.cfg.cores
-            ))
-            .into());
-        }
-        let mut cores = Vec::with_capacity(self.cfg.cores);
-        for (c, arrivals) in cfg.arrivals.into_iter().enumerate() {
-            let starts = pmacc_workloads::operation_starts(self.traces[c].stored());
-            if arrivals.len() != starts.len() {
-                return Err(ConfigError::new(format!(
-                    "core {c}: {} arrivals for {} trace transactions",
-                    arrivals.len(),
-                    starts.len()
-                ))
-                .into());
-            }
-            if arrivals.windows(2).any(|w| w[0] > w[1]) {
-                return Err(
-                    ConfigError::new(format!("core {c}: arrivals must be non-decreasing")).into(),
-                );
-            }
-            cores.push(ServeCore {
-                arrivals,
-                starts,
-                next_req: 0,
-                cur: None,
-                stats: ServeCoreStats::default(),
-            });
-        }
-        self.serve = Some(ServeState {
-            cores,
-            tc_high: cfg.tc_high,
-            nvm_write_high: cfg.nvm_write_high,
-            max_wait: cfg.max_wait,
-        });
-        Ok(())
-    }
-
-    /// The per-core open-system statistics, if the run is in service
-    /// mode.
-    #[must_use]
-    pub fn serve_stats(&self) -> Option<Vec<&ServeCoreStats>> {
-        self.serve
-            .as_ref()
-            .map(|s| s.cores.iter().map(|c| &c.stats).collect())
-    }
-
-    /// Whether core `c`'s admission gate sees queue saturation: the
-    /// core's transaction cache at or above its high watermark, or the
-    /// NVM write queue full / above its fill watermark.
-    fn serve_pressure(&self, c: usize) -> bool {
-        let Some(s) = self.serve.as_ref() else {
-            return false;
-        };
-        let tc = &self.tcs[c];
-        let tc_hot =
-            tc.capacity() > 0 && tc.occupancy() as f64 >= s.tc_high * tc.capacity() as f64;
-        let wq = self.cfg.nvm.write_queue as f64;
-        let nvm_hot = self.nvm.write_queue_len() as f64 >= s.nvm_write_high * wq;
-        tc_hot || nvm_hot
-    }
-
-    /// The open-system admission gate, consulted at each request boundary
-    /// (`TX_BEGIN`). Returns `true` when the core must not start the
-    /// transaction this step: it idles until the request's arrival,
-    /// defers under queue pressure, or sheds the request entirely
-    /// (jumping its trace segment and burning its transaction serial so
-    /// later serials stay aligned with the recovery oracle's write
-    /// table).
-    fn serve_gate(&mut self, c: usize) -> bool {
-        // Queue pressure depends only on the TC and the NVM queue, which
-        // nothing below touches.
-        let pressure = self.serve_pressure(c);
-        let Some(s) = self.serve.as_mut() else {
-            return false;
-        };
-        let max_wait = s.max_wait;
-        let sc = &mut s.cores[c];
-        if sc.cur.is_some() {
-            return false;
-        }
-        let Some(&arrival) = sc.arrivals.get(sc.next_req) else {
-            return false;
-        };
-        let core = &mut self.cores[c];
-        let now = core.time;
-        if now < arrival {
-            // No request yet: the core idles (batching in
-            // `handle_core_step` turns a long idle into an event-queue
-            // jump, not a spin).
-            core.time = arrival;
-            return true;
-        }
-        if max_wait > 0 && now - arrival > max_wait {
-            // Admission control: the request waited past its deadline.
-            let next = sc.starts.get(sc.next_req + 1).copied();
-            core.idx = next.unwrap_or_else(|| self.traces[c].stored().len());
-            core.regs.skip();
-            sc.stats.shed += 1;
-            sc.next_req += 1;
-            return true;
-        }
-        if pressure {
-            // Backpressure: hold the request and retry shortly.
-            core.time = now + service::SERVE_RETRY;
-            sc.stats.backpressure_events += 1;
-            sc.stats.backpressure_cycles += service::SERVE_RETRY;
-            return true;
-        }
-        // Admit: timestamp the request and snapshot the stall baselines
-        // for completion-time attribution.
-        sc.cur = Some(ReqTiming {
-            arrival,
-            admitted: now,
-            stalls: service::stall_snapshot(&core.stats),
-        });
-        sc.next_req += 1;
-        false
-    }
-
-    /// Books a completed request's sojourn/wait/service times and its
-    /// stall attribution (no-op outside service mode).
-    fn serve_complete(&mut self, c: usize) {
-        let Some(sc) = self.serve.as_mut().map(|s| &mut s.cores[c]) else {
-            return;
-        };
-        let Some(req) = sc.cur.take() else {
-            return;
-        };
-        let now = self.cores[c].time;
-        let end_stalls = service::stall_snapshot(&self.cores[c].stats);
-        let st = &mut sc.stats;
-        st.completed += 1;
-        st.latency.record(now.saturating_sub(req.arrival));
-        st.wait.record(req.admitted.saturating_sub(req.arrival));
-        st.service.record(now.saturating_sub(req.admitted));
-        let (tc, nvm) = service::attribute_stalls(&req.stalls, &end_stalls);
-        st.tc_stall.record(tc);
-        st.nvm_stall.record(nvm);
-    }
-
-    /// Appends a durability-boundary record (no-op unless enabled).
-    pub(crate) fn record_boundary(&mut self, class: BoundaryClass) {
-        if self.run_cfg.record_boundaries {
-            self.boundaries.push((self.clock, class));
-        }
-    }
-
     pub(crate) fn push_event(&mut self, at: Cycle, ev: Event) {
         self.seq += 1;
         self.engine.wakes_scheduled += 1;
@@ -769,11 +496,6 @@ impl System {
         self.wake_at[ev.slot()].take_if(|t| *t == now).is_some()
     }
 
-    fn req_id(&mut self) -> ReqId {
-        self.next_req += 1;
-        ReqId(self.next_req)
-    }
-
     /// Runs until every core finishes its trace; returns the run report.
     ///
     /// # Errors
@@ -782,7 +504,7 @@ impl System {
     /// cycle bound is exceeded.
     pub fn run(&mut self) -> Result<RunReport, SimError> {
         self.run_until(Cycle::MAX)?;
-        if !self.all_finished() {
+        if !self.cores.iter().all(|c| c.finished) {
             return Err(SimError::Deadlock {
                 cycle: self.clock,
                 what: "event queue drained with unfinished cores".into(),
@@ -792,7 +514,12 @@ impl System {
         // sample point, so the windows between the last crossing and the
         // end of the run (the drain tail) would be missing from the
         // series; flush them up to the final cycle.
-        let end = self.cores.iter().map(|c| c.time).max().unwrap_or(self.clock);
+        let end = self
+            .cores
+            .iter()
+            .map(|c| c.time)
+            .max()
+            .unwrap_or(self.clock);
         self.flush_samples(end);
         Ok(self.report())
     }
@@ -842,10 +569,6 @@ impl System {
         Ok(())
     }
 
-    fn all_finished(&self) -> bool {
-        self.cores.iter().all(|c| c.finished)
-    }
-
     /// Takes every sample point at or before `upto` that has not been
     /// taken yet — shared by the event loop (points the clock just
     /// crossed) and the end-of-run drain-tail flush.
@@ -881,18 +604,13 @@ impl System {
             let cur: u64 = self.cores.iter().map(|c| c.stats.stall(*kind)).sum();
             let delta = cur.saturating_sub(self.sampler.prev_stalls[i]);
             self.sampler.prev_stalls[i] = cur;
-            values.push(if window > 0.0 { delta as f64 / window } else { 0.0 });
+            values.push(if window > 0.0 {
+                delta as f64 / window
+            } else {
+                0.0
+            });
         }
         rec.record(at, &values);
-    }
-
-    /// The oracle's write list for one transaction (empty for serials
-    /// beyond the trace, which cannot happen in practice).
-    fn oracle_writes(&self, core: usize, tx: TxId) -> Vec<(WordAddr, Word)> {
-        self.inputs.tx_writes[core]
-            .get(tx.serial() as usize)
-            .cloned()
-            .unwrap_or_default()
     }
 
     /// Builds the end-of-run report.
@@ -925,614 +643,10 @@ impl System {
         }
     }
 
-    /// The committed image as of now, caught up from the journal entries
-    /// committed since the last call. A snapshot still holding the previous
-    /// image keeps it: `make_mut` copies the overlay instead of mutating it.
-    fn committed_image(&self) -> Arc<Backing> {
-        let (image, applied) = &mut *self.committed.borrow_mut();
-        if *applied < self.journal.len() {
-            let img = Arc::make_mut(image);
-            for rec in &self.journal[*applied..] {
-                img.extend(rec.writes.iter().copied());
-            }
-            *applied = self.journal.len();
-        }
-        Arc::clone(image)
-    }
-
-    /// Snapshots the durable state at the current cycle — what survives a
-    /// power failure: the NVM image, the STT-RAM transaction caches, the
-    /// NVLLC committed-line image, the COW areas and (under eADR) the
-    /// flush-on-failure drain of every dirty cache line plus the per-core
-    /// undo logs — together with the committed image the checker compares
-    /// against.
-    ///
-    /// With wear leveling on, the NVM image is stored in *device row*
-    /// space (translated through the remapper's current registers) plus
-    /// the register snapshot itself — exactly what the hardware keeps —
-    /// so recovery genuinely has to reconstruct the remap to read it.
-    #[must_use]
-    pub fn crash_state(&self) -> CrashState {
-        let wear = self.nvm.wear_snapshot();
-        let mut logical = self.nvm_backing.clone();
-        let durable = self.durable_state(&mut logical);
-        let nvm = match &wear {
-            Some(snap) => snap.to_device(&logical),
-            None => logical,
-        };
-        CrashState {
-            cycle: self.clock,
-            cores: self.cfg.cores,
-            nvm,
-            wear,
-            committed: self.committed_image(),
-            durable,
-            in_flight: (0..self.cores.len())
-                .map(|c| {
-                    let core = &self.cores[c];
-                    let tx = core.regs.current().or(core.txend)?;
-                    Some(TxRecord {
-                        tx,
-                        commit_cycle: self.clock,
-                        writes: self.oracle_writes(c, tx),
-                    })
-                })
-                .collect(),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Core stepping
-    // ------------------------------------------------------------------
-
-    fn handle_core_step(&mut self, c: usize) {
-        if self.cores[c].finished {
-            return;
-        }
-        if self.cores[c].blocked.is_some() {
-            self.retry_blocked(c);
-            return;
-        }
-        if self.cores[c].time > self.clock {
-            // Stale wakeup: whoever advanced the core past this event's
-            // time also scheduled a fresh wakeup at or after `core.time`
-            // (every unblock/batch path does), so this event can die —
-            // re-pushing it would make duplicates immortal.
-            return;
-        }
-        let start = self.cores[c].time;
-        for _ in 0..STEP_OPS {
-            if self.cores[c].blocked.is_some() || self.cores[c].finished {
-                return;
-            }
-            if self.cores[c].time - start > STEP_CYCLES {
-                break;
-            }
-            self.step_one(c);
-        }
-        if !self.cores[c].finished && self.cores[c].blocked.is_none() {
-            let at = self.cores[c].time.max(self.clock + 1);
-            self.push_event(at, Event::CoreStep(c));
-        }
-    }
-
-    fn retry_blocked(&mut self, c: usize) {
-        match self.cores[c].blocked {
-            Some(StallKind::Load) => {
-                // Retry a read enqueue that found the queue full. If the
-                // load is already in flight this event is stale: ignore it
-                // (the completion wakes the core exactly once).
-                if self.cores[c].load_inflight {
-                    return;
-                }
-                if let Some((line, arrival, _started, _p)) = self.cores[c].pending_load {
-                    self.issue_load(c, line, arrival);
-                }
-            }
-            Some(StallKind::Fence) => self.try_finish_fence(c),
-            Some(StallKind::TxCacheFull) => self.on_tc(|tc, sys| tc.resume(sys, c)),
-            Some(StallKind::PinBlocked) => {
-                let now = self.clock.max(self.cores[c].time);
-                self.cores[c].end_stall(now);
-                self.handle_core_step(c);
-            }
-            Some(StallKind::Conflict) => {
-                // Re-derive the contended line from the store being
-                // retried (the op index did not advance when the stall
-                // began, so it is still the current op).
-                let line = match self.traces[c].get(self.cores[c].idx) {
-                    Some(Op::Store { addr, .. } | Op::LogStore { addr, .. }) => addr.line(),
-                    _ => {
-                        debug_assert!(false, "Conflict stall on a non-store op");
-                        return;
-                    }
-                };
-                if self.conflicting_core(c, line).is_none() {
-                    // The conflicting transaction retired.
-                } else if self.conflict_deadlock_break(c, line) {
-                    self.cores[c].conflict_exempt = true;
-                    self.cores[c].stats.conflict_overrides.inc();
-                } else {
-                    // Commit retirement wakes conflict-blocked cores
-                    // exactly ([`System::finish_txend`]); this periodic
-                    // retry only paces the deadlock detector above.
-                    let at = self.clock + CONFLICT_RETRY;
-                    self.push_event(at, Event::CoreStep(c));
-                    return;
-                }
-                let now = self.clock.max(self.cores[c].time);
-                self.cores[c].end_stall(now);
-                self.handle_core_step(c);
-            }
-            _ => {}
-        }
-    }
-
-    fn step_one(&mut self, c: usize) {
-        let Some(op) = self.traces[c].get(self.cores[c].idx) else {
-            self.cores[c].finished = true;
-            self.cores[c].stats.cycles = self.cores[c].time;
-            return;
-        };
-        let width = self.cfg.core.issue_width;
-        self.cores[c].drain_sb();
-        match op {
-            Op::Compute(n) => {
-                self.cores[c].charge(n.max(1), width);
-                self.cores[c].stats.ops.add(u64::from(n.max(1)));
-                self.cores[c].idx += 1;
-            }
-            Op::TxBegin => {
-                if self.serve_gate(c) {
-                    return;
-                }
-                self.cores[c].regs.begin();
-                self.cores[c].tx_writes.clear();
-                self.clear_tx_lines(c);
-                self.cores[c].charge(1, width);
-                self.cores[c].stats.ops.inc();
-                self.cores[c].idx += 1;
-            }
-            Op::TxEnd => self.do_txend(c),
-            Op::Load { addr } => self.do_load(c, addr),
-            Op::Store { addr, value } => self.do_store(c, addr, value, StoreKind::Data),
-            Op::LogStore { addr, meta, value } => {
-                // Functional: the record header lands in the word after
-                // the base; the store path below handles the base word.
-                self.arch_image.write_word(addr.word(), meta);
-                self.arch_image
-                    .write_word(WordAddr::new(addr.word().raw() + 1), value);
-                self.do_store(c, addr, meta, StoreKind::Log)
-            }
-            Op::Flush { addr } => self.do_flush(c, addr),
-            Op::Fence => self.do_fence(c, None),
-            // Snapshot: wait for everything the NVM controller has
-            // accepted so far (later arrivals from other cores are not
-            // our problem).
-            Op::PCommit => self.do_fence(c, Some(self.nvm.writes_accepted())),
-        }
-    }
-
-    fn llc_bank(line: LineAddr) -> usize {
-        (line.raw() & 3) as usize
-    }
-
-    /// Holds `line`'s LLC bank for `dur` cycles (one per ordinary access;
-    /// the full STT-RAM write for NVLLC commit bursts), returning the
-    /// wait before the hold could start.
-    pub(crate) fn llc_port_hold(&mut self, line: LineAddr, t: Cycle, dur: Cycle) -> Cycle {
-        let b = Self::llc_bank(line);
-        let wait = self.llc_port_free[b].saturating_sub(t);
-        self.llc_port_free[b] = self.llc_port_free[b].max(t) + dur;
-        wait
-    }
-
-    fn ctrl(&mut self, region: MemRegion) -> &mut MemController {
-        match region {
-            MemRegion::Nvm => &mut self.nvm,
-            MemRegion::Dram => &mut self.dram,
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Loads
-    // ------------------------------------------------------------------
-
-    fn do_load(&mut self, c: usize, addr: Addr) {
-        let persistent = addr.is_persistent();
-        self.cores[c].stats.ops.inc();
-        self.cores[c].stats.loads.inc();
-
-        // Store-to-load forwarding.
-        if self.cores[c].sb.forward(addr).is_some() {
-            self.cores[c].charge(1, self.cfg.core.issue_width);
-            self.record_load_latency(c, 1, persistent);
-            self.cores[c].idx += 1;
-            return;
-        }
-
-        let line = addr.line();
-        let t = self.cores[c].time;
-        match self.hier.access(c, Access::load(line)) {
-            Err(_) => {
-                self.pin_blocked(c, line);
-            }
-            Ok(out) => {
-                self.note_invalidations(&out.invalidated);
-                self.route_evictions(out.evictions);
-                let pre = self.lat_l1 + self.lat_l2;
-                let lat = match out.hit {
-                    Some(Level::L1) => self.lat_l1,
-                    Some(Level::L2) => pre,
-                    Some(Level::Llc) | None => {
-                        pre + self.llc_port_hold(line, t + pre, 1) + self.lat_llc
-                    }
-                };
-                if out.hit.is_some() {
-                    self.finish_load(c, lat, persistent);
-                } else if self.probe_side_path(line) {
-                    self.finish_load(c, lat + self.lat_tc, persistent);
-                } else {
-                    // Fill from memory.
-                    let arrival = t + lat;
-                    self.cores[c].begin_stall(StallKind::Load);
-                    self.cores[c].pending_load = Some((line, arrival, t, persistent));
-                    self.issue_load(c, line, arrival);
-                }
-            }
-        }
-    }
-
-    /// Sends core `c`'s fill of `line` to memory, merged with an outstanding
-    /// fill of the line if any, or retries while the queue or MSHRs are full.
-    fn issue_load(&mut self, c: usize, line: LineAddr, arrival: Cycle) {
-        let region = line.region();
-        if self.ctrl(region).can_accept(AccessKind::Read) {
-            match self.mshr.allocate(line, c) {
-                Ok(true) => {
-                    let id = self.req_id();
-                    self.origins.insert(id, Origin::LoadFill { core: c });
-                    let req = MemReq::read(id, line, Some(c));
-                    self.ctrl(region)
-                        .enqueue(req, arrival)
-                        .expect("checked can_accept");
-                    self.cores[c].load_inflight = true;
-                    self.poke_ctrl(region);
-                    return;
-                }
-                Ok(false) => {
-                    // Secondary miss: the primary's completion wakes us.
-                    self.cores[c].load_inflight = true;
-                    return;
-                }
-                Err(_) => {}
-            }
-        }
-        self.push_event(self.clock + LOAD_RETRY, Event::CoreStep(c));
-    }
-
-    fn finish_load(&mut self, c: usize, lat: Cycle, persistent: bool) {
-        self.cores[c].time += lat.max(1);
-        self.record_load_latency(c, lat, persistent);
-        self.cores[c].idx += 1;
-        self.cores[c].pin_retries = 0;
-    }
-
-    fn record_load_latency(&mut self, c: usize, lat: Cycle, persistent: bool) {
-        self.cores[c].stats.load_latency.record(lat);
-        if persistent {
-            self.cores[c].stats.persistent_load_latency.record(lat);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Stores
-    // ------------------------------------------------------------------
-
-    fn do_store(&mut self, c: usize, addr: Addr, value: Word, kind: StoreKind) {
-        let persistent = addr.is_persistent();
-        let tx = self.cores[c].regs.current();
-        // The transaction of a transactional persistent data store.
-        let tx_data = tx.filter(|_| persistent && kind == StoreKind::Data);
-
-        // Cross-core conflict serialization, checked before any other
-        // side effect so the retried op is idempotent: a transactional
-        // persistent store to a line a remote core's in-flight
-        // transaction has written stalls until that transaction's commit
-        // is durable, so commit order equals the order conflicting
-        // writes reach the persistence domain (§3's program-order rule,
-        // lifted across cores). Inert without sharing — striped cores
-        // never hold the same line.
-        if tx_data.is_some() {
-            if self.cores[c].conflict_exempt {
-                self.cores[c].conflict_exempt = false;
-            } else if self.conflicting_core(c, addr.line()).is_some() {
-                self.cores[c].stats.tx_conflicts.inc();
-                self.cores[c].begin_stall(StallKind::Conflict);
-                let at = self.clock.max(self.cores[c].time) + CONFLICT_RETRY;
-                self.push_event(at, Event::CoreStep(c));
-                return;
-            }
-        }
-
-        // The scheme may stall the store, also before any other side
-        // effect.
-        let Some(acc) = self.store_access(c, addr, tx_data) else {
-            return;
-        };
-        let line = addr.line();
-        let outcome = match self.hier.access(c, acc) {
-            Err(_) => {
-                self.pin_blocked(c, line);
-                return;
-            }
-            Ok(out) => out,
-        };
-        self.cores[c].pin_retries = 0;
-        self.note_invalidations(&outcome.invalidated);
-        self.route_evictions(outcome.evictions);
-
-        // Functional: architectural memory state (DRAM contents are not
-        // modeled).
-        if persistent {
-            self.arch_image.write_word(addr.word(), value);
-        }
-
-        // Timing: the store retires into the store buffer and drains in
-        // the background; its drain cost depends on where it hit.
-        let t = self.cores[c].time;
-        let cost = match outcome.hit {
-            Some(Level::L1) => 1,
-            Some(Level::L2) => self.lat_l2,
-            hit => {
-                let llc = self.lat_l2 + self.llc_port_hold(line, t, 1) + self.lat_llc;
-                if hit.is_some() {
-                    llc
-                } else if self.probe_side_path(line) {
-                    llc + self.lat_tc
-                } else {
-                    llc + self.ctrl(line.region()).read_estimate()
-                }
-            }
-        };
-        self.cores[c].drain_sb();
-        if !self.cores[c].sb.has_room() {
-            // Stall until the oldest entry drains.
-            let until = *self.cores[c].sb_times.front().expect("sb entries exist");
-            let t0 = self.cores[c].time;
-            self.cores[c]
-                .stats
-                .add_stall(StallKind::StoreBufferFull, until.saturating_sub(t0));
-            self.cores[c].time = self.cores[c].time.max(until);
-            self.cores[c].drain_sb();
-        }
-        let drain_at = self.cores[c].last_drain.max(self.cores[c].time) + cost;
-        self.cores[c].last_drain = drain_at;
-        self.cores[c].sb.push(PendingStore {
-            addr,
-            value,
-            kind,
-            tx,
-        });
-        self.cores[c].sb_times.push_back(drain_at);
-
-        if let Some(tx) = tx_data {
-            self.on_tc(|tc, sys| tc.buffer(sys, c, tx, addr.word(), value));
-            self.cores[c].tx_writes.push((addr.word(), value));
-            // Every scheme tracks the written lines: NVLLC commits them,
-            // and the conflict check above reads them on remote cores
-            // through the `tx_writers` bitmap (one map lookup instead of
-            // a per-core list scan).
-            let e = self.tx_writers.entry(line).or_insert(0);
-            if *e & (1u64 << c) == 0 {
-                *e |= 1u64 << c;
-                self.cores[c].tx_lines.push(line);
-            }
-        }
-
-        self.cores[c].charge(1, self.cfg.core.issue_width);
-        self.cores[c].stats.ops.inc();
-        self.cores[c].stats.stores.inc();
-        self.cores[c].idx += 1;
-    }
-
-    /// The lowest-index remote core whose in-flight transaction — active,
-    /// or at `TX_END` with its commit not yet durable — has written
-    /// `line`. A core's bit in the `tx_writers` mask is set exactly while
-    /// that condition holds (set on the first transactional write, cleared
-    /// when the commit retires, [`System::finish_txend`]), so the check is
-    /// one map lookup regardless of core count or write-set size.
-    fn conflicting_core(&self, c: usize, line: LineAddr) -> Option<usize> {
-        let writers = self.tx_writers.get(&line).copied().unwrap_or(0) & !(1u64 << c);
-        if writers == 0 {
-            None
-        } else {
-            Some(writers.trailing_zeros() as usize)
-        }
-    }
-
-    /// Deadlock avoidance for conflict serialization: when transactions
-    /// block each other in a cycle (each wrote a line the other wants),
-    /// none can retire. The lowest-index Conflict-blocked core whose
-    /// conflictors are *all* themselves Conflict-blocked gets a one-shot
-    /// exemption and proceeds; everyone else keeps waiting, so the cycle
-    /// unwinds deterministically one core at a time.
-    fn conflict_deadlock_break(&self, c: usize, line: LineAddr) -> bool {
-        if (0..c).any(|i| self.cores[i].blocked == Some(StallKind::Conflict)) {
-            return false;
-        }
-        let mut writers = self.tx_writers.get(&line).copied().unwrap_or(0) & !(1u64 << c);
-        while writers != 0 {
-            let r = writers.trailing_zeros() as usize;
-            writers &= writers - 1;
-            if self.cores[r].blocked != Some(StallKind::Conflict) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Drops core `c`'s transactional write-set line tracking: clears its
-    /// bit from every tracked line's writer mask and empties `tx_lines`.
-    fn clear_tx_lines(&mut self, c: usize) {
-        let lines = std::mem::take(&mut self.cores[c].tx_lines);
-        for line in lines {
-            if let Some(e) = self.tx_writers.get_mut(&line) {
-                *e &= !(1u64 << c);
-                if *e == 0 {
-                    self.tx_writers.remove(&line);
-                }
-            }
-        }
-    }
-
-    /// Books the TC-side effect of snoop invalidations: a remote core
-    /// losing its cache copies of a line must *keep* any transaction-
-    /// cache entry for it — the P/V flag lives in the TC, decoupled from
-    /// the cache states — so only a counter moves here.
-    fn note_invalidations(&mut self, invalidated: &[(usize, LineAddr)]) {
-        for &(r, line) in invalidated {
-            if self.tcs[r].contains_line(line) {
-                self.tcs[r].stats.remote_invalidations.inc();
-            }
-        }
-    }
-
-    fn pin_blocked(&mut self, c: usize, line: LineAddr) {
-        self.cores[c].pin_retries += 1;
-        if self.cores[c].pin_retries > PIN_RETRY_LIMIT {
-            // Escape hatch: forcibly unpin the oldest uncommitted line in
-            // the set and persist it out of band (hardware COW).
-            if let Some(victim) = self.hier.force_unpin_for(line) {
-                let words = self.arch_image.read_line(victim);
-                let origin = Origin::Writeback {
-                    line: victim,
-                    words,
-                    flusher: None,
-                };
-                self.post_write(victim, WriteCause::Cow, origin);
-            }
-            self.cores[c].pin_retries = 0;
-        }
-        self.cores[c].begin_stall(StallKind::PinBlocked);
-        let at = self.clock.max(self.cores[c].time) + PIN_RETRY;
-        self.push_event(at, Event::CoreStep(c));
-    }
-
-    // ------------------------------------------------------------------
-    // Flush / fence (SP write-order control)
-    // ------------------------------------------------------------------
-
-    fn do_flush(&mut self, c: usize, addr: Addr) {
-        let line = addr.line();
-        self.cores[c].charge(1, self.cfg.core.issue_width);
-        self.cores[c].stats.ops.inc();
-        let dirty = self.hier.flush_line(c, line);
-        if dirty {
-            let words = self.arch_image.read_line(line);
-            self.cores[c].pending_flushes += 1;
-            let origin = Origin::Writeback {
-                line,
-                words,
-                flusher: Some(c),
-            };
-            self.post_write(line, WriteCause::Flush, origin);
-        }
-        self.cores[c].idx += 1;
-    }
-
-    /// An `sfence`, or with a durable-count target a `pcommit`.
-    fn do_fence(&mut self, c: usize, pcommit: Option<u64>) {
-        self.cores[c].stats.ops.inc();
-        self.cores[c].charge(1, self.cfg.core.issue_width);
-        self.cores[c].idx += 1;
-        self.cores[c].pcommit = pcommit;
-        self.cores[c].begin_stall(StallKind::Fence);
-        self.try_finish_fence(c);
-    }
-
-    fn try_finish_fence(&mut self, c: usize) {
-        let now = self.clock.max(self.cores[c].time);
-        // Store buffer must drain.
-        if let Some(&back) = self.cores[c].sb_times.back() {
-            if back > now {
-                self.push_event(back, Event::CoreStep(c));
-                return;
-            }
-        }
-        self.cores[c].time = now;
-        self.cores[c].drain_sb();
-        if self.cores[c].pending_flushes > 0 {
-            // A flush-ack completion re-runs this check.
-            return;
-        }
-        if let Some(target) = self.cores[c].pcommit {
-            // pcommit: every write the NVM controller had accepted — from
-            // any core — must be durable before execution continues.
-            if self.nvm.writes_durable() < target {
-                // Any NVM completion re-runs this check.
-                return;
-            }
-            self.cores[c].pcommit = None;
-        }
-        self.cores[c].end_stall(now);
-        self.push_event(now, Event::CoreStep(c));
-    }
-
-    // ------------------------------------------------------------------
-    // Transaction end
-    // ------------------------------------------------------------------
-
-    fn do_txend(&mut self, c: usize) {
-        if self.cores[c].txend.is_none() {
-            let tx = self.cores[c].regs.end();
-            self.cores[c].txend = Some(tx);
-            self.tx_end(c, tx);
-        } else if self.cores[c].blocked.is_none() {
-            self.finish_txend(c);
-        }
-    }
-
-    /// Retires core `c`'s `TX_END` once its scheme made it durable: the
-    /// transaction enters the journal and releases the conflict gate.
-    pub(crate) fn finish_txend(&mut self, c: usize) {
-        let tx = self.cores[c].txend.take().expect("txend in progress");
-        self.record_boundary(BoundaryClass::TxEnd);
-        self.cores[c].tx_writes.clear();
-        self.clear_tx_lines(c);
-        // This retirement is exactly when a remote core stalled on one of
-        // this transaction's lines may proceed, so wake Conflict-blocked
-        // cores now instead of leaving them to the periodic retry
-        // (`retry_blocked` re-derives each one's line and re-checks, so a
-        // wake against a still-contended line is harmless).
-        for r in 0..self.cores.len() {
-            if r != c && self.cores[r].blocked == Some(StallKind::Conflict) {
-                let at = self.clock.max(self.cores[r].time);
-                self.push_event(at, Event::CoreStep(r));
-            }
-        }
-        self.journal.push(TxRecord {
-            tx,
-            commit_cycle: self.cores[c].time,
-            writes: self.oracle_writes(c, tx),
-        });
-        self.cores[c].stats.tx_committed.inc();
-        self.cores[c].charge(1, self.cfg.core.issue_width);
-        self.cores[c].stats.ops.inc();
-        self.cores[c].idx += 1;
-        self.serve_complete(c);
-        if !self.warmup_done
-            && self.run_cfg.warmup_commits > 0
-            && self.journal.len() as u64 >= self.run_cfg.warmup_commits
-        {
-            self.reset_measurement();
-        }
-    }
-
     /// Ends the warm-up region: zeroes every statistic so the report
     /// covers only steady-state execution. Cache/TC/queue *state* and the
     /// recovery journal are untouched.
-    fn reset_measurement(&mut self) {
+    pub(super) fn reset_measurement(&mut self) {
         self.warmup_done = true;
         self.measure_start = self.clock;
         for core in &mut self.cores {
@@ -1548,152 +662,6 @@ impl System {
         // Stall totals just reset, so the sampler's deltas must restart
         // from zero too (the series itself keeps its pre-warm-up tail).
         self.sampler.prev_stalls = [0; 7];
-    }
-
-    // ------------------------------------------------------------------
-    // Eviction routing and write-backs
-    // ------------------------------------------------------------------
-
-    fn route_evictions(&mut self, evictions: Vec<Eviction>) {
-        for ev in evictions {
-            if !ev.dirty {
-                continue;
-            }
-            let Some(words) = self.evicted_words(ev.line) else {
-                continue;
-            };
-            let origin = Origin::Writeback {
-                line: ev.line,
-                words,
-                flusher: None,
-            };
-            self.post_write(ev.line, WriteCause::Eviction, origin);
-        }
-    }
-
-    fn post_write(&mut self, line: LineAddr, cause: WriteCause, origin: Origin) {
-        let req = |id| MemReq::write(id, line, None, cause);
-        self.issue_write(origin, self.clock, req);
-        self.poke_ctrl(line.region());
-    }
-
-    /// Registers `origin` under a fresh request id and enqueues the write
-    /// `req` builds at cycle `at`, or parks it in `wb_pending` while the
-    /// queue is full. The caller then wakes the controller (`poke_ctrl`).
-    pub(crate) fn issue_write(
-        &mut self,
-        origin: Origin,
-        at: Cycle,
-        req: impl FnOnce(ReqId) -> MemReq,
-    ) {
-        let id = self.req_id();
-        self.origins.insert(id, origin);
-        let req = req(id);
-        if self.ctrl(req.addr.region()).enqueue(req, at).is_err() {
-            self.wb_pending.push(req);
-        }
-    }
-
-    /// Schedules `region`'s controller to run at its next wake-up.
-    pub(crate) fn poke_ctrl(&mut self, region: MemRegion) {
-        let wake = self.ctrl(region).next_wake().unwrap_or(self.clock);
-        self.schedule_wake(Event::MemPoke(region), wake.max(self.clock));
-    }
-
-    fn drain_wb_pending(&mut self) {
-        let mut remaining = Vec::new();
-        while let Some(req) = self.wb_pending.pop() {
-            let region = req.addr.region();
-            let now = self.clock;
-            if self.ctrl(region).enqueue(req, now).is_err() {
-                remaining.push(req);
-            }
-        }
-        for req in remaining {
-            self.wb_pending.push(req);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Memory completions
-    // ------------------------------------------------------------------
-
-    fn handle_mem_poke(&mut self, region: MemRegion) {
-        let now = self.clock;
-        let completions: Vec<Completion> = self.ctrl(region).advance(now);
-        let had_completions = !completions.is_empty();
-        for comp in completions {
-            self.handle_completion(region, comp);
-        }
-        self.drain_wb_pending();
-        if region == MemRegion::Nvm && had_completions {
-            // pcommit waiters poll the controller's write backlog.
-            for c in 0..self.cores.len() {
-                if self.cores[c].blocked == Some(StallKind::Fence)
-                    && self.cores[c].pcommit.is_some()
-                {
-                    self.try_finish_fence(c);
-                }
-            }
-        }
-        if let Some(wake) = self.ctrl(region).next_wake() {
-            self.schedule_wake(Event::MemPoke(region), wake.max(self.clock + 1));
-        }
-    }
-
-    fn handle_completion(&mut self, region: MemRegion, comp: Completion) {
-        let Some(origin) = self.origins.remove(&comp.req.id) else {
-            return;
-        };
-        match origin {
-            Origin::LoadFill { core } => {
-                // Wake the primary and every merged waiter; each records
-                // latency from its own issue point.
-                let waiters = self
-                    .mshr
-                    .complete(comp.req.addr)
-                    .unwrap_or_else(|| vec![core]);
-                for w in waiters {
-                    let Some((_, _, started, persistent)) = self.cores[w].pending_load else {
-                        continue;
-                    };
-                    let lat = comp.done_at.saturating_sub(started).max(1);
-                    self.record_load_latency(w, lat, persistent);
-                    let c = &mut self.cores[w];
-                    if let Some(StallKind::Load) = c.blocked {
-                        c.blocked = None;
-                        c.stats
-                            .add_stall(StallKind::Load, comp.done_at.saturating_sub(c.stall_started));
-                    }
-                    c.pending_load = None;
-                    c.load_inflight = false;
-                    c.time = c.time.max(comp.done_at);
-                    c.idx += 1;
-                    let at = c.time;
-                    self.push_event(at, Event::CoreStep(w));
-                }
-            }
-            // A DRAM write-back just retires: DRAM contents are not
-            // modeled.
-            Origin::Writeback {
-                line,
-                words,
-                flusher,
-            } => {
-                if region == MemRegion::Nvm {
-                    self.record_boundary(BoundaryClass::DrainAck);
-                    self.nvm_backing.write_line(line, &words);
-                }
-                if let Some(core) = flusher {
-                    self.cores[core].pending_flushes -= 1;
-                    if self.cores[core].blocked == Some(StallKind::Fence) {
-                        self.cores[core].time = self.cores[core].time.max(comp.done_at);
-                        self.try_finish_fence(core);
-                    }
-                }
-            }
-            Origin::Tc(write) => self.on_tc(|tc, sys| tc.write_done(sys, write, &comp)),
-        }
     }
 }
 
@@ -1715,8 +683,10 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::recovery::DurableState;
-    use pmacc_types::{layout, SchemeKind};
+    use pmacc_cpu::Op;
     use pmacc_types::layout::CORE_STRIDE;
+    use pmacc_types::WriteCause;
+    use pmacc_types::{layout, SchemeKind};
     use pmacc_workloads::build;
 
     fn tiny_machine(scheme: SchemeKind) -> MachineConfig {
@@ -1767,7 +737,10 @@ mod tests {
         let report = sys.run().unwrap();
         let s = &report.series;
         assert_eq!(s.period, 64);
-        assert!(!s.samples.is_empty(), "a multi-hundred-cycle run must sample");
+        assert!(
+            !s.samples.is_empty(),
+            "a multi-hundred-cycle run must sample"
+        );
         assert!(s.channels.iter().any(|c| c == "tc_occupancy"));
         assert!(s.channels.iter().any(|c| c == "stall_frac/load"));
         // Sample times are strictly increasing multiples of the period.
@@ -1778,7 +751,10 @@ mod tests {
         // The TC scheme buffers stores, so occupancy must be visible at
         // some point of the run.
         let occ = s.channel("tc_occupancy").unwrap();
-        assert!(occ.iter().any(|(_, v)| *v > 0.0), "TC never occupied: {occ:?}");
+        assert!(
+            occ.iter().any(|(_, v)| *v > 0.0),
+            "TC never occupied: {occ:?}"
+        );
     }
 
     #[test]
@@ -1849,7 +825,9 @@ mod tests {
     /// line 0 holds `100 + i` in word `i`.
     fn over_initial_line(scheme: SchemeKind, ops: &[Op]) -> System {
         let base = layout::persistent_heap_base();
-        let initial: Vec<_> = (0..8u64).map(|i| (base.offset(i * 8).word(), 100 + i)).collect();
+        let initial: Vec<_> = (0..8u64)
+            .map(|i| (base.offset(i * 8).word(), 100 + i))
+            .collect();
         let mut cfg = tiny_machine(scheme);
         cfg.cores = 1;
         let trace = ops.iter().copied().collect();
@@ -1874,15 +852,31 @@ mod tests {
     #[test]
     fn eadr_crash_mid_transaction_restores_the_initial_line() {
         let base = layout::persistent_heap_base();
-        let stores = [Op::store(base.offset(8), 99), Op::store(base.offset(16), 98)];
+        let stores = [
+            Op::store(base.offset(8), 99),
+            Op::store(base.offset(16), 98),
+        ];
         let mut sys = over_initial_line(
             SchemeKind::Eadr,
-            &[Op::TxBegin, stores[0], stores[1], Op::Compute(100_000), Op::TxEnd],
+            &[
+                Op::TxBegin,
+                stores[0],
+                stores[1],
+                Op::Compute(100_000),
+                Op::TxEnd,
+            ],
         );
         sys.run_until(5_000).unwrap();
         let state = sys.crash_state();
-        assert!(state.in_flight[0].is_some(), "the crash lands inside the transaction");
-        assert_eq!(state.nvm.read_word(base.offset(8).word()), 99, "drained uncommitted store");
+        assert!(
+            state.in_flight[0].is_some(),
+            "the crash lands inside the transaction"
+        );
+        assert_eq!(
+            state.nvm.read_word(base.offset(8).word()),
+            99,
+            "drained uncommitted store"
+        );
         let recovered = crate::recovery::recover(&state);
         let line = recovered.read_line(base.line());
         assert_eq!(line, [100, 101, 102, 103, 104, 105, 106, 107]);
@@ -1964,7 +958,7 @@ mod tests {
         let mut sys = System::new(cfg, vec![t], &[], &RunConfig::default()).unwrap();
         let r = sys.run().unwrap();
         assert!(r.cycles >= 152, "pcommit waited for the writes");
-        assert_eq!(r.nvm.writes() , 10);
+        assert_eq!(r.nvm.writes(), 10);
     }
 
     #[test]
@@ -2149,7 +1143,10 @@ mod tests {
         sys.run_until(2 * total / 3).unwrap();
         let (t2, n2) = (sys.crash_state(), sys.journal.len());
         assert!(0 < n1 && n1 < n2, "commits before and after t1: {n1}, {n2}");
-        assert_eq!(*t1.committed, kept, "catching up never mutates a held image");
+        assert_eq!(
+            *t1.committed, kept,
+            "catching up never mutates a held image"
+        );
         assert_eq!(*t1.committed, replay(&sys, n1));
         assert_eq!(*t2.committed, replay(&sys, n2));
         assert_eq!(t1.committed.base(), sys.inputs.initial);
@@ -2216,8 +1213,8 @@ mod tests {
         // time.
         let cfg = tiny_machine(SchemeKind::TxCache);
         let traces = vec![simple_trace(); cfg.cores];
-        let mut closed = System::new(cfg.clone(), traces.clone(), &[], &RunConfig::default())
-            .unwrap();
+        let mut closed =
+            System::new(cfg.clone(), traces.clone(), &[], &RunConfig::default()).unwrap();
         let closed_report = closed.run().unwrap();
 
         let mut open = System::new(cfg, traces, &[], &RunConfig::default()).unwrap();
@@ -2229,7 +1226,10 @@ mod tests {
         let open_report = open.run().unwrap();
 
         assert_eq!(open_report.cycles, closed_report.cycles);
-        assert_eq!(open_report.total_committed(), closed_report.total_committed());
+        assert_eq!(
+            open_report.total_committed(),
+            closed_report.total_committed()
+        );
         let stats = open.serve_stats().unwrap();
         assert_eq!(stats.len(), 2);
         for st in &stats {
@@ -2252,7 +1252,8 @@ mod tests {
         let ntx = sys.traces[0].stored().transactions() as usize;
         let spacing = 50_000u64;
         let arrivals: Vec<Cycle> = (0..ntx as u64).map(|k| k * spacing).collect();
-        sys.enable_serve(ServeConfig::new(vec![arrivals; 2])).unwrap();
+        sys.enable_serve(ServeConfig::new(vec![arrivals; 2]))
+            .unwrap();
         let report = sys.run().unwrap();
         assert!(
             report.cycles >= (ntx as u64 - 1) * spacing,
@@ -2288,7 +1289,11 @@ mod tests {
         let stats = sys.serve_stats().unwrap();
         let mut served = 0u64;
         for st in &stats {
-            assert_eq!(st.completed + st.shed, ntx as u64, "every request accounted");
+            assert_eq!(
+                st.completed + st.shed,
+                ntx as u64,
+                "every request accounted"
+            );
             assert!(st.shed > 0, "a 1-cycle deadline must shed the backlog");
             served += st.completed;
         }
@@ -2300,13 +1305,16 @@ mod tests {
     fn enable_serve_validates_arrival_shapes() {
         let cfg = tiny_machine(SchemeKind::TxCache);
         let traces = vec![simple_trace(); cfg.cores];
-        let mut sys = System::new(cfg.clone(), traces.clone(), &[], &RunConfig::default())
-            .unwrap();
-        assert!(sys.enable_serve(ServeConfig::new(vec![vec![0; 3]])).is_err(), "core count");
-        let mut sys = System::new(cfg.clone(), traces.clone(), &[], &RunConfig::default())
-            .unwrap();
+        let mut sys = System::new(cfg.clone(), traces.clone(), &[], &RunConfig::default()).unwrap();
         assert!(
-            sys.enable_serve(ServeConfig::new(vec![vec![0; 3]; 2])).is_err(),
+            sys.enable_serve(ServeConfig::new(vec![vec![0; 3]]))
+                .is_err(),
+            "core count"
+        );
+        let mut sys = System::new(cfg.clone(), traces.clone(), &[], &RunConfig::default()).unwrap();
+        assert!(
+            sys.enable_serve(ServeConfig::new(vec![vec![0; 3]; 2]))
+                .is_err(),
             "arrival count must match trace transactions"
         );
         let mut sys = System::new(cfg, traces, &[], &RunConfig::default()).unwrap();

@@ -26,8 +26,7 @@
 //! per-access cost is O(1) amortized rather than O(window):
 //!
 //! * a per-line slot list (`line_index`) answering [`TxCache::probe`]
-//!   (newest = last element) and [`TxCache::ack_line`] (oldest issued =
-//!   scan of a near-always-tiny list) without walking the ring;
+//!   (newest = last element) without walking the ring;
 //! * the set of active slots (`active_slots`) so [`TxCache::commit`] and
 //!   [`TxCache::discard_active`] touch only the entries they flip;
 //! * the current head run of one transaction's active lines (`run_lines`)
@@ -445,9 +444,9 @@ impl TxCache {
         self.issue_ptr = self.step(idx);
     }
 
-    /// Serves an acknowledgment for slot `idx` (the simulator routes acks
-    /// by request identity; [`TxCache::ack_line`] provides the paper's
-    /// nearest-tail CAM form), returning the entry it frees.
+    /// Serves an acknowledgment for slot `idx`, returning the entry it
+    /// frees. The simulator routes acks by request identity, which names
+    /// the slot the paper's nearest-tail CAM match would find.
     pub fn ack_slot(&mut self, idx: usize) -> TcEntry {
         let e = &mut self.entries[idx];
         debug_assert!(e.issued && e.state == EntryState::Committed);
@@ -460,22 +459,6 @@ impl TxCache {
         self.stats.acks.inc();
         self.compact_tail();
         acked
-    }
-
-    /// Serves an acknowledgment message by line address: the matching
-    /// issued entry *nearest the tail* becomes available (§4.1). Returns
-    /// the freed slot, or `None` when no issued entry holds the line.
-    pub fn ack_line(&mut self, line: LineAddr) -> Option<usize> {
-        // The line's slot list is in age order, so the first issued
-        // committed slot is the nearest-tail CAM match.
-        let slot = self
-            .line_index
-            .get(&line)?
-            .iter()
-            .copied()
-            .find(|&s| self.entries[s].state == EntryState::Committed && self.entries[s].issued)?;
-        self.ack_slot(slot);
-        Some(slot)
     }
 
     fn compact_tail(&mut self) {
@@ -511,26 +494,16 @@ impl TxCache {
     }
 
     /// LLC miss probe: the in-use entry holding `line` nearest the *head*
-    /// (the newest buffered version), per §4.1. Records probe statistics;
-    /// [`TxCache::probe_ref`] is the read-only, stat-free form.
+    /// (the newest buffered version), per §4.1. Records probe statistics.
     pub fn probe(&mut self, line: LineAddr) -> Option<TcEntry> {
-        let hit = self.probe_ref(line).copied();
-        if hit.is_some() {
-            self.stats.probe_hits.inc();
-        } else {
+        let hit = self.line_index.get(&line).and_then(|slots| slots.last());
+        let Some(&slot) = hit else {
             self.stats.probe_misses.inc();
-        }
-        hit
-    }
-
-    /// Read-only CAM probe: the in-use entry holding `line` nearest the
-    /// head, without touching the probe counters. Inspection paths use
-    /// this so they do not need `&mut self`.
-    #[must_use]
-    pub fn probe_ref(&self, line: LineAddr) -> Option<&TcEntry> {
-        let slot = *self.line_index.get(&line)?.last()?;
-        let e = &self.entries[slot];
+            return None;
+        };
+        let e = self.entries[slot];
         debug_assert!(e.state != EntryState::Available && e.line == line);
+        self.stats.probe_hits.inc();
         Some(e)
     }
 
@@ -641,25 +614,6 @@ mod tests {
         tc.ack_slot(i);
         tc.insert(tx(1), word(2), 2).unwrap();
         assert_eq!(tc.occupancy(), 2);
-    }
-
-    #[test]
-    fn ack_line_matches_nearest_tail() {
-        let mut tc = TxCache::new(&cfg(4));
-        // Two writes to the same line in one tx (no coalescing).
-        tc.insert(tx(0), word(5), 1).unwrap();
-        tc.insert(tx(0), word(5), 2).unwrap();
-        tc.commit(tx(0), 1);
-        let (a, _) = tc.next_issue().unwrap();
-        tc.mark_issued(a);
-        let (b, _) = tc.next_issue().unwrap();
-        tc.mark_issued(b);
-        // Ack by line: frees the tail-most (oldest) entry first.
-        let freed = tc.ack_line(word(5).line()).unwrap();
-        assert_eq!(freed, a);
-        let freed = tc.ack_line(word(5).line()).unwrap();
-        assert_eq!(freed, b);
-        assert_eq!(tc.ack_line(word(5).line()), None);
     }
 
     #[test]

@@ -297,17 +297,6 @@ impl NaiveTc {
         self.compact_tail();
     }
 
-    fn ack_line(&mut self, line: pmacc_types::LineAddr) -> Option<usize> {
-        for i in self.window_indices() {
-            let e = &self.entries[i];
-            if e.state == EntryState::Committed && e.issued && e.line == line {
-                self.ack_slot(i);
-                return Some(i);
-            }
-        }
-        None
-    }
-
     fn compact_tail(&mut self) {
         let mut remaining = self.window_len();
         while remaining > 0 && self.entries[self.tail].state == EntryState::Available {
@@ -374,20 +363,17 @@ enum EqOp {
     Issue,
     /// Acknowledge an issued slot picked by index (out-of-order holes).
     AckSlot(u8),
-    /// Acknowledge by line address (the paper's CAM form).
-    AckLine(u8),
     /// LLC miss probe.
     Probe(u8),
 }
 
 fn arb_eq_op(g: &mut Gen) -> EqOp {
-    match g.weighted(&[6, 2, 1, 4, 3, 2, 4]) {
+    match g.weighted(&[6, 2, 1, 4, 5, 4]) {
         0 => EqOp::Insert(g.gen(), g.gen_range(0u8..24)),
         1 => EqOp::Commit(g.gen()),
         2 => EqOp::Discard(g.gen()),
         3 => EqOp::Issue,
         4 => EqOp::AckSlot(g.gen_range(0u8..8)),
-        5 => EqOp::AckLine(g.gen_range(0u8..24)),
         _ => EqOp::Probe(g.gen_range(0u8..24)),
     }
 }
@@ -451,14 +437,6 @@ fn indexed_cam_matches_naive_reference() {
                         let slot = issued.remove(usize::from(k) % issued.len());
                         fast.ack_slot(slot);
                         naive.ack_slot(slot);
-                    }
-                }
-                EqOp::AckLine(w) => {
-                    let a = fast.ack_line(word(w).line());
-                    let b = naive.ack_line(word(w).line());
-                    assert_eq!(a, b, "ack_line slot");
-                    if let Some(slot) = a {
-                        issued.retain(|&s| s != slot);
                     }
                 }
                 EqOp::Probe(w) => {
