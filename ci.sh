@@ -39,11 +39,13 @@ exits() {
         || { echo "$* exited with status $status, expected $want" >&2; return 1; }
 }
 
-# Formatting gate, first slice: the engine module and the scheme module
-# (rustfmt follows their child modules). The rest of the tree is not
-# rustfmt-clean yet, so it is left out until it is formatted on its own.
-echo "==> rustfmt --check (crates/core/src/system, crates/core/src/scheme)"
-rustfmt --check --edition 2021 crates/core/src/system/mod.rs crates/core/src/scheme/mod.rs
+# Formatting gate, first slices: the engine module, the scheme module and
+# the cache crate with its property tests (rustfmt follows child modules).
+# The rest of the tree is not rustfmt-clean yet, so it is left out until
+# it is formatted on its own.
+echo "==> rustfmt --check (crates/core/src/{system,scheme}, crates/cache)"
+rustfmt --check --edition 2021 crates/core/src/system/mod.rs crates/core/src/scheme/mod.rs \
+    crates/cache/src/lib.rs crates/cache/tests/hierarchy_prop.rs
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline

@@ -37,9 +37,8 @@
 
 use pmacc_types::LineAddr;
 
-use crate::array::CacheArray;
+use crate::hierarchy::Hierarchy;
 use crate::line::{CacheLine, LineState};
-use crate::stats::CoherenceStats;
 
 /// The four MESI states, derived from a line's metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,7 +71,7 @@ impl CohState {
 /// core order (the same order the historical all-cores walk used), with
 /// the requester's own bit masked off.
 fn remote_sharers(sharers: u64, requester: usize) -> impl Iterator<Item = usize> {
-    let mut mask = sharers & !(1u64 << (requester as u32 & 63));
+    let mut mask = sharers & !core_bit(requester);
     core::iter::from_fn(move || {
         if mask == 0 {
             return None;
@@ -83,20 +82,9 @@ fn remote_sharers(sharers: u64, requester: usize) -> impl Iterator<Item = usize>
     })
 }
 
-/// Debug check that the directory bitmap over-approximates reality: a
-/// core outside `sharers` must hold no private copy. (The inverse — a
-/// set bit without a copy — is legal only transiently, never here: the
-/// hierarchy clears bits eagerly at every invalidation/eviction point.)
-#[cfg(debug_assertions)]
-fn assert_directory_covers(l1: &[CacheArray], l2: &[CacheArray], sharers: u64, line: LineAddr) {
-    for core in 0..l1.len() {
-        if sharers & (1u64 << (core as u32 & 63)) == 0 {
-            debug_assert!(
-                !l1[core].contains(line) && !l2[core].contains(line),
-                "core {core} holds {line:?} but its directory bit is clear"
-            );
-        }
-    }
+/// Bit `core` of a directory bitmap.
+pub(crate) fn core_bit(core: usize) -> u64 {
+    1u64 << (core as u32 & 63)
 }
 
 /// One bus snoop: who is asking, for which line, and which remote cores
@@ -109,116 +97,121 @@ pub(crate) struct Snoop {
     pub line: LineAddr,
     /// The LLC directory bitmap for `line` (bit per core).
     pub sharers: u64,
-    /// Pin uncommitted persistent lines intervened into the LLC (the
-    /// NVLLC scheme's eviction guard).
-    pub pin_uncommitted: bool,
 }
 
-/// BusRdX/BusUpgr: invalidates every remote private copy of the snooped
-/// line, intervening dirty data into the LLC (which holds the line by
-/// inclusion whenever a private copy exists).
-///
-/// Appends `(core, line)` to `invalidated` for each remote core that lost
-/// a copy, so the system layer can check those cores' transaction caches —
-/// a TC entry must survive its cache copy being invalidated (the P/V flag
-/// lives in the TC, not the cache).
-pub(crate) fn snoop_invalidate(
-    l1: &mut [CacheArray],
-    l2: &mut [CacheArray],
-    llc: &mut CacheArray,
-    stats: &mut CoherenceStats,
-    snoop: &Snoop,
-    upgrade: bool,
-    invalidated: &mut Vec<(usize, LineAddr)>,
-) {
-    let &Snoop {
-        requester,
-        line,
-        sharers,
-        pin_uncommitted,
-    } = snoop;
-    if upgrade {
-        stats.bus_upgrades.inc();
-    }
+impl Hierarchy {
+    /// Debug check that the directory bitmap over-approximates reality: a
+    /// core outside `sharers` must hold no private copy. (The inverse — a
+    /// set bit without a copy — is legal only transiently, never here:
+    /// the hierarchy clears bits eagerly at every invalidation/eviction
+    /// point.)
     #[cfg(debug_assertions)]
-    assert_directory_covers(l1, l2, sharers, line);
-    for core in remote_sharers(sharers, requester) {
-        let mut dirty = false;
-        let mut persistent = false;
-        let mut tx = None;
-        let mut had_copy = false;
-        for arr in [&mut l1[core], &mut l2[core]] {
-            if let Some(old) = arr.invalidate(line) {
-                had_copy = true;
-                dirty |= old.state.is_dirty();
-                persistent |= old.persistent;
-                tx = tx.or(old.tx);
-            }
+    fn assert_directory_covers(&self, snoop: &Snoop) {
+        for core in (0..self.l1.len()).filter(|&c| snoop.sharers & core_bit(c) == 0) {
+            debug_assert!(
+                !self.l1[core].contains(snoop.line) && !self.l2[core].contains(snoop.line),
+                "core {core} holds {:?} but its directory bit is clear",
+                snoop.line
+            );
         }
-        if !had_copy {
-            continue;
-        }
-        stats.remote_invalidations.inc();
-        if dirty {
-            stats.interventions.inc();
-            if persistent {
-                stats.dirty_persistent_invalidations.inc();
-            }
-            let pin = pin_uncommitted && persistent && tx.is_some();
-            let merged = llc.merge(line, true, persistent, tx, pin);
-            debug_assert!(merged, "remote private copy must be in LLC (inclusion)");
-        }
-        invalidated.push((core, line));
     }
-    // Every remote copy is gone: the directory shrinks to at most the
-    // requester's own presence bit.
-    if let Some(l) = llc.peek_mut(line) {
-        l.sharers &= 1u64 << (requester as u32 & 63);
-    }
-}
 
-/// BusRd: snoops the remote private copies of the requested line for a
-/// read miss. Remote Modified copies are downgraded to Shared (their
-/// data intervened into the LLC); every surviving remote copy is marked
-/// shared. Returns whether any remote copy exists — if so the requester
-/// must fill in Shared state.
-pub(crate) fn snoop_read(
-    l1: &mut [CacheArray],
-    l2: &mut [CacheArray],
-    llc: &mut CacheArray,
-    stats: &mut CoherenceStats,
-    snoop: &Snoop,
-) -> bool {
-    let &Snoop {
-        requester,
-        line,
-        sharers,
-        pin_uncommitted,
-    } = snoop;
-    #[cfg(debug_assertions)]
-    assert_directory_covers(l1, l2, sharers, line);
-    let mut any_copy = false;
-    for core in remote_sharers(sharers, requester) {
-        let mut intervened = false;
-        for arr in [&mut l1[core], &mut l2[core]] {
-            if let Some(l) = arr.peek_mut(line) {
+    /// BusRdX/BusUpgr: invalidates every remote private copy of the
+    /// snooped line, intervening dirty data into the LLC (which holds the
+    /// line by inclusion whenever a private copy exists).
+    ///
+    /// Appends `(core, line)` to `invalidated` for each remote core that
+    /// lost a copy, so the system layer can check those cores' transaction
+    /// caches — a TC entry must survive its cache copy being invalidated
+    /// (the P/V flag lives in the TC, not the cache).
+    pub(crate) fn snoop_invalidate(
+        &mut self,
+        snoop: &Snoop,
+        upgrade: bool,
+        invalidated: &mut Vec<(usize, LineAddr)>,
+    ) {
+        let &Snoop {
+            requester,
+            line,
+            sharers,
+        } = snoop;
+        if upgrade {
+            self.stats.coherence.bus_upgrades.inc();
+        }
+        #[cfg(debug_assertions)]
+        self.assert_directory_covers(snoop);
+        for core in remote_sharers(sharers, requester) {
+            let mut dirty = false;
+            let mut tx = None;
+            let mut had_copy = false;
+            for arr in [&mut self.l1[core], &mut self.l2[core]] {
+                if let Some(old) = arr.invalidate(line) {
+                    had_copy = true;
+                    dirty |= old.state.is_dirty();
+                    tx = tx.or(old.tx);
+                }
+            }
+            if !had_copy {
+                continue;
+            }
+            self.stats.coherence.remote_invalidations.inc();
+            if dirty {
+                self.stats.coherence.interventions.inc();
+                if line.is_persistent() {
+                    self.stats.coherence.dirty_persistent_invalidations.inc();
+                }
+                let merged = self.llc.merge(line, true, tx, self.opts.pins(line, tx));
+                debug_assert!(
+                    merged.is_some(),
+                    "remote private copy must be in LLC (inclusion)"
+                );
+            }
+            invalidated.push((core, line));
+        }
+        // Every remote copy is gone: the directory shrinks to at most the
+        // requester's own presence bit.
+        if let Some(l) = self.llc.peek_mut(line) {
+            l.sharers &= core_bit(requester);
+        }
+    }
+
+    /// BusRd: snoops the remote private copies of the requested line for a
+    /// read miss. Remote Modified copies are downgraded to Shared (their
+    /// data intervened into the LLC); every surviving remote copy is
+    /// marked shared. Returns whether any remote copy exists — if so the
+    /// requester must fill in Shared state.
+    pub(crate) fn snoop_read(&mut self, snoop: &Snoop) -> bool {
+        let &Snoop {
+            requester,
+            line,
+            sharers,
+        } = snoop;
+        #[cfg(debug_assertions)]
+        self.assert_directory_covers(snoop);
+        let mut any_copy = false;
+        for core in remote_sharers(sharers, requester) {
+            let mut intervened = false;
+            for arr in [&mut self.l1[core], &mut self.l2[core]] {
+                let Some(l) = arr.peek_mut(line) else {
+                    continue;
+                };
                 any_copy = true;
                 if l.state.is_dirty() {
-                    stats.downgrades.inc();
+                    self.stats.coherence.downgrades.inc();
                     if !intervened {
                         intervened = true;
-                        stats.interventions.inc();
-                        let pin = pin_uncommitted && l.persistent && l.tx.is_some();
-                        let merged = llc.merge(line, true, l.persistent, l.tx, pin);
-                        debug_assert!(merged, "remote M copy must be in LLC (inclusion)");
+                        self.stats.coherence.interventions.inc();
+                        let pin = self.opts.pins(line, l.tx);
+                        let merged = self.llc.merge(line, true, l.tx, pin);
+                        debug_assert!(merged.is_some(), "remote M copy must be in LLC (inclusion)");
                     }
                     l.state = LineState::Clean;
                 }
                 l.shared = true;
             }
         }
+        any_copy
     }
-    any_copy
 }
 
 #[cfg(test)]
@@ -229,7 +222,10 @@ mod tests {
     fn remote_sharers_walks_set_bits_in_core_order() {
         let walked: Vec<usize> = remote_sharers(0b1011_0101, 0).collect();
         assert_eq!(walked, vec![2, 4, 5, 7]);
-        assert_eq!(remote_sharers(0b1011_0101, 2).collect::<Vec<_>>(), vec![0, 4, 5, 7]);
+        assert_eq!(
+            remote_sharers(0b1011_0101, 2).collect::<Vec<_>>(),
+            vec![0, 4, 5, 7]
+        );
         assert_eq!(remote_sharers(0, 3).count(), 0);
         assert_eq!(remote_sharers(1 << 63, 0).collect::<Vec<_>>(), vec![63]);
     }

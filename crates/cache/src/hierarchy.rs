@@ -6,8 +6,8 @@ use std::error::Error;
 use pmacc_types::{CacheConfig, LineAddr, TxId};
 
 use crate::array::CacheArray;
-use crate::coherence::{snoop_invalidate, snoop_read, Snoop};
-use crate::line::LineState;
+use crate::coherence::{core_bit, Snoop};
+use crate::line::{CacheLine, LineState};
 use crate::stats::HierarchyStats;
 
 /// A cache level.
@@ -40,6 +40,14 @@ pub struct HierarchyOpts {
     /// when they reach the LLC, and refuse to evict them — the NVLLC/Kiln
     /// baseline's in-LLC multi-versioning.
     pub pin_uncommitted_in_llc: bool,
+}
+
+impl HierarchyOpts {
+    /// Whether a dirty copy of `line` tagged `tx` pins when it reaches the
+    /// LLC: an uncommitted transactional persistent line under NVLLC.
+    pub(crate) fn pins(self, line: LineAddr, tx: Option<TxId>) -> bool {
+        self.pin_uncommitted_in_llc && line.is_persistent() && tx.is_some()
+    }
 }
 
 /// One access presented to the hierarchy. Persistence is derived from the
@@ -86,15 +94,13 @@ impl Access {
 
 /// A line leaving the hierarchy through LLC replacement. The system layer
 /// routes it: write-back to memory (Optimal/SP), or *drop* when persistent
-/// (the TC scheme's §3 "dropped writes").
+/// (the TC scheme's §3 "dropped writes"); the line's address says which.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction {
     /// The evicted line.
     pub line: LineAddr,
     /// Whether it carried modified data.
     pub dirty: bool,
-    /// Its P/V flag.
-    pub persistent: bool,
     /// Transaction tag, if it was dirtied transactionally.
     pub tx: Option<TxId>,
 }
@@ -135,10 +141,10 @@ impl Error for PinBlockedError {}
 /// inclusive, write-back LLC.
 #[derive(Debug)]
 pub struct Hierarchy {
-    l1: Vec<CacheArray>,
-    l2: Vec<CacheArray>,
-    llc: CacheArray,
-    opts: HierarchyOpts,
+    pub(crate) l1: Vec<CacheArray>,
+    pub(crate) l2: Vec<CacheArray>,
+    pub(crate) llc: CacheArray,
+    pub(crate) opts: HierarchyOpts,
     /// Statistics, public for the system layer's reports.
     pub stats: HierarchyStats,
 }
@@ -157,7 +163,10 @@ impl Hierarchy {
         llc: CacheConfig,
         opts: HierarchyOpts,
     ) -> Self {
-        assert!(cores <= 64, "the LLC directory bitmap tracks at most 64 cores");
+        assert!(
+            cores <= 64,
+            "the LLC directory bitmap tracks at most 64 cores"
+        );
         Hierarchy {
             l1: (0..cores).map(|_| CacheArray::new(&l1)).collect(),
             l2: (0..cores).map(|_| CacheArray::new(&l2)).collect(),
@@ -181,20 +190,18 @@ impl Hierarchy {
     /// Returns [`PinBlockedError`] when the fill cannot proceed because the
     /// LLC target set is entirely pinned; the caller should stall and retry
     /// (or use [`Hierarchy::force_unpin_for`] as an overflow escape hatch).
-    pub fn access(
-        &mut self,
-        core: usize,
-        acc: Access,
-    ) -> Result<AccessOutcome, PinBlockedError> {
+    pub fn access(&mut self, core: usize, acc: Access) -> Result<AccessOutcome, PinBlockedError> {
         let line = acc.line;
-        let persistent = line.is_persistent();
-        let pin_unc = self.opts.pin_uncommitted_in_llc;
         let mut evictions = Vec::new();
         let mut invalidated = Vec::new();
-        // The LLC-side directory bitmap of the accessed line: which cores
-        // hold private copies. Inclusion means "no LLC line" implies "no
-        // private copies anywhere", i.e. an empty snoop.
-        let sharers = self.llc.peek(line).map_or(0, |l| l.sharers);
+        // The LLC-side directory bitmap of the accessed line names the
+        // cores that hold private copies. Inclusion means "no LLC line"
+        // implies "no private copies anywhere", i.e. an empty snoop.
+        let snoop = Snoop {
+            requester: core,
+            line,
+            sharers: self.llc.peek(line).map_or(0, |l| l.sharers),
+        };
 
         // L1.
         if let Some(was_shared) = self.l1[core].lookup(line).map(|l| l.shared) {
@@ -202,23 +209,11 @@ impl Hierarchy {
                 if was_shared {
                     // BusUpgr: a write to a Shared line invalidates remote
                     // copies before dirtying locally (S -> M).
-                    snoop_invalidate(
-                        &mut self.l1,
-                        &mut self.l2,
-                        &mut self.llc,
-                        &mut self.stats.coherence,
-                        &Snoop { requester: core, line, sharers, pin_uncommitted: pin_unc },
-                        true,
-                        &mut invalidated,
-                    );
+                    self.snoop_invalidate(&snoop, true, &mut invalidated);
                     self.l2[core].set_shared(line, false);
                 }
-                let l = self.l1[core].peek_mut(line).expect("L1 hit just observed");
-                l.state = LineState::Dirty;
-                l.shared = false;
-                if acc.tx.is_some() {
-                    l.tx = acc.tx;
-                }
+                let l = self.l1[core].merge(line, true, acc.tx, false);
+                l.expect("L1 hit just observed").shared = false;
             }
             self.stats.l1[core].accesses.record(true);
             return Ok(AccessOutcome {
@@ -231,24 +226,14 @@ impl Hierarchy {
 
         // L2.
         let l2_shared = self.l2[core].lookup(line).map(|l| l.shared);
-        let l2_hit = l2_shared.is_some();
-        self.stats.l2[core].accesses.record(l2_hit);
-
-        let mut hit = if l2_hit { Some(Level::L2) } else { None };
+        self.stats.l2[core].accesses.record(l2_shared.is_some());
+        let mut hit = l2_shared.map(|_| Level::L2);
         // Whether the L1 (and on a miss, L2) fill must be in Shared state.
         let mut fill_shared = l2_shared.unwrap_or(false);
-        if l2_hit {
+        if hit.is_some() {
             if acc.write && fill_shared {
                 // BusUpgr on the L2 copy (the L1 fill below dirties it).
-                snoop_invalidate(
-                    &mut self.l1,
-                    &mut self.l2,
-                    &mut self.llc,
-                    &mut self.stats.coherence,
-                    &Snoop { requester: core, line, sharers, pin_uncommitted: pin_unc },
-                    true,
-                    &mut invalidated,
-                );
+                self.snoop_invalidate(&snoop, true, &mut invalidated);
                 self.l2[core].set_shared(line, false);
                 fill_shared = false;
             }
@@ -258,25 +243,11 @@ impl Hierarchy {
             if acc.write {
                 // BusRdX: invalidate all remote copies, intervening dirty
                 // data into the LLC; fill will be Modified/Exclusive.
-                snoop_invalidate(
-                    &mut self.l1,
-                    &mut self.l2,
-                    &mut self.llc,
-                    &mut self.stats.coherence,
-                    &Snoop { requester: core, line, sharers, pin_uncommitted: pin_unc },
-                    false,
-                    &mut invalidated,
-                );
+                self.snoop_invalidate(&snoop, false, &mut invalidated);
             } else {
                 // BusRd: downgrade a remote Modified copy, mark survivors
                 // shared; remote copies force a Shared fill here.
-                fill_shared = snoop_read(
-                    &mut self.l1,
-                    &mut self.l2,
-                    &mut self.llc,
-                    &mut self.stats.coherence,
-                    &Snoop { requester: core, line, sharers, pin_uncommitted: pin_unc },
-                );
+                fill_shared = self.snoop_read(&snoop);
                 if fill_shared {
                     self.stats.coherence.shared_fills.inc();
                 }
@@ -292,46 +263,44 @@ impl Hierarchy {
                     self.stats.llc.pin_blocked.inc();
                     return Err(PinBlockedError { line });
                 }
-                let ins = self
-                    .llc
-                    .insert(line, LineState::Clean, persistent, None, false);
-                if let Some((eaddr, eline)) = ins.evicted {
+                if let Some((eaddr, eline)) = self.llc.insert(line, LineState::Clean, None, false) {
                     evictions.push(self.back_invalidate(eaddr, eline));
                 }
             }
             // Fill L2. The core now holds a private copy: set its
             // directory bit in the LLC line (present — just hit or filled).
-            let ins2 = self.l2[core].insert(line, LineState::Clean, persistent, None, false);
+            let evicted = self.l2[core].insert(line, LineState::Clean, None, false);
             if fill_shared {
                 self.l2[core].set_shared(line, true);
             }
-            let l = self.llc.peek_mut(line).expect("LLC holds the line (inclusion)");
-            l.sharers |= 1u64 << (core as u32 & 63);
-            if let Some((eaddr, eline)) = ins2.evicted {
+            let l = self
+                .llc
+                .peek_mut(line)
+                .expect("LLC holds the line (inclusion)");
+            l.sharers |= core_bit(core);
+            if let Some((eaddr, eline)) = evicted {
                 self.stats.l2[core].evictions.inc();
                 self.absorb_l2_victim(core, eaddr, eline);
             }
         }
 
         // Fill L1 (and apply the store).
-        let state = if acc.write {
-            LineState::Dirty
+        let (state, tx) = if acc.write {
+            (LineState::Dirty, acc.tx)
         } else {
-            LineState::Clean
+            (LineState::Clean, None)
         };
-        let tx = if acc.write { acc.tx } else { None };
-        let ins1 = self.l1[core].insert(line, state, persistent, tx, false);
+        let evicted = self.l1[core].insert(line, state, tx, false);
         if fill_shared {
             self.l1[core].set_shared(line, true);
         }
-        if let Some((eaddr, eline)) = ins1.evicted {
+        if let Some((eaddr, eline)) = evicted {
             self.stats.l1[core].evictions.inc();
             if eline.state.is_dirty() {
                 self.stats.l1[core].dirty_evictions.inc();
                 // Inclusion: the victim is present in L2; merge dirtiness.
-                let merged =
-                    self.l2[core].merge(eaddr, true, eline.persistent, eline.tx, false);
-                debug_assert!(merged, "L1 victim must be in L2");
+                let merged = self.l2[core].merge(eaddr, true, eline.tx, false);
+                debug_assert!(merged.is_some(), "L1 victim must be in L2");
             }
         }
         Ok(AccessOutcome {
@@ -344,19 +313,14 @@ impl Hierarchy {
     /// Merges an evicted L2 line into the LLC (present by inclusion),
     /// pinning it if the NVLLC option is on and it is uncommitted
     /// transactional data.
-    fn absorb_l2_victim(
-        &mut self,
-        core: usize,
-        eaddr: LineAddr,
-        eline: crate::line::CacheLine,
-    ) {
+    fn absorb_l2_victim(&mut self, core: usize, eaddr: LineAddr, eline: CacheLine) {
         // Back-invalidate the L1 copy to preserve inclusion, merging its
         // dirtiness and transaction tag. The core no longer holds a
         // private copy: clear its directory bit (before the clean-victim
         // early return — the bit must drop either way).
         let l1_old = self.l1[core].invalidate(eaddr);
         if let Some(l) = self.llc.peek_mut(eaddr) {
-            l.sharers &= !(1u64 << (core as u32 & 63));
+            l.sharers &= !core_bit(core);
         }
         let dirty = eline.state.is_dirty() || l1_old.is_some_and(|l| l.state.is_dirty());
         let tx = l1_old.and_then(|l| l.tx).or(eline.tx);
@@ -364,47 +328,42 @@ impl Hierarchy {
             return;
         }
         self.stats.l2[core].dirty_evictions.inc();
-        if eline.persistent {
+        if eaddr.is_persistent() {
             self.stats.l2[core].persistent_dirty_evictions.inc();
         }
-        let pin = self.opts.pin_uncommitted_in_llc && eline.persistent && tx.is_some();
-        let merged = self.llc.merge(eaddr, true, eline.persistent, tx, pin);
-        debug_assert!(merged, "L2 victim must be in LLC");
+        let merged = self.llc.merge(eaddr, true, tx, self.opts.pins(eaddr, tx));
+        debug_assert!(merged.is_some(), "L2 victim must be in LLC");
     }
 
     /// Back-invalidates every inner copy of an LLC victim and produces the
     /// outgoing [`Eviction`] with merged dirtiness. The victim carries its
     /// own directory bitmap, so only the cores that actually hold copies
     /// are walked.
-    fn back_invalidate(&mut self, eaddr: LineAddr, eline: crate::line::CacheLine) -> Eviction {
+    fn back_invalidate(&mut self, eaddr: LineAddr, eline: CacheLine) -> Eviction {
         let mut dirty = eline.state.is_dirty();
         let mut tx = eline.tx;
         let mut sharers = eline.sharers;
         while sharers != 0 {
             let core = sharers.trailing_zeros() as usize;
             sharers &= sharers - 1;
-            if let Some(old) = self.l1[core].invalidate(eaddr) {
-                dirty |= old.state.is_dirty();
-                tx = old.tx.or(tx);
-                self.stats.coherence.back_invalidations.inc();
-            }
-            if let Some(old) = self.l2[core].invalidate(eaddr) {
-                dirty |= old.state.is_dirty();
-                tx = old.tx.or(tx);
-                self.stats.coherence.back_invalidations.inc();
+            for arr in [&mut self.l1[core], &mut self.l2[core]] {
+                if let Some(old) = arr.invalidate(eaddr) {
+                    dirty |= old.state.is_dirty();
+                    tx = old.tx.or(tx);
+                    self.stats.coherence.back_invalidations.inc();
+                }
             }
         }
         self.stats.llc.evictions.inc();
         if dirty {
             self.stats.llc.dirty_evictions.inc();
-            if eline.persistent {
+            if eaddr.is_persistent() {
                 self.stats.llc.persistent_dirty_evictions.inc();
             }
         }
         Eviction {
             line: eaddr,
             dirty,
-            persistent: eline.persistent,
             tx,
         }
     }
@@ -414,9 +373,9 @@ impl Hierarchy {
     /// memory. The line stays cached, as `clwb` specifies.
     pub fn flush_line(&mut self, core: usize, line: LineAddr) -> bool {
         let mut dirty = false;
-        dirty |= self.l1[core].clean(line) == Some(true);
-        dirty |= self.l2[core].clean(line) == Some(true);
-        dirty |= self.llc.clean(line) == Some(true);
+        for arr in [&mut self.l1[core], &mut self.l2[core], &mut self.llc] {
+            dirty |= arr.clean(line) == Some(true);
+        }
         dirty
     }
 
@@ -430,42 +389,24 @@ impl Hierarchy {
     /// Returns whether the line was dirty in a private level (i.e. whether
     /// an actual data movement into the LLC occurred, which costs an LLC
     /// write-port slot in the timing model).
-    pub fn demote_tx_line(&mut self, core: usize, line: LineAddr, tx: TxId) -> bool {
+    pub fn demote_tx_line(&mut self, core: usize, line: LineAddr) -> bool {
         let mut moved = false;
         for arr in [&mut self.l1[core], &mut self.l2[core]] {
-            if let Some(old) = arr.invalidate(line) {
-                if old.state.is_dirty() {
-                    moved = true;
-                }
-            }
+            moved |= arr.invalidate(line).is_some_and(|l| l.state.is_dirty());
         }
-        if let Some(l) = self.llc.peek_mut(line) {
-            l.sharers &= !(1u64 << (core as u32 & 63));
-        }
-        let _ = tx;
-        if self.llc.contains(line) {
-            if moved {
-                self.llc.merge(line, true, line.is_persistent(), None, false);
-            }
-            self.llc.unpin(line);
-        } else if moved {
-            // The LLC copy was (legally) replaced while only the private
-            // copy was dirty cannot happen under inclusion; defensively
-            // reinstall the line.
-            if self.llc.insert_blocked(line) {
-                let _ = self.llc.force_unpin_in_set_of(line);
-                self.stats.llc.forced_unpins.inc();
-            }
-            self.llc
-                .insert(line, LineState::Dirty, line.is_persistent(), None, false);
+        // Inclusion: a dirty private copy had an LLC copy, and nothing has
+        // evicted it since.
+        let l = self.llc.merge(line, moved, None, false);
+        debug_assert!(
+            !moved || l.is_some(),
+            "dirty private copy of {line} not in the LLC"
+        );
+        if let Some(l) = l {
+            l.sharers &= !core_bit(core);
+            l.pinned = false;
+            l.tx = None;
         }
         moved
-    }
-
-    /// Unpins `line` in the LLC (NVLLC commit of a line that was already
-    /// evicted from the private levels). Returns whether the line was found.
-    pub fn unpin_line(&mut self, line: LineAddr) -> bool {
-        self.llc.unpin(line)
     }
 
     /// Overflow escape hatch: forcibly unpins the oldest pinned line in the
@@ -477,73 +418,31 @@ impl Hierarchy {
         Some(victim)
     }
 
-    /// Innermost level at which `line` is cached for `core`, without
-    /// touching replacement state.
-    #[must_use]
-    pub fn probe(&self, core: usize, line: LineAddr) -> Option<Level> {
-        if self.l1[core].contains(line) {
-            Some(Level::L1)
-        } else if self.l2[core].contains(line) {
-            Some(Level::L2)
-        } else if self.llc.contains(line) {
-            Some(Level::Llc)
-        } else {
-            None
-        }
-    }
-
-    /// Distinct persistent lines that are dirty somewhere in the
-    /// hierarchy — write-backs the NVM is still *owed* at the end of a
-    /// run. Counting them alongside completed writes makes Figure 9's
-    /// traffic comparison independent of where the run was cut off.
-    /// With `pinned_only_committed`, pinned (uncommitted NVLLC) lines are
-    /// excluded: they are not destined for the NVM until they commit.
-    #[must_use]
-    pub fn residual_persistent_dirty_lines(&self, exclude_pinned: bool) -> u64 {
-        let mut lines = std::collections::HashSet::new();
-        for core in 0..self.l1.len() {
-            for arr in [&self.l1[core], &self.l2[core]] {
-                for (addr, l) in arr.iter_valid() {
-                    if l.state.is_dirty() && l.persistent && !(exclude_pinned && l.tx.is_some()) {
-                        lines.insert(addr);
-                    }
-                }
-            }
-        }
-        for (addr, l) in self.llc.iter_valid() {
-            if l.state.is_dirty() && l.persistent && !(exclude_pinned && l.pinned) {
-                lines.insert(addr);
-            }
-        }
-        lines.len() as u64
-    }
-
     /// The distinct persistent lines that are dirty anywhere in the
-    /// hierarchy, sorted and deduplicated across levels — the lines an
-    /// eADR-style flush-on-failure drain would push to NVM at power loss.
-    /// Unlike [`Hierarchy::residual_persistent_dirty_lines`] this returns
-    /// the addresses themselves, so the crash model can materialize their
-    /// architectural values into the NVM image.
+    /// hierarchy, sorted — the lines an eADR-style flush-on-failure drain
+    /// would push to NVM at power loss, and (counted) the write-backs the
+    /// NVM is still *owed* at the end of a run, which makes Figure 9's
+    /// traffic comparison independent of where the run was cut off.
+    /// `exclude_uncommitted` skips the lines not destined for the NVM until
+    /// their transaction commits: private copies with a transaction tag and
+    /// pinned (NVLLC) LLC lines.
     #[must_use]
-    pub fn dirty_persistent_lines(&self) -> Vec<LineAddr> {
-        let mut lines = std::collections::HashSet::new();
-        for core in 0..self.l1.len() {
-            for arr in [&self.l1[core], &self.l2[core]] {
-                for (addr, l) in arr.iter_valid() {
-                    if l.state.is_dirty() && l.persistent {
-                        lines.insert(addr);
-                    }
-                }
-            }
-        }
-        for (addr, l) in self.llc.iter_valid() {
-            if l.state.is_dirty() && l.persistent {
-                lines.insert(addr);
-            }
-        }
-        let mut out: Vec<LineAddr> = lines.into_iter().collect();
-        out.sort_unstable();
-        out
+    pub fn dirty_persistent_lines(&self, exclude_uncommitted: bool) -> Vec<LineAddr> {
+        let private = (self.l1.iter().chain(&self.l2))
+            .flat_map(CacheArray::iter_valid)
+            .filter(|(_, l)| !(exclude_uncommitted && l.tx.is_some()));
+        let llc = self
+            .llc
+            .iter_valid()
+            .filter(|(_, l)| !(exclude_uncommitted && l.pinned));
+        let mut lines: Vec<LineAddr> = private
+            .chain(llc)
+            .filter(|(addr, l)| l.state.is_dirty() && addr.is_persistent())
+            .map(|(addr, _)| addr)
+            .collect();
+        lines.sort_unstable();
+        lines.dedup();
+        lines
     }
 
     /// Checks the directory invariant exactly: for every LLC line, bit
@@ -555,17 +454,16 @@ impl Hierarchy {
     ///
     /// Returns a description of the first violated line.
     pub fn directory_consistent(&self) -> Result<(), String> {
-        let mut actual: std::collections::HashMap<LineAddr, u64> =
-            std::collections::HashMap::new();
+        let mut actual: std::collections::HashMap<LineAddr, u64> = std::collections::HashMap::new();
         for core in 0..self.l1.len() {
             for arr in [&self.l1[core], &self.l2[core]] {
                 for (addr, _) in arr.iter_valid() {
-                    *actual.entry(addr).or_insert(0) |= 1u64 << (core as u32 & 63);
+                    *actual.entry(addr).or_insert(0) |= core_bit(core);
                 }
             }
         }
         for (addr, bits) in &actual {
-            if self.llc.peek(*addr).is_none() {
+            if !self.llc.contains(*addr) {
                 return Err(format!(
                     "{addr} cached privately (cores {bits:#b}) but absent from the LLC"
                 ));
@@ -610,8 +508,8 @@ mod tests {
     fn small() -> Hierarchy {
         Hierarchy::new(
             2,
-            CacheConfig::new(512, 2, 0.5),      // 4 sets x 2 ways
-            CacheConfig::new(2 * 1024, 4, 4.5), // 8 sets x 4 ways
+            CacheConfig::new(512, 2, 0.5),       // 4 sets x 2 ways
+            CacheConfig::new(2 * 1024, 4, 4.5),  // 8 sets x 4 ways
             CacheConfig::new(8 * 1024, 8, 10.0), // 16 sets x 8 ways
             HierarchyOpts::default(),
         )
@@ -683,16 +581,27 @@ mod tests {
         assert_eq!(evs[0].line, LineAddr::new(0));
         assert!(evs[0].dirty, "dirtiness merged from L1");
         // The line is gone everywhere (inclusion).
-        assert_eq!(h.probe(0, LineAddr::new(0)), None);
+        for arr in [h.l1(0), h.l2(0), h.llc()] {
+            assert!(!arr.contains(LineAddr::new(0)));
+        }
     }
 
     #[test]
     fn persistent_flag_follows_region() {
+        // The P/V flag is the address's region: of two dirty L2 victims
+        // (L2 sets repeat every 8 lines), only the NVM one counts as a
+        // persistent dirty eviction.
         let mut h = small();
-        let line = nvm_line(3);
-        h.access(0, Access::store(line)).unwrap();
-        assert!(h.l1(0).peek(line).unwrap().persistent);
-        assert!(h.llc().peek(line).unwrap().persistent);
+        for base in [nvm_line(0), LineAddr::new(0)] {
+            h.access(0, Access::store(base)).unwrap();
+            for i in 1..=4 {
+                let line = LineAddr::new(base.raw() + 8 * i);
+                h.access(0, Access::load(line)).unwrap();
+            }
+        }
+        assert!(nvm_line(0).is_persistent() && !LineAddr::new(0).is_persistent());
+        assert_eq!(h.stats.l2[0].dirty_evictions.value(), 2);
+        assert_eq!(h.stats.l2[0].persistent_dirty_evictions.value(), 1);
     }
 
     #[test]
@@ -705,14 +614,14 @@ mod tests {
         // Second flush: nothing dirty anymore.
         assert!(!h.flush_line(0, line));
         // Line is still cached (clwb keeps it).
-        assert_eq!(h.probe(0, line), Some(Level::L1));
+        assert!(h.l1(0).contains(line));
     }
 
     fn nvllc() -> Hierarchy {
         Hierarchy::new(
             1,
-            CacheConfig::new(256, 2, 0.5),  // 2 sets x 2 ways
-            CacheConfig::new(512, 2, 4.5),  // 4 sets x 2 ways
+            CacheConfig::new(256, 2, 0.5),   // 2 sets x 2 ways
+            CacheConfig::new(512, 2, 4.5),   // 4 sets x 2 ways
             CacheConfig::new(1024, 2, 10.0), // 8 sets x 2 ways
             HierarchyOpts {
                 pin_uncommitted_in_llc: true,
@@ -747,7 +656,8 @@ mod tests {
             let line = nvm_line(8 * i);
             h.access(0, Access::store(line).with_tx(tx)).unwrap();
             for j in 1..=6 {
-                h.access(0, Access::load(nvm_line(8 * (i * 6 + j) + 4))).unwrap();
+                h.access(0, Access::load(nvm_line(8 * (i * 6 + j) + 4)))
+                    .unwrap();
             }
         }
         // Check both pinned.
@@ -757,8 +667,10 @@ mod tests {
         let e = h.access(0, Access::load(nvm_line(16))).unwrap_err();
         assert_eq!(e.line, nvm_line(16));
         assert_eq!(h.stats.llc.pin_blocked.value(), 1);
-        // Commit (unpin) one line; the fill proceeds.
-        assert!(h.unpin_line(nvm_line(0)));
+        // Commit one line (it has no private copy left to move): the LLC
+        // copy unpins and the fill proceeds.
+        assert!(!h.demote_tx_line(0, nvm_line(0)));
+        assert!(!h.llc().peek(nvm_line(0)).unwrap().pinned);
         assert!(h.access(0, Access::load(nvm_line(16))).is_ok());
     }
 
@@ -768,7 +680,7 @@ mod tests {
         let tx = TxId::new(0, 2);
         let line = nvm_line(1);
         h.access(0, Access::store(line).with_tx(tx)).unwrap();
-        assert!(h.demote_tx_line(0, line, tx), "line was dirty in L1");
+        assert!(h.demote_tx_line(0, line), "line was dirty in L1");
         assert!(h.llc().peek(line).unwrap().state.is_dirty());
         assert!(!h.llc().peek(line).unwrap().pinned);
         // Flush semantics: the private copies are invalidated, so the next
@@ -776,7 +688,7 @@ mod tests {
         assert!(!h.l1(0).contains(line));
         assert!(!h.l2(0).contains(line));
         // Second demote: nothing dirty.
-        assert!(!h.demote_tx_line(0, line, tx));
+        assert!(!h.demote_tx_line(0, line));
     }
 
     #[test]
@@ -787,7 +699,8 @@ mod tests {
             let line = nvm_line(8 * i);
             h.access(0, Access::store(line).with_tx(tx)).unwrap();
             for j in 1..=6 {
-                h.access(0, Access::load(nvm_line(8 * (i * 6 + j) + 4))).unwrap();
+                h.access(0, Access::load(nvm_line(8 * (i * 6 + j) + 4)))
+                    .unwrap();
             }
         }
         let victim = h.force_unpin_for(nvm_line(16)).expect("a pinned victim");
@@ -822,7 +735,11 @@ mod tests {
         for i in 0..400u64 {
             let core = (i % 2) as usize;
             let line = LineAddr::new((i * 7) % 192);
-            let acc = if i % 3 == 0 { Access::store(line) } else { Access::load(line) };
+            let acc = if i % 3 == 0 {
+                Access::store(line)
+            } else {
+                Access::load(line)
+            };
             h.access(core, acc).unwrap();
         }
         h.directory_consistent().unwrap();
@@ -835,7 +752,7 @@ mod tests {
         let line = nvm_line(1);
         h.access(0, Access::store(line).with_tx(tx)).unwrap();
         assert_eq!(h.llc().peek(line).unwrap().sharers, 0b01);
-        h.demote_tx_line(0, line, tx);
+        h.demote_tx_line(0, line);
         assert_eq!(h.llc().peek(line).unwrap().sharers, 0);
         h.directory_consistent().unwrap();
     }

@@ -2,13 +2,16 @@
 //! Cache-hierarchy substrate for the `pmacc` simulator.
 //!
 //! Models the paper's three-level hierarchy (private L1 and L2 per core, a
-//! shared inclusive LLC) as *state*: set-associative arrays with
-//! pin-aware LRU replacement, per-line persistent/volatile (P/V) flags,
+//! shared inclusive LLC) as *state*: each level is one flat array of line
+//! metadata (`sets × ways`, set-major) with pin-aware LRU replacement,
 //! transaction tags and a MESI sharing bit kept coherent by a snooping-bus
 //! layer (see the `coherence` module docs for the state encoding and the
-//! BusRd/BusRdX/BusUpgr flows). Timing is layered on top by the system
-//! crate (`pmacc`), which walks the hierarchy and adds the per-level
-//! latencies of Table 2.
+//! BusRd/BusRdX/BusUpgr flows). A line keeps no state its address already
+//! holds: its set comes from the address's index bits, and its
+//! persistent/volatile (P/V) flag from the address's region
+//! ([`LineAddr::is_persistent`](pmacc_types::LineAddr::is_persistent)).
+//! Timing is layered on top by the system crate (`pmacc`), which walks the
+//! hierarchy and adds the per-level latencies of Table 2.
 //!
 //! Two properties the paper relies on are first-class here:
 //!
@@ -45,15 +48,15 @@ mod coherence;
 mod hierarchy;
 mod line;
 mod mshr;
-mod set;
 mod stats;
 mod wbuf;
 
-pub use array::{CacheArray, Insertion};
+pub use array::CacheArray;
 pub use coherence::CohState;
-pub use hierarchy::{Access, AccessOutcome, Eviction, Hierarchy, HierarchyOpts, Level, PinBlockedError};
+pub use hierarchy::{
+    Access, AccessOutcome, Eviction, Hierarchy, HierarchyOpts, Level, PinBlockedError,
+};
 pub use line::{CacheLine, LineState};
 pub use mshr::{Mshr, MshrFullError};
-pub use set::CacheSet;
 pub use stats::{CacheStats, CoherenceStats, HierarchyStats};
 pub use wbuf::WriteBackBuffer;

@@ -1,8 +1,11 @@
 //! A single cache line's metadata.
 //!
-//! Following §4.3 of the paper, each line carries — besides tag and state —
-//! a one-bit persistent/volatile (P/V) flag. For the NVLLC baseline the
-//! line additionally remembers the transaction that last dirtied it and
+//! §4.3 of the paper gives each line a one-bit persistent/volatile (P/V)
+//! flag. The simulator does not store it: the flag always equals the
+//! region of the line's address, so readers ask
+//! [`LineAddr::is_persistent`](pmacc_types::LineAddr::is_persistent)
+//! instead (the hardware-cost model still prices the bit). For the NVLLC
+//! baseline a line remembers the transaction that last dirtied it and
 //! whether it is pinned (uncommitted data may not be evicted from a
 //! nonvolatile LLC).
 
@@ -41,8 +44,6 @@ pub struct CacheLine {
     pub tag: u64,
     /// Validity / dirtiness.
     pub state: LineState,
-    /// The P/V flag: whether the line maps to the persistent NVM region.
-    pub persistent: bool,
     /// Transaction that last dirtied the line, if it was a transactional
     /// persistent store (cleared when the transaction commits).
     pub tx: Option<TxId>,
@@ -98,7 +99,6 @@ mod tests {
         let mut l = CacheLine {
             tag: 5,
             state: LineState::Dirty,
-            persistent: true,
             tx: Some(TxId::new(0, 1)),
             pinned: true,
             shared: true,
@@ -110,7 +110,6 @@ mod tests {
         assert!(!l.state.is_valid());
         assert!(!l.pinned);
         assert_eq!(l.tx, None);
-        assert!(!l.persistent);
         assert!(!l.shared);
         assert_eq!(l.sharers, 0);
     }

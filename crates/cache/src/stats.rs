@@ -43,7 +43,10 @@ impl ToJson for CacheStats {
             ("miss_rate", self.miss_rate().to_json()),
             ("evictions", self.evictions.to_json()),
             ("dirty_evictions", self.dirty_evictions.to_json()),
-            ("persistent_dirty_evictions", self.persistent_dirty_evictions.to_json()),
+            (
+                "persistent_dirty_evictions",
+                self.persistent_dirty_evictions.to_json(),
+            ),
             ("pin_blocked", self.pin_blocked.to_json()),
             ("forced_unpins", self.forced_unpins.to_json()),
         ])

@@ -1,10 +1,10 @@
 //! Property tests of the cache hierarchy: inclusion, write-back
-//! conservation, pin behaviour and MESI coherence invariants under
-//! random access streams.
+//! conservation, pin behaviour, NVLLC commits, and the MESI and directory
+//! invariants under random access streams.
 
 use std::collections::{HashMap, HashSet};
 
-use pmacc_cache::{Access, CohState, Hierarchy, HierarchyOpts};
+use pmacc_cache::{Access, CohState, Hierarchy, HierarchyOpts, PinBlockedError};
 use pmacc_types::{Addr, CacheConfig, LineAddr, TxId};
 
 fn hierarchy(pin: bool) -> Hierarchy {
@@ -55,16 +55,7 @@ fn inclusion_and_writeback_conservation() {
                 }
             }
         }
-        // Inclusion.
-        for core in 0..2 {
-            for (line, _) in h.l1(core).iter_valid() {
-                assert!(h.l2(core).contains(line), "L1 ⊆ L2 violated at {line}");
-                assert!(h.llc().contains(line), "L1 ⊆ LLC violated at {line}");
-            }
-            for (line, _) in h.l2(core).iter_valid() {
-                assert!(h.llc().contains(line), "L2 ⊆ LLC violated at {line}");
-            }
-        }
+        check_inclusion(&h, 2);
         // Conservation: every dirtied line is cached-dirty somewhere or
         // among the dirty evictions (no lost write-backs). A line can be
         // evicted dirty and re-dirtied, so membership (not counts) is
@@ -77,6 +68,19 @@ fn inclusion_and_writeback_conservation() {
             );
         }
     });
+}
+
+/// L1 ⊆ L2 ⊆ LLC for every core.
+fn check_inclusion(h: &Hierarchy, cores: usize) {
+    for core in 0..cores {
+        for (line, _) in h.l1(core).iter_valid() {
+            assert!(h.l2(core).contains(line), "L1 ⊆ L2 violated at {line}");
+            assert!(h.llc().contains(line), "L1 ⊆ LLC violated at {line}");
+        }
+        for (line, _) in h.l2(core).iter_valid() {
+            assert!(h.llc().contains(line), "L2 ⊆ LLC violated at {line}");
+        }
+    }
 }
 
 /// Under NVLLC pinning, pinned lines are never reported as evictions,
@@ -129,7 +133,8 @@ fn pinned_lines_never_evict() {
 ///   coexists with dirtiness;
 /// * whenever two cores hold the same line, all private copies are
 ///   Shared;
-/// * inclusion (L1 ⊆ L2 ⊆ LLC) survives snoops and back-invalidation.
+/// * inclusion (L1 ⊆ L2 ⊆ LLC) survives snoops and back-invalidation;
+/// * the LLC directory names exactly the cores holding private copies.
 #[test]
 fn mesi_coherence_invariants() {
     pmacc_prop::check("mesi_coherence_invariants", |g| {
@@ -159,8 +164,77 @@ fn mesi_coherence_invariants() {
             };
             h.access(core, acc).expect("no pinning configured");
             check_mesi(&h, CORES);
+            h.directory_consistent()
+                .expect("directory matches the private copies");
         }
     });
+}
+
+/// NVLLC commits on two cores: each step is a transactional store, a load
+/// or a commit of one core's open transaction through `demote_tx_line`,
+/// and a fill blocked by a fully pinned LLC set frees it with
+/// `force_unpin_for`. Inclusion and the directory hold after every step,
+/// and a commit leaves none of its lines pinned in the LLC.
+#[test]
+fn pinned_commits_keep_inclusion_and_directory() {
+    pmacc_prop::check("pinned_commits_keep_inclusion_and_directory", |g| {
+        const CORES: usize = 2;
+        let steps = g.vec(1..300, |g| {
+            (
+                g.gen_range(0usize..CORES),
+                g.gen_range(0u8..10),
+                g.gen_range(0u64..48),
+            )
+        });
+        // Two-way sets at every level, and an LLC of 16 lines for 48, so
+        // pinned lines fill whole LLC sets.
+        let mut h = Hierarchy::new(
+            CORES,
+            CacheConfig::new(256, 2, 0.5),
+            CacheConfig::new(512, 2, 4.5),
+            CacheConfig::new(1024, 2, 10.0),
+            HierarchyOpts {
+                pin_uncommitted_in_llc: true,
+            },
+        );
+        let mut serial = [0u64; CORES];
+        let mut written: [Vec<LineAddr>; CORES] = Default::default();
+        for (core, op, line_no) in steps {
+            let line = nvm_line(line_no);
+            match op {
+                0..=4 => {
+                    let tx = TxId::new(core as u8, serial[core]);
+                    access_unpinning(&mut h, core, Access::store(line).with_tx(tx));
+                    written[core].push(line);
+                }
+                5..=8 => access_unpinning(&mut h, core, Access::load(line)),
+                _ => {
+                    for &line in &written[core] {
+                        h.demote_tx_line(core, line);
+                    }
+                    for line in written[core].drain(..) {
+                        assert!(
+                            h.llc().peek(line).is_none_or(|l| !l.pinned),
+                            "{line} still pinned after its commit"
+                        );
+                    }
+                    serial[core] += 1;
+                }
+            }
+            check_inclusion(&h, CORES);
+            h.directory_consistent()
+                .expect("directory matches the private copies");
+        }
+    });
+}
+
+/// Performs `acc`, forcibly unpinning the blocked LLC set until the fill
+/// proceeds.
+fn access_unpinning(h: &mut Hierarchy, core: usize, acc: Access) {
+    while let Err(PinBlockedError { line }) = h.access(core, acc) {
+        h.force_unpin_for(line)
+            .expect("a blocked set holds a pinned line");
+    }
 }
 
 fn check_mesi(h: &Hierarchy, cores: usize) {
@@ -186,7 +260,10 @@ fn check_mesi(h: &Hierarchy, cores: usize) {
                 }
                 // Inclusion after back-invalidation: every private copy
                 // still has an LLC backing line.
-                assert!(h.llc().contains(line), "{line} cached privately but not in LLC");
+                assert!(
+                    h.llc().contains(line),
+                    "{line} cached privately but not in LLC"
+                );
             }
         }
         for (line, s) in strongest {

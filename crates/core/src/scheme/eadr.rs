@@ -63,7 +63,7 @@ impl Eadr {
         for (line, words) in in_flight.into_values() {
             logical.write_line(line, words);
         }
-        for line in sys.hier.dirty_persistent_lines() {
+        for line in sys.hier.dirty_persistent_lines(false) {
             logical.write_line(line, &sys.arch_image.read_line(line));
         }
         DurableState::Eadr {

@@ -232,7 +232,7 @@ impl System {
     pub(crate) fn tx_end(&mut self, c: usize, tx: TxId) {
         self.detached(|scheme, sys| match scheme {
             SchemeState::TxCache(tc) => tc.tx_end(sys, c, tx),
-            SchemeState::NvLlc(nvllc) => nvllc.tx_end(sys, c, tx),
+            SchemeState::NvLlc(nvllc) => nvllc.tx_end(sys, c),
             SchemeState::Eadr(eadr) => eadr.tx_end(sys, c),
             SchemeState::Optimal | SchemeState::Sp => sys.finish_txend(c),
         });
@@ -259,10 +259,10 @@ impl System {
             // TC dropped them on eviction: its own path persists them.
             SchemeState::TxCache(_) => 0,
             // Uncommitted (pinned) lines are not owed to the NVM.
-            SchemeState::NvLlc(_) => self.hier.residual_persistent_dirty_lines(true),
+            SchemeState::NvLlc(_) => self.hier.dirty_persistent_lines(true).len() as u64,
             // eADR caches are ordinary write-back caches until power is
             // lost, so their dirty lines are owed to the NVM like Optimal's.
-            _ => self.hier.residual_persistent_dirty_lines(false),
+            _ => self.hier.dirty_persistent_lines(false).len() as u64,
         }
     }
 

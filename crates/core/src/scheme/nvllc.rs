@@ -4,9 +4,7 @@
 
 use pmacc_cpu::StallKind;
 use pmacc_mem::Backing;
-use pmacc_types::{
-    Cycle, FxHashMap, LineAddr, MachineConfig, TxId, Word, WordAddr, WORDS_PER_LINE,
-};
+use pmacc_types::{Cycle, FxHashMap, LineAddr, MachineConfig, Word, WordAddr, WORDS_PER_LINE};
 
 use crate::recovery::{DurableState, RecoveryCost};
 use crate::System;
@@ -32,14 +30,14 @@ impl NvLlc {
     /// `TX_END`: commits `tx`'s values in the LLC with a blocking flush of
     /// its dirty lines from L1/L2, which occupies the LLC write port (the
     /// §5.2 "bursts of traffic"), then retires it.
-    pub(crate) fn tx_end(&mut self, sys: &mut System, c: usize, tx: TxId) {
+    pub(crate) fn tx_end(&mut self, sys: &mut System, c: usize) {
         self.committed
             .extend(sys.cores[c].tx_writes.iter().copied());
         let lines: Vec<LineAddr> = sys.cores[c].tx_lines.clone();
         let t0 = sys.cores[c].time;
         let mut t = t0;
         for line in lines {
-            if sys.hier.demote_tx_line(c, line, tx) {
+            if sys.hier.demote_tx_line(c, line) {
                 // Read the private copy (L2 latency) and initiate the LLC
                 // write; the core moves on to the next line while the
                 // STT-RAM write holds the bank — that hold is what "blocks
@@ -48,7 +46,6 @@ impl NvLlc {
                 let w = sys.llc_port_hold(line, t, self.write_lat);
                 t += w + sys.lat_l2 + 1;
             }
-            sys.hier.unpin_line(line);
         }
         if t > t0 {
             sys.cores[c].stats.add_stall(StallKind::CommitFlush, t - t0);
