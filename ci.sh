@@ -39,13 +39,17 @@ exits() {
         || { echo "$* exited with status $status, expected $want" >&2; return 1; }
 }
 
-# Formatting gate, first slices: the engine module, the scheme module and
-# the cache crate with its property tests (rustfmt follows child modules).
-# The rest of the tree is not rustfmt-clean yet, so it is left out until
-# it is formatted on its own.
-echo "==> rustfmt --check (crates/core/src/{system,scheme}, crates/cache)"
+# Formatting gate, first slices: the engine module, the scheme module,
+# recovery, the machine configuration, the figures, the crash campaign,
+# the bench harness, the cache crate and three property tests (rustfmt
+# follows child modules). The rest of the tree is not rustfmt-clean yet,
+# so it is left out until it is formatted on its own.
+echo "==> rustfmt --check (engine, schemes, recovery, config, figures, crashgrid, harness, cache)"
 rustfmt --check --edition 2021 crates/core/src/system/mod.rs crates/core/src/scheme/mod.rs \
-    crates/cache/src/lib.rs crates/cache/tests/hierarchy_prop.rs
+    crates/core/src/recovery.rs crates/types/src/config.rs crates/bench/src/figures.rs \
+    crates/bench/src/crashgrid.rs crates/bench/src/harness.rs crates/cache/src/lib.rs \
+    crates/cache/tests/hierarchy_prop.rs crates/core/tests/txcache_prop.rs \
+    tests/tests/check_oracle_prop.rs
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline

@@ -216,6 +216,19 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
+    /// A cell with the default transaction cache, no sharing and no wear
+    /// leveling.
+    fn plain(workload: WorkloadKind, scheme: SchemeKind, cores: usize) -> Self {
+        CellSpec {
+            workload,
+            scheme,
+            cores,
+            tc_entries: None,
+            sharing: 0,
+            wear: false,
+        }
+    }
+
     /// The simulated machine for this cell.
     #[must_use]
     pub fn machine(&self) -> MachineConfig {
@@ -247,8 +260,7 @@ impl CellSpec {
     /// lines is not defined for it.
     #[must_use]
     pub fn expect_consistent(&self) -> bool {
-        self.scheme != SchemeKind::Optimal
-            && !(self.scheme == SchemeKind::Sp && self.sharing > 0)
+        self.scheme.is_persistent() && !(self.scheme == SchemeKind::Sp && self.sharing > 0)
     }
 
     /// Stable label: `workload/scheme/cN[/tcE][/shS][/wl]`.
@@ -338,118 +350,57 @@ impl CampaignConfig {
     /// cells appended last).
     #[must_use]
     pub fn cells(&self) -> Vec<CellSpec> {
+        use SchemeKind::{Eadr, NvLlc, Optimal, TxCache};
+        use WorkloadKind::{Hashtable, Rbtree, Sps};
+        let runs = |&(w, s): &(WorkloadKind, SchemeKind)| {
+            self.workloads.contains(&w) && self.schemes.contains(&s)
+        };
+        let contended = || {
+            [Sps, Hashtable]
+                .into_iter()
+                .flat_map(|w| [(w, TxCache), (w, NvLlc)])
+        };
         let mut out = Vec::new();
         for &workload in &self.workloads {
             for &scheme in &self.schemes {
                 for &cores in &self.core_counts {
-                    out.push(CellSpec {
-                        workload,
-                        scheme,
-                        cores,
-                        tc_entries: None,
-                        sharing: 0,
-                        wear: false,
-                    });
+                    out.push(CellSpec::plain(workload, scheme, cores));
                 }
             }
         }
-        if self.overflow_cell
-            && self.schemes.contains(&SchemeKind::TxCache)
-            && self.workloads.contains(&WorkloadKind::Rbtree)
-        {
+        if self.overflow_cell && runs(&(Rbtree, TxCache)) {
+            let cores = self.core_counts.first().copied().unwrap_or(1);
             out.push(CellSpec {
-                workload: WorkloadKind::Rbtree,
-                scheme: SchemeKind::TxCache,
-                cores: self.core_counts.first().copied().unwrap_or(1),
                 tc_entries: Some(OVERFLOW_TC_ENTRIES),
-                sharing: 0,
-                wear: false,
+                ..CellSpec::plain(Rbtree, TxCache, cores)
             });
         }
         if self.sharing_cells {
-            for &workload in &[WorkloadKind::Sps, WorkloadKind::Hashtable] {
-                if !self.workloads.contains(&workload) {
-                    continue;
-                }
-                for &scheme in &[SchemeKind::TxCache, SchemeKind::NvLlc] {
-                    if !self.schemes.contains(&scheme) {
-                        continue;
-                    }
-                    for sharing in [2, 4] {
-                        out.push(CellSpec {
-                            workload,
-                            scheme,
-                            cores: 2,
-                            tc_entries: None,
-                            sharing,
-                            wear: false,
-                        });
-                    }
+            for (workload, scheme) in contended().filter(runs) {
+                for sharing in [2, 4] {
+                    let cell = CellSpec::plain(workload, scheme, 2);
+                    out.push(CellSpec { sharing, ..cell });
                 }
             }
             // One eADR contention cell: crashes inside cross-core
             // conflict windows where the losing core's drained-but-
             // uncommitted stores must roll back to the *winner's*
-            // committed values, not the initial image.
-            if self.schemes.contains(&SchemeKind::Eadr)
-                && self.workloads.contains(&WorkloadKind::Sps)
-            {
-                out.push(CellSpec {
-                    workload: WorkloadKind::Sps,
-                    scheme: SchemeKind::Eadr,
-                    cores: 2,
-                    tc_entries: None,
-                    sharing: 4,
-                    wear: false,
-                });
-            }
-            if self.schemes.contains(&SchemeKind::Optimal)
-                && self.workloads.contains(&WorkloadKind::Sps)
-            {
-                out.push(CellSpec {
-                    workload: WorkloadKind::Sps,
-                    scheme: SchemeKind::Optimal,
-                    cores: 2,
-                    tc_entries: None,
-                    sharing: 4,
-                    wear: false,
-                });
+            // committed values, not the initial image. Then an Optimal
+            // control cell.
+            for (workload, scheme) in [(Sps, Eadr), (Sps, Optimal)].into_iter().filter(runs) {
+                let cell = CellSpec::plain(workload, scheme, 2);
+                out.push(CellSpec { sharing: 4, ..cell });
             }
         }
         if self.wear_cells {
-            for &workload in &[WorkloadKind::Sps, WorkloadKind::Hashtable] {
-                if !self.workloads.contains(&workload) {
-                    continue;
-                }
-                for &scheme in &[SchemeKind::TxCache, SchemeKind::NvLlc] {
-                    if !self.schemes.contains(&scheme) {
-                        continue;
-                    }
-                    out.push(CellSpec {
-                        workload,
-                        scheme,
-                        cores: 2,
-                        tc_entries: None,
-                        sharing: 0,
-                        wear: true,
-                    });
-                }
-            }
-            // One eADR wear cell: the flush-on-failure drain happens in
-            // logical line space and must compose with the start-gap
-            // remap — the snapshot stores the drained image in device
-            // rows, so recovery must invert the remap *and* roll back.
-            if self.schemes.contains(&SchemeKind::Eadr)
-                && self.workloads.contains(&WorkloadKind::Sps)
-            {
-                out.push(CellSpec {
-                    workload: WorkloadKind::Sps,
-                    scheme: SchemeKind::Eadr,
-                    cores: 2,
-                    tc_entries: None,
-                    sharing: 0,
-                    wear: true,
-                });
+            // The last is one eADR wear cell: the flush-on-failure drain
+            // happens in logical line space and must compose with the
+            // start-gap remap — the snapshot stores the drained image in
+            // device rows, so recovery must invert the remap *and* roll
+            // back.
+            for (workload, scheme) in contended().chain([(Sps, Eadr)]).filter(runs) {
+                let cell = CellSpec::plain(workload, scheme, 2);
+                out.push(CellSpec { wear: true, ..cell });
             }
         }
         out
@@ -602,7 +553,9 @@ impl Reproducer {
         fn int(doc: &Json, key: &str) -> Result<u64, String> {
             match field(doc, key)? {
                 Json::Int(i) if *i >= 0 => Ok(*i as u64),
-                other => Err(format!("field `{key}` is not a non-negative integer: {other}")),
+                other => Err(format!(
+                    "field `{key}` is not a non-negative integer: {other}"
+                )),
             }
         }
         fn string<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
@@ -634,9 +587,7 @@ impl Reproducer {
                 workload: string(doc, "workload")?
                     .parse()
                     .map_err(|e| format!("{e}"))?,
-                scheme: string(doc, "scheme")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?,
+                scheme: string(doc, "scheme")?.parse().map_err(|e| format!("{e}"))?,
                 cores: int(doc, "cores")? as usize,
                 tc_entries,
                 sharing,
@@ -1111,8 +1062,7 @@ pub fn run_campaign(cfg: &CampaignConfig, opts: &Options) -> Result<CampaignRepo
             })
         })
         .collect();
-    let outcomes =
-        run_jobs(jobs, opts.jobs, opts.progress).map_err(|p: JobPanic| p.to_string())?;
+    let outcomes = run_jobs(jobs, opts.jobs, opts.progress).map_err(|p: JobPanic| p.to_string())?;
     let mut report = CampaignReport {
         seed: cfg.seed,
         mutation: cfg.mutation,
@@ -1141,8 +1091,7 @@ mod tests {
         ];
         let sched = build_schedule(1_000_000, &boundaries, 7);
         assert!(sched.len() >= MIN_POINTS, "{} points", sched.len());
-        let classes: std::collections::BTreeSet<PointClass> =
-            sched.values().copied().collect();
+        let classes: std::collections::BTreeSet<PointClass> = sched.values().copied().collect();
         for want in [
             PointClass::Stratified,
             PointClass::TxEnd,

@@ -23,16 +23,6 @@ use crate::table::{norm, FigTable};
 /// A named metric extracted from a [`RunReport`].
 type Metric = (&'static str, fn(&RunReport) -> f64);
 
-fn scheme_label(s: SchemeKind) -> &'static str {
-    match s {
-        SchemeKind::Sp => "SP",
-        SchemeKind::TxCache => "TC (this work)",
-        SchemeKind::NvLlc => "NVLLC",
-        SchemeKind::Optimal => "Optimal",
-        SchemeKind::Eadr => "eADR",
-    }
-}
-
 /// Builds one normalized-to-Optimal figure.
 fn normalized_figure(
     grid: &GridResults,
@@ -42,7 +32,7 @@ fn normalized_figure(
     metric: impl Fn(&RunReport) -> f64 + Copy,
 ) -> FigTable {
     let mut cols = vec!["workload".to_string()];
-    cols.extend(SchemeKind::all().iter().map(|s| scheme_label(*s).to_string()));
+    cols.extend(SchemeKind::all().iter().map(|s| s.label().to_string()));
     let mut t = FigTable::new(id, title, caption, cols);
     for kind in WorkloadKind::all() {
         let mut row = vec![kind.to_string()];
@@ -135,7 +125,7 @@ pub fn fig9_breakdown(grid: &GridResults) -> FigTable {
         cols,
     );
     for scheme in SchemeKind::all() {
-        let mut row = vec![scheme_label(scheme).to_string()];
+        let mut row = vec![scheme.label().to_string()];
         for cause in WriteCause::all() {
             let total: u64 = WorkloadKind::all()
                 .iter()
@@ -216,7 +206,7 @@ pub fn endurance(grid: &GridResults) -> FigTable {
             let r = grid.get(kind, scheme);
             let hottest = r.nvm.hottest_line().map_or(0, |(_, n)| n);
             t.push_row(vec![
-                format!("{kind} / {}", scheme_label(scheme)),
+                format!("{kind} / {}", scheme.label()),
                 hottest.to_string(),
                 format!("{:.2}", r.nvm.mean_writes_per_line()),
                 r.nvm.writes().to_string(),
@@ -274,7 +264,7 @@ pub fn recovery_table(scale: Scale, seed: u64, opts: &Options) -> Result<FigTabl
     for scheme in SchemeKind::all() {
         let (cost, ok) = &rows[&scheme];
         t.push_row(vec![
-            scheme_label(scheme).into(),
+            scheme.label().into(),
             cost.words_scanned.to_string(),
             cost.words_replayed.to_string(),
             format!("{:.1} µs", cost.estimated_ns as f64 / 1000.0),
@@ -332,7 +322,7 @@ pub fn mix(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimError
     for scheme in schemes {
         let r = &reports[&scheme];
         t.push_row(vec![
-            scheme_label(scheme).into(),
+            scheme.label().into(),
             norm(r.ipc() / b.ipc()),
             norm(r.throughput() / b.throughput()),
             norm(r.nvm_write_traffic() as f64 / b.nvm_write_traffic().max(1) as f64),
@@ -420,7 +410,11 @@ pub fn sharing(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimE
     // IPC normalized to Optimal at the same cores, workload and fraction.
     let ipc_norm = |key @ (cores, kind, fraction, _)| {
         let base = results[&(cores, kind, fraction, SchemeKind::Optimal)].ipc();
-        if base == 0.0 { 0.0 } else { results[&key].ipc() / base }
+        if base == 0.0 {
+            0.0
+        } else {
+            results[&key].ipc() / base
+        }
     };
     // One row function for the per-cell, mean and 16-core rows.
     let row = |workload: String,
@@ -432,7 +426,7 @@ pub fn sharing(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimE
         vec![
             workload,
             format!("{}%", f64::from(fraction) * 12.5),
-            scheme_label(scheme).into(),
+            scheme.label().into(),
             norm(ipc),
             cf.to_string(),
             stall,
@@ -463,13 +457,23 @@ pub fn sharing(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimE
     // summed over the three workloads).
     for fraction in FRACTIONS {
         for scheme in SchemeKind::all() {
-            let ipc: f64 = KINDS.iter().map(|&k| ipc_norm((cores, k, fraction, scheme))).sum();
+            let ipc: f64 = KINDS
+                .iter()
+                .map(|&k| ipc_norm((cores, k, fraction, scheme)))
+                .sum();
             let sum = KINDS.iter().fold([0u64; 4], |sum, &kind| {
                 let c = counts(&results[&(cores, kind, fraction, scheme)]);
                 std::array::from_fn(|i| sum[i] + c[i])
             });
             let n = KINDS.len() as f64;
-            t.push_row(row("**mean**".into(), fraction, scheme, ipc / n, "-".into(), sum));
+            t.push_row(row(
+                "**mean**".into(),
+                fraction,
+                scheme,
+                ipc / n,
+                "-".into(),
+                sum,
+            ));
         }
     }
     // 16-core directory-stress rows.
@@ -623,7 +627,7 @@ pub fn wear(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
                 let r = &results[&(kind, leveling, scheme)];
                 t.push_row(vec![
                     kind.to_string(),
-                    scheme_label(scheme).into(),
+                    scheme.label().into(),
                     lvl_label(leveling).into(),
                     r.nvm.writes().to_string(),
                     r.nvm.max_writes_per_line().to_string(),
@@ -660,7 +664,7 @@ pub fn wear(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
             let n = KINDS.len() as f64;
             t.push_row(vec![
                 "**mean**".into(),
-                scheme_label(scheme).into(),
+                scheme.label().into(),
                 lvl_label(leveling).into(),
                 writes.to_string(),
                 max_w.to_string(),
@@ -695,13 +699,11 @@ pub fn warm(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
     let schemes = [SchemeKind::Sp, SchemeKind::TxCache, SchemeKind::NvLlc];
     let mut t = FigTable::new(
         "Extension: warm",
-        format!(
-            "Grid means measured after a {warmup}-transaction warm-up"
-        ),
+        format!("Grid means measured after a {warmup}-transaction warm-up"),
         "Normalized to Optimal, as in Figures 6-10 but excluding the \
          cold-cache region.",
         std::iter::once("metric")
-            .chain(schemes.map(scheme_label))
+            .chain(schemes.map(SchemeKind::label))
             .map(String::from)
             .collect(),
     );
@@ -709,7 +711,10 @@ pub fn warm(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimErro
         ("IPC", RunReport::ipc),
         ("throughput", RunReport::throughput),
         ("LLC miss rate", RunReport::llc_miss_rate),
-        ("persistent load latency", RunReport::persistent_load_latency),
+        (
+            "persistent load latency",
+            RunReport::persistent_load_latency,
+        ),
     ];
     for (name, metric) in metrics {
         let mut row = vec![name.to_string()];
@@ -884,7 +889,11 @@ pub fn table3(scale: Scale, seed: u64) -> FigTable {
 /// # Errors
 ///
 /// Returns the first simulation error.
-pub fn ablation_txcache_size(scale: Scale, seed: u64, opts: &Options) -> Result<FigTable, SimError> {
+pub fn ablation_txcache_size(
+    scale: Scale,
+    seed: u64,
+    opts: &Options,
+) -> Result<FigTable, SimError> {
     let mut t = FigTable::new(
         "Ablation A",
         "Transaction-cache capacity sweep (TC scheme)",
@@ -903,7 +912,9 @@ pub fn ablation_txcache_size(scale: Scale, seed: u64, opts: &Options) -> Result<
     let sizes: [u64; 6] = [512, 1024, 2048, 4096, 8192, 16384];
     let kinds = [WorkloadKind::Sps, WorkloadKind::Rbtree];
     let reports = sweep(
-        sizes.into_iter().flat_map(|size| kinds.map(|kind| (size, kind))),
+        sizes
+            .into_iter()
+            .flat_map(|size| kinds.map(|kind| (size, kind))),
         seed,
         opts,
         |(size, kind)| format!("tc-size {size} B/{kind}"),
@@ -1025,7 +1036,11 @@ pub fn ablation_nvm_latency(scale: Scale, seed: u64, opts: &Options) -> Result<F
     for point in points {
         let opt = reports[&(point, SchemeKind::Optimal)].ipc();
         let mut row = vec![device(point).0];
-        row.extend(schemes[1..].iter().map(|s| norm(reports[&(point, *s)].ipc() / opt)));
+        row.extend(
+            schemes[1..]
+                .iter()
+                .map(|s| norm(reports[&(point, *s)].ipc() / opt)),
+        );
         t.push_row(row);
     }
     Ok(t)
@@ -1130,7 +1145,10 @@ pub fn ablation_sp_fencing(scale: Scale, seed: u64, opts: &Options) -> Result<Fi
         },
     )?;
     let opt = &reports[&(SchemeKind::Optimal, false)];
-    for (label, strict) in [("batched (Fig. 3a, default)", false), ("strict (Fig. 2b)", true)] {
+    for (label, strict) in [
+        ("batched (Fig. 3a, default)", false),
+        ("strict (Fig. 2b)", true),
+    ] {
         let r = &reports[&(SchemeKind::Sp, strict)];
         t.push_row(vec![
             label.into(),

@@ -4,13 +4,17 @@
 //! each is an ordinary binary; this module supplies the `Criterion`-shaped
 //! surface they drive (`benchmark_group` / `bench_function` / `iter`)
 //! without the external crate. It deliberately measures the simple thing:
-//! per sample it times one closure invocation with [`std::time::Instant`]
-//! and reports min / median / max wall-clock time per iteration.
+//! per sample it times one batch of iterations with [`std::time::Instant`]
+//! and reports min / median / max wall-clock time per iteration. The
+//! untimed warm-up doubles the batch until one batch lasts at least
+//! [`SAMPLE_TARGET`], so a sub-microsecond closure is timed over many
+//! calls rather than against the timer's own overhead; a closure that
+//! takes longer runs once per sample.
 //!
 //! Environment knobs:
 //!
 //! * `PMACC_BENCH_SAMPLES` — samples per benchmark (default 10; each
-//!   sample is one iteration). When set, it overrides in-code
+//!   sample is one batch). When set, it overrides in-code
 //!   [`Harness::sample_size`]/[`Group::sample_size`] calls too, so one
 //!   variable shrinks or deepens every bench target at once.
 //! * `PMACC_JOBS` — worker count for any grid or sweep a bench target
@@ -30,6 +34,9 @@
 //! ```
 
 use std::time::{Duration, Instant};
+
+/// The least wall time one sample's batch of iterations should take.
+pub const SAMPLE_TARGET: Duration = Duration::from_millis(1);
 
 /// Top-level harness: owns defaults and collects results.
 #[derive(Debug)]
@@ -91,17 +98,10 @@ impl Harness {
     }
 
     fn run(&mut self, id: &str, samples: usize, mut f: impl FnMut(&mut Bencher)) {
-        // One untimed warm-up pass populates caches and page tables.
-        let mut warmup = Bencher::default();
-        f(&mut warmup);
-        assert!(
-            warmup.iters > 0,
-            "benchmark `{id}` never called Bencher::iter"
-        );
-
+        let batch = warm_up(id, &mut f);
         let mut per_iter: Vec<Duration> = Vec::with_capacity(samples);
         for _ in 0..samples {
-            let mut b = Bencher::default();
+            let mut b = Bencher::new(batch);
             f(&mut b);
             per_iter.push(b.elapsed / u32::try_from(b.iters).unwrap_or(u32::MAX).max(1));
         }
@@ -116,6 +116,22 @@ impl Harness {
             fmt_duration(median),
         );
         self.ran += 1;
+    }
+}
+
+/// The untimed warm-up pass: populates caches and page tables, and
+/// returns the batch size, doubled from one until a batch of calls lasts
+/// at least [`SAMPLE_TARGET`].
+fn warm_up(id: &str, f: &mut impl FnMut(&mut Bencher)) -> u64 {
+    let mut batch = 1;
+    loop {
+        let mut b = Bencher::new(batch);
+        f(&mut b);
+        assert!(b.iters > 0, "benchmark `{id}` never called Bencher::iter");
+        if b.elapsed >= SAMPLE_TARGET {
+            return batch;
+        }
+        batch *= 2;
     }
 }
 
@@ -149,21 +165,31 @@ impl Group<'_> {
 
 /// Passed to each benchmark closure; [`Bencher::iter`] times the hot
 /// code.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Bencher {
+    batch: u64,
     iters: u64,
     elapsed: Duration,
 }
 
 impl Bencher {
-    /// Times one invocation of `f`, keeping its result opaque to the
-    /// optimizer.
+    fn new(batch: u64) -> Self {
+        Bencher {
+            batch,
+            iters: 0,
+            elapsed: Duration::ZERO,
+        }
+    }
+
+    /// Times one batch of invocations of `f`, keeping each result opaque
+    /// to the optimizer.
     pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
         let start = Instant::now();
-        let out = f();
+        for _ in 0..self.batch {
+            std::hint::black_box(f());
+        }
         self.elapsed += start.elapsed();
-        self.iters += 1;
-        std::hint::black_box(out);
+        self.iters += self.batch;
     }
 }
 
@@ -200,11 +226,28 @@ mod tests {
 
     #[test]
     fn bencher_counts_iterations() {
-        let mut b = Bencher::default();
+        let mut b = Bencher::new(1);
         for _ in 0..3 {
             b.iter(|| 1 + 1);
         }
         assert_eq!(b.iters, 3);
+        let mut b = Bencher::new(5);
+        let mut calls = 0;
+        b.iter(|| calls += 1);
+        assert_eq!((b.iters, calls), (5, 5));
+    }
+
+    #[test]
+    fn warm_up_batches_short_closures_to_the_sample_target() {
+        let mut f = |b: &mut Bencher| b.iter(|| std::hint::black_box(2) * 2);
+        let batch = warm_up("short", &mut f);
+        assert!(batch > 1, "a nanosecond closure needs a batch");
+        let mut b = Bencher::new(batch);
+        f(&mut b);
+        assert_eq!(b.iters, batch);
+        // A closure slower than the target runs once per sample.
+        let mut slow = |b: &mut Bencher| b.iter(|| std::thread::sleep(SAMPLE_TARGET));
+        assert_eq!(warm_up("slow", &mut slow), 1);
     }
 
     #[test]

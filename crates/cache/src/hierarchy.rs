@@ -214,6 +214,7 @@ impl Hierarchy {
                 }
                 let l = self.l1[core].merge(line, true, acc.tx, false);
                 l.expect("L1 hit just observed").shared = false;
+                self.pin_uncommitted_store(acc);
             }
             self.stats.l1[core].accesses.record(true);
             return Ok(AccessOutcome {
@@ -294,6 +295,7 @@ impl Hierarchy {
         if fill_shared {
             self.l1[core].set_shared(line, true);
         }
+        self.pin_uncommitted_store(acc);
         if let Some((eaddr, eline)) = evicted {
             self.stats.l1[core].evictions.inc();
             if eline.state.is_dirty() {
@@ -308,6 +310,16 @@ impl Hierarchy {
             evictions,
             invalidated,
         })
+    }
+
+    /// Pins the LLC copy of a line an uncommitted transaction's store just
+    /// dirtied in the private caches: by inclusion, evicting the LLC copy
+    /// would take the private copy with it (Kiln's no-evict invariant).
+    fn pin_uncommitted_store(&mut self, acc: Access) {
+        if acc.write && self.opts.pins(acc.line, acc.tx) {
+            let l = self.llc.peek_mut(acc.line);
+            l.expect("LLC holds the line (inclusion)").pinned = true;
+        }
     }
 
     /// Merges an evicted L2 line into the LLC (present by inclusion),
@@ -643,6 +655,23 @@ mod tests {
         let llc_line = h.llc().peek(line).expect("line reached LLC");
         assert!(llc_line.pinned, "uncommitted dirty persistent line pins");
         assert_eq!(llc_line.tx, Some(tx));
+    }
+
+    #[test]
+    fn uncommitted_store_pins_its_llc_copy() {
+        // Line 0 stays dirty in L1: unpinned, its LLC copy would be the
+        // victim of line 16's fill (same set, two ways), and evicting it
+        // would back-invalidate the uncommitted private copy.
+        let mut h = nvllc();
+        let line = nvm_line(0);
+        h.access(0, Access::store(line).with_tx(TxId::new(0, 1)))
+            .unwrap();
+        assert!(h.llc().peek(line).unwrap().pinned);
+        h.access(0, Access::load(nvm_line(8))).unwrap();
+        let out = h.access(0, Access::load(nvm_line(16))).unwrap();
+        let evicted: Vec<LineAddr> = out.evictions.iter().map(|e| e.line).collect();
+        assert_eq!(evicted, [nvm_line(8)]);
+        assert!(h.l1(0).contains(line));
     }
 
     #[test]

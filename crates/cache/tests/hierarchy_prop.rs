@@ -3,6 +3,7 @@
 //! invariants under random access streams.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pmacc_cache::{Access, CohState, Hierarchy, HierarchyOpts, PinBlockedError};
 use pmacc_types::{Addr, CacheConfig, LineAddr, TxId};
@@ -84,11 +85,14 @@ fn check_inclusion(h: &Hierarchy, cores: usize) {
 }
 
 /// Under NVLLC pinning, pinned lines are never reported as evictions,
-/// and unpinning makes a blocked set usable again.
+/// and unpinning makes a blocked set usable again. The lines are
+/// multiples of 16, so they crowd the 16-set LLC's pins into one set and
+/// the blocked-set branch runs.
 #[test]
 fn pinned_lines_never_evict() {
+    let blocked = AtomicUsize::new(0);
     pmacc_prop::check("pinned_lines_never_evict", |g| {
-        let accesses = g.vec(1..300, |g| (g.gen_range(0u64..64), g.gen::<bool>()));
+        let accesses = g.vec(1..300, |g| (16 * g.gen_range(0u64..32), g.gen::<bool>()));
         let mut h = hierarchy(true);
         let tx = TxId::new(0, 1);
         let mut pinned_candidates: HashSet<LineAddr> = HashSet::new();
@@ -113,6 +117,7 @@ fn pinned_lines_never_evict() {
                 Err(e) => {
                     // Fully pinned set: unpin one candidate in that set
                     // and verify the fill then proceeds.
+                    blocked.fetch_add(1, Ordering::Relaxed);
                     let victim = h
                         .force_unpin_for(e.line)
                         .expect("a pinned victim exists in a blocked set");
@@ -122,6 +127,10 @@ fn pinned_lines_never_evict() {
             }
         }
     });
+    assert!(
+        blocked.load(Ordering::Relaxed) > 0,
+        "no case filled an LLC set with pins"
+    );
 }
 
 /// The MESI single-writer discipline, checked after every access of a

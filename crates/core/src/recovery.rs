@@ -35,6 +35,8 @@ pub struct TxRecord {
 /// Everything that survives a power failure, plus the checking oracle.
 #[derive(Debug, Clone)]
 pub struct CrashState {
+    /// The scheme that was running.
+    pub scheme: SchemeKind,
     /// Crash cycle.
     pub cycle: Cycle,
     /// Core count.
@@ -67,12 +69,6 @@ pub struct CrashState {
 }
 
 impl CrashState {
-    /// The scheme that was running.
-    #[must_use]
-    pub fn scheme(&self) -> SchemeKind {
-        self.durable.scheme()
-    }
-
     /// The durable NVM image in *logical* line space: reconstructs the
     /// remap from the wear snapshot's registers and inverts it, or
     /// returns the image as-is when leveling was off. This is the first
@@ -133,10 +129,7 @@ pub struct RecoveryCost {
 /// Estimates the recovery cost for `state` on `machine` without mutating
 /// anything (run [`recover`] for the actual image).
 #[must_use]
-pub fn recovery_cost(
-    state: &CrashState,
-    machine: &pmacc_types::MachineConfig,
-) -> RecoveryCost {
+pub fn recovery_cost(state: &CrashState, machine: &pmacc_types::MachineConfig) -> RecoveryCost {
     use pmacc_types::WORDS_PER_LINE;
     // The walk reads logical addresses, so under wear leveling the image
     // is un-remapped first (the cost of that register-driven translation
@@ -240,8 +233,9 @@ mod tests {
         layout::persistent_heap_base().offset(i * 8).word()
     }
 
-    fn base_state(durable: DurableState) -> CrashState {
+    fn base_state(scheme: SchemeKind, durable: DurableState) -> CrashState {
         CrashState {
+            scheme,
             cycle: 100,
             cores: 1,
             nvm: Backing::new(),
@@ -258,10 +252,13 @@ mod tests {
     }
 
     fn tc_state(txcache: Vec<TcEntry>, cow: Vec<CowTxShadow>) -> CrashState {
-        base_state(DurableState::TxCache {
-            txcaches: vec![txcache],
-            cow: vec![cow],
-        })
+        base_state(
+            SchemeKind::TxCache,
+            DurableState::TxCache {
+                txcaches: vec![txcache],
+                cow: vec![cow],
+            },
+        )
     }
 
     /// A committed transaction-cache entry for transaction 0 holding
@@ -282,14 +279,17 @@ mod tests {
     }
 
     fn eadr_state(undo: &[(WordAddr, Word)]) -> CrashState {
-        base_state(DurableState::Eadr {
-            undo: vec![undo.iter().copied().collect()],
-        })
+        base_state(
+            SchemeKind::Eadr,
+            DurableState::Eadr {
+                undo: vec![undo.iter().copied().collect()],
+            },
+        )
     }
 
     #[test]
     fn optimal_recovery_is_identity() {
-        let mut st = base_state(DurableState::Optimal);
+        let mut st = base_state(SchemeKind::Optimal, DurableState::NvmOnly);
         st.nvm.write_word(heap_word(0), 42);
         let rec = recover(&st);
         assert_eq!(rec.read_word(heap_word(0)), 42);
@@ -340,9 +340,12 @@ mod tests {
 
     #[test]
     fn nvllc_recovery_overlays_committed_lines() {
-        let mut st = base_state(DurableState::NvLlc {
-            committed: [(heap_word(3), 11)].into_iter().collect(),
-        });
+        let mut st = base_state(
+            SchemeKind::NvLlc,
+            DurableState::NvLlc {
+                committed: [(heap_word(3), 11)].into_iter().collect(),
+            },
+        );
         commit(&mut st, &[(heap_word(3), 11)]);
         let rec = recover(&st);
         assert_eq!(rec.read_word(heap_word(3)), 11);
@@ -392,19 +395,22 @@ mod tests {
 
     #[test]
     fn checker_catches_lost_committed_write() {
-        let mut st = base_state(DurableState::Optimal);
+        let mut st = base_state(SchemeKind::Optimal, DurableState::NvmOnly);
         commit(&mut st, &[(heap_word(0), 9)]);
         // Nor did an earlier committed value of word 5 survive.
         commit(&mut st, &[(heap_word(5), 77)]);
         let rec = recover(&st); // NVM never got the write
         let err = check_recovery(&st, &rec).unwrap_err();
         assert_eq!(err.total, 2);
-        assert_eq!(err.mismatches, vec![(heap_word(0), 9, 0), (heap_word(5), 77, 0)]);
+        assert_eq!(
+            err.mismatches,
+            vec![(heap_word(0), 9, 0), (heap_word(5), 77, 0)]
+        );
     }
 
     #[test]
     fn checker_catches_torn_transaction() {
-        let mut st = base_state(DurableState::Optimal);
+        let mut st = base_state(SchemeKind::Optimal, DurableState::NvmOnly);
         // Uncommitted write leaked to NVM (no journal entry).
         st.nvm.write_word(heap_word(4), 123);
         let rec = recover(&st);
@@ -414,7 +420,7 @@ mod tests {
 
     #[test]
     fn checker_accepts_whole_in_flight_and_rejects_partial() {
-        let mut st = base_state(DurableState::Optimal);
+        let mut st = base_state(SchemeKind::Optimal, DurableState::NvmOnly);
         let writes = vec![(heap_word(0), 1), (heap_word(9), 2)];
         st.in_flight[0] = Some(TxRecord {
             tx: TxId::new(0, 0),
@@ -429,11 +435,10 @@ mod tests {
 
     #[test]
     fn checker_ignores_log_area_noise() {
-        let mut st = base_state(DurableState::Optimal);
+        let mut st = base_state(SchemeKind::Optimal, DurableState::NvmOnly);
         // Scratch words below the heap are scheme-private, in the
         // recovered image and in the committed one alike.
-        st.nvm
-            .write_word(Addr::nvm_base().word(), 0xDEAD);
+        st.nvm.write_word(Addr::nvm_base().word(), 0xDEAD);
         commit(&mut st, &[(Addr::nvm_base().offset(8).word(), 0xBEEF)]);
         let rec = recover(&st);
         check_recovery(&st, &rec).unwrap();
@@ -444,24 +449,30 @@ mod tests {
         use pmacc_types::MachineConfig;
         let machine = MachineConfig::small();
         // Optimal recovers nothing.
-        let opt = base_state(DurableState::Optimal);
+        let opt = base_state(SchemeKind::Optimal, DurableState::NvmOnly);
         assert_eq!(recovery_cost(&opt, &machine), RecoveryCost::default());
         // TC scans its array and replays committed words.
-        let c = recovery_cost(&tc_state(vec![committed_entry(&[1, 2])], Vec::new()), &machine);
+        let c = recovery_cost(
+            &tc_state(vec![committed_entry(&[1, 2])], Vec::new()),
+            &machine,
+        );
         assert_eq!(c.words_replayed, 2);
         assert!(c.words_scanned >= machine.txcache.entries() as u64 * 8);
         assert!(c.estimated_ns > 0);
         // NVLLC only walks tags.
-        let nv = base_state(DurableState::NvLlc {
-            committed: FxHashMap::default(),
-        });
+        let nv = base_state(
+            SchemeKind::NvLlc,
+            DurableState::NvLlc {
+                committed: FxHashMap::default(),
+            },
+        );
         let c = recovery_cost(&nv, &machine);
         assert_eq!(c.words_replayed, 0);
         assert_eq!(c.words_scanned, machine.llc.lines());
         // SP walks its log: one committed transaction (two records and a
         // marker) and one uncommitted record. Every record and marker
         // scans two words; only the committed records replay.
-        let mut sp = base_state(DurableState::Sp);
+        let mut sp = base_state(SchemeKind::Sp, DurableState::Sp);
         let log = [
             (sp::encode_record(0, heap_word(0).to_addr()), 5),
             (sp::encode_record(0, heap_word(1).to_addr()), 6),
@@ -496,7 +507,7 @@ mod tests {
     fn recovery_inverts_the_wear_remap() {
         use pmacc_mem::WearMap;
         use pmacc_types::WearConfig;
-        let mut st = base_state(DurableState::Optimal);
+        let mut st = base_state(SchemeKind::Optimal, DurableState::NvmOnly);
         // Rotate a small region through a full start-gap cycle so the
         // mapping is a genuine shift (every line on a different row).
         let mut m = WearMap::new(&WearConfig {
@@ -528,7 +539,7 @@ mod tests {
 
     #[test]
     fn later_commits_overwrite_earlier_ones_in_expectation() {
-        let mut st = base_state(DurableState::Optimal);
+        let mut st = base_state(SchemeKind::Optimal, DurableState::NvmOnly);
         commit(&mut st, &[(heap_word(0), 1)]);
         commit(&mut st, &[(heap_word(0), 2)]);
         st.nvm.write_word(heap_word(0), 2);

@@ -32,12 +32,11 @@ impl Eadr {
             .or_insert_with(|| arch.read_word(word));
     }
 
-    /// `TX_END` is free: every store is durable already, so it only
-    /// retires the transaction (journal entry, conflict gate), and the
-    /// transaction's pre-images die.
-    pub(crate) fn tx_end(&mut self, sys: &mut System, c: usize) {
+    /// `TX_END` is free: every store is durable already, so the
+    /// transaction retires at once and its pre-images die.
+    pub(crate) fn tx_end(&mut self, c: usize) -> bool {
         self.0[c].clear();
-        sys.finish_txend(c);
+        true
     }
 
     /// The flush-on-failure drain, applied to the logical NVM image. The

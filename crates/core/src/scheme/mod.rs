@@ -12,7 +12,8 @@
 //!    evictions, what survives a crash ([`DurableState`]), and how
 //!    recovery rebuilds a consistent image from it. Each scheme keeps its
 //!    state, hooks and recovery in one file (`sp`, `tc`, `nvllc`, `eadr`;
-//!    `Optimal` has none); this module holds one `match` per hook.
+//!    `Optimal` has none: it runs as the stateless `SchemeState::Plain`);
+//!    this module holds one `match` per hook.
 
 mod eadr;
 mod nvllc;
@@ -25,12 +26,12 @@ use pmacc_cache::{Access, HierarchyOpts};
 use pmacc_cpu::{Op, Trace};
 use pmacc_mem::Backing;
 use pmacc_types::{
-    Addr, Cycle, FxHashMap, LineAddr, MachineConfig, SchemeKind, TxId, Word, WordAddr,
+    Addr, Counter, Cycle, FxHashMap, LineAddr, MachineConfig, SchemeKind, TxId, Word, WordAddr,
     WORDS_PER_LINE,
 };
 
 use crate::recovery::RecoveryCost;
-use crate::txcache::TcEntry;
+use crate::txcache::{TcEntry, TcStats, TxCache};
 use crate::System;
 pub use tc::CowTxShadow;
 pub(crate) use tc::TcWrite;
@@ -70,17 +71,18 @@ pub(crate) fn instrument_ops(
 ) -> Option<Trace> {
     match scheme {
         SchemeKind::Sp => Some(sp::instrument_ops(core, ops, sp::SpMode::Batched)),
-        SchemeKind::Optimal | SchemeKind::TxCache | SchemeKind::NvLlc | SchemeKind::Eadr => None,
+        _ => None,
     }
 }
 
 /// What the running scheme keeps durable beside the NVM image — one
-/// variant per scheme, so a crash image can only hold the state its own
-/// scheme persists (an eADR undo log inside a TC image is unrepresentable).
+/// variant per kind of payload, so a crash image can only hold the state
+/// its own scheme persists (an eADR undo log inside a TC image is
+/// unrepresentable).
 #[derive(Debug, Clone)]
 pub enum DurableState {
-    /// No persistence support: the NVM image is all there is.
-    Optimal,
+    /// Nothing beside the NVM image (Optimal).
+    NvmOnly,
     /// Software logging: the write-ahead logs live in the NVM image
     /// itself, so nothing else survives.
     Sp,
@@ -107,17 +109,6 @@ pub enum DurableState {
 }
 
 impl DurableState {
-    /// The scheme that persisted this state.
-    pub(crate) fn scheme(&self) -> SchemeKind {
-        match self {
-            DurableState::Optimal => SchemeKind::Optimal,
-            DurableState::Sp => SchemeKind::Sp,
-            DurableState::TxCache { .. } => SchemeKind::TxCache,
-            DurableState::NvLlc { .. } => SchemeKind::NvLlc,
-            DurableState::Eadr { .. } => SchemeKind::Eadr,
-        }
-    }
-
     /// Redoes or rolls back `nvm` (the logical image), counting the words
     /// scanned (with `machine`, all of them) and replayed.
     pub(crate) fn recover(
@@ -127,7 +118,7 @@ impl DurableState {
         machine: Option<&MachineConfig>,
     ) -> RecoveryCost {
         match self {
-            DurableState::Optimal => RecoveryCost::default(),
+            DurableState::NvmOnly => RecoveryCost::default(),
             DurableState::Sp => sp::recover(cores, nvm),
             DurableState::TxCache { txcaches, cow } => tc::recover(txcaches, cow, nvm, machine),
             DurableState::NvLlc { committed } => nvllc::recover(committed, nvm, machine),
@@ -139,8 +130,9 @@ impl DurableState {
 /// The running scheme's runtime state: no run carries another scheme's.
 #[derive(Debug, Default)]
 pub(crate) enum SchemeState {
+    /// No state and no hooks (Optimal).
     #[default]
-    Optimal,
+    Plain,
     Sp,
     TxCache(tc::Tc),
     NvLlc(nvllc::NvLlc),
@@ -151,9 +143,9 @@ impl SchemeState {
     /// The state `cfg`'s scheme starts a run with.
     pub(crate) fn new(cfg: &MachineConfig) -> Self {
         match cfg.scheme {
-            SchemeKind::Optimal => SchemeState::Optimal,
+            SchemeKind::Optimal => SchemeState::Plain,
             SchemeKind::Sp => SchemeState::Sp,
-            SchemeKind::TxCache => SchemeState::TxCache(tc::Tc::new(cfg.cores)),
+            SchemeKind::TxCache => SchemeState::TxCache(tc::Tc::new(cfg)),
             SchemeKind::NvLlc => SchemeState::NvLlc(nvllc::NvLlc::new(cfg)),
             SchemeKind::Eadr => SchemeState::Eadr(eadr::Eadr::new(cfg.cores)),
         }
@@ -171,6 +163,33 @@ impl SchemeState {
         };
         (opts, cfg.core.freq.ns_to_cycles(ns))
     }
+
+    /// Each core's transaction cache, for the sampler, the service-mode
+    /// gate and the report; none outside TC.
+    pub(crate) fn txcaches(&self) -> &[TxCache] {
+        match self {
+            SchemeState::TxCache(tc) => &tc.caches,
+            _ => &[],
+        }
+    }
+
+    /// Dirty persistent LLC evictions the scheme dropped.
+    pub(crate) fn dropped_llc_writes(&self) -> u64 {
+        match self {
+            SchemeState::TxCache(tc) => tc.dropped_llc_writes.value(),
+            _ => 0,
+        }
+    }
+
+    /// Zeroes the scheme's statistics at the end of warm-up.
+    pub(crate) fn reset_stats(&mut self) {
+        if let SchemeState::TxCache(tc) = self {
+            for cache in &mut tc.caches {
+                cache.stats = TcStats::default();
+            }
+            tc.dropped_llc_writes = Counter::new();
+        }
+    }
 }
 
 impl System {
@@ -183,16 +202,16 @@ impl System {
         out
     }
 
-    /// Runs a TC-only path on the TC's state; a no-op under other schemes.
-    pub(crate) fn on_tc(&mut self, path: impl FnOnce(&mut tc::Tc, &mut System)) {
-        if !matches!(self.scheme, SchemeState::TxCache(_)) {
-            return;
-        }
-        self.detached(|scheme, sys| {
-            if let SchemeState::TxCache(tc) = scheme {
-                path(tc, sys);
-            }
-        });
+    /// Runs a TC-only path on the TC's state; a no-op (returning the
+    /// default) under other schemes.
+    pub(crate) fn on_tc<R: Default>(
+        &mut self,
+        path: impl FnOnce(&mut tc::Tc, &mut System) -> R,
+    ) -> R {
+        self.detached(|scheme, sys| match scheme {
+            SchemeState::TxCache(tc) => path(tc, sys),
+            _ => R::default(),
+        })
     }
 
     /// Store hook, before any side effect: core `c`'s hierarchy access, or
@@ -205,11 +224,9 @@ impl System {
     ) -> Option<Access> {
         let acc = Access::store(addr.line());
         match (&mut self.scheme, tx) {
-            (SchemeState::TxCache(_), Some(tx)) => {
-                let mut admitted = false;
-                self.on_tc(|tc, sys| admitted = tc.admit_store(sys, c, tx));
-                admitted.then_some(acc)
-            }
+            (SchemeState::TxCache(_), Some(tx)) => self
+                .on_tc(|tc, sys| tc.admit_store(sys, c, tx))
+                .then_some(acc),
             // NVLLC tags persistent stores in a transaction for pinning.
             (SchemeState::NvLlc(_), _) => match self.cores[c].regs.current() {
                 Some(tx) if addr.is_persistent() => Some(acc.with_tx(tx)),
@@ -223,27 +240,50 @@ impl System {
         }
     }
 
-    /// LLC-miss hook: whether a side path serves the fill of `line`.
-    pub(crate) fn probe_side_path(&mut self, line: LineAddr) -> bool {
-        matches!(self.scheme, SchemeState::TxCache(_)) && tc::probe(&mut self.tcs, line)
+    /// Store hook, after the access: core `c`'s transaction `tx` stored
+    /// `value` to `word`.
+    pub(crate) fn tx_stored(&mut self, c: usize, tx: TxId, word: WordAddr, value: Word) {
+        match &mut self.scheme {
+            SchemeState::TxCache(_) => self.on_tc(|tc, sys| tc.buffer(sys, c, tx, word, value)),
+            SchemeState::NvLlc(nvllc) => nvllc.record(c, word, value),
+            _ => {}
+        }
     }
 
-    /// `TX_END` hook: `tx` retires ([`System::finish_txend`]) once durable.
-    pub(crate) fn tx_end(&mut self, c: usize, tx: TxId) {
+    /// LLC-miss hook: the latency of a side path that serves the fill of
+    /// `line`, if one does.
+    pub(crate) fn probe_side_path(&mut self, line: LineAddr) -> Option<Cycle> {
+        match &mut self.scheme {
+            SchemeState::TxCache(tc) => tc.probe(line),
+            _ => None,
+        }
+    }
+
+    /// Snoop hook: each `(core, line)` lost its private copies of `line`.
+    pub(crate) fn note_invalidations(&mut self, invalidated: &[(usize, LineAddr)]) {
+        if let SchemeState::TxCache(tc) = &mut self.scheme {
+            tc.note_invalidations(invalidated);
+        }
+    }
+
+    /// `TX_END` hook: whether `tx` is durable at once, so the engine
+    /// retires it now ([`System::finish_txend`]); otherwise the scheme's
+    /// own completions retire it later.
+    pub(crate) fn tx_end(&mut self, c: usize, tx: TxId) -> bool {
         self.detached(|scheme, sys| match scheme {
             SchemeState::TxCache(tc) => tc.tx_end(sys, c, tx),
             SchemeState::NvLlc(nvllc) => nvllc.tx_end(sys, c),
-            SchemeState::Eadr(eadr) => eadr.tx_end(sys, c),
-            SchemeState::Optimal | SchemeState::Sp => sys.finish_txend(c),
-        });
+            SchemeState::Eadr(eadr) => eadr.tx_end(c),
+            SchemeState::Plain | SchemeState::Sp => true,
+        })
     }
 
     /// Eviction hook: what a dirty evicted line writes back, if anything.
     pub(crate) fn evicted_words(&mut self, line: LineAddr) -> Option<[Word; WORDS_PER_LINE]> {
-        match &self.scheme {
+        match &mut self.scheme {
             // §3: the transaction cache is the only persistent path.
-            SchemeState::TxCache(_) if line.is_persistent() => {
-                self.dropped_llc_writes.inc();
+            SchemeState::TxCache(tc) if line.is_persistent() => {
+                tc.dropped_llc_writes.inc();
                 None
             }
             SchemeState::NvLlc(nvllc) if line.is_persistent() => {
@@ -270,9 +310,9 @@ impl System {
     /// logical line space, after any drain the scheme applies to it.
     pub(crate) fn durable_state(&self, logical: &mut Backing) -> DurableState {
         match &self.scheme {
-            SchemeState::Optimal => DurableState::Optimal,
+            SchemeState::Plain => DurableState::NvmOnly,
             SchemeState::Sp => DurableState::Sp,
-            SchemeState::TxCache(tc) => tc.snapshot(&self.tcs),
+            SchemeState::TxCache(tc) => tc.snapshot(),
             SchemeState::NvLlc(nvllc) => nvllc.snapshot(),
             SchemeState::Eadr(eadr) => eadr.snapshot(self, logical),
         }

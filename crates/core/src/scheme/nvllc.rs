@@ -9,30 +9,36 @@ use pmacc_types::{Cycle, FxHashMap, LineAddr, MachineConfig, Word, WordAddr, WOR
 use crate::recovery::{DurableState, RecoveryCost};
 use crate::System;
 
-/// NVLLC's runtime state: the committed words, and the port occupancy of
-/// one line's commit flush (the STT-RAM write).
+/// NVLLC's runtime state: the committed words, each core's write set of
+/// its running transaction, and the port occupancy of one line's commit
+/// flush (the STT-RAM write).
 #[derive(Debug)]
 pub(crate) struct NvLlc {
     committed: FxHashMap<WordAddr, Word>,
+    write_sets: Vec<Vec<(WordAddr, Word)>>,
     write_lat: Cycle,
 }
 
 impl NvLlc {
     pub(crate) fn new(cfg: &MachineConfig) -> Self {
         let write_lat = cfg.core.freq.ns_to_cycles(cfg.nvllc.write_ns);
-        let committed = FxHashMap::default();
         NvLlc {
-            committed,
+            committed: FxHashMap::default(),
+            write_sets: vec![Vec::new(); cfg.cores],
             write_lat,
         }
     }
 
-    /// `TX_END`: commits `tx`'s values in the LLC with a blocking flush of
-    /// its dirty lines from L1/L2, which occupies the LLC write port (the
-    /// §5.2 "bursts of traffic"), then retires it.
-    pub(crate) fn tx_end(&mut self, sys: &mut System, c: usize) {
-        self.committed
-            .extend(sys.cores[c].tx_writes.iter().copied());
+    /// Adds a transactional store of core `c` to its write set.
+    pub(crate) fn record(&mut self, c: usize, word: WordAddr, value: Word) {
+        self.write_sets[c].push((word, value));
+    }
+
+    /// `TX_END`: commits the transaction's write set in the LLC with a
+    /// blocking flush of its dirty lines from L1/L2, which occupies the
+    /// LLC write port (the §5.2 "bursts of traffic"); it is then durable.
+    pub(crate) fn tx_end(&mut self, sys: &mut System, c: usize) -> bool {
+        self.committed.extend(self.write_sets[c].drain(..));
         let lines: Vec<LineAddr> = sys.cores[c].tx_lines.clone();
         let t0 = sys.cores[c].time;
         let mut t = t0;
@@ -51,7 +57,7 @@ impl NvLlc {
             sys.cores[c].stats.add_stall(StallKind::CommitFlush, t - t0);
             sys.cores[c].time = t;
         }
-        sys.finish_txend(c);
+        true
     }
 
     /// What an evicted persistent line writes back: its committed version.

@@ -8,10 +8,10 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use pmacc_cpu::StallKind;
-use pmacc_mem::{Backing, Completion};
+use pmacc_mem::Backing;
 use pmacc_types::{
-    layout, AccessKind, Cycle, FxHashMap, LineAddr, MachineConfig, MemRegion, MemReq, TxId, Word,
-    WordAddr, WriteCause, WORDS_PER_LINE, WORD_BYTES,
+    layout, AccessKind, Counter, Cycle, FxHashMap, LineAddr, MachineConfig, MemRegion, MemReq,
+    TxId, Word, WordAddr, WriteCause, WORDS_PER_LINE, WORD_BYTES,
 };
 
 use crate::recovery::{DurableState, RecoveryCost};
@@ -67,9 +67,16 @@ pub(crate) enum TcWrite {
     CowInstall(usize, TxId, usize),
 }
 
-/// TC's runtime state (its caches are `System::tcs`, reported by all).
+/// TC's runtime state.
 #[derive(Debug)]
 pub(crate) struct Tc {
+    /// Each core's transaction cache (STT-RAM).
+    pub(super) caches: Vec<TxCache>,
+    /// The LLC-miss probe's latency (cycles).
+    probe_lat: Cycle,
+    /// Dirty persistent LLC evictions dropped (§3: the transaction cache
+    /// is the only persistent path).
+    pub(super) dropped_llc_writes: Counter,
     cow: Vec<CowCore>,
     /// Per shared-window word, the highest commit order whose value has
     /// been applied to the durable NVM image. Two cores' committed writes
@@ -81,19 +88,35 @@ pub(crate) struct Tc {
     shared_words: Range<u64>,
 }
 
-/// The LLC-miss probe (§3), broadcast to every core's cache in parallel
-/// with the NVM read: a hit serves the fill at CAM latency.
-pub(crate) fn probe(tcs: &mut [TxCache], line: LineAddr) -> bool {
-    line.is_persistent() && tcs.iter_mut().any(|tc| tc.probe(line).is_some())
-}
-
 impl Tc {
-    pub(crate) fn new(cores: usize) -> Self {
+    pub(crate) fn new(cfg: &MachineConfig) -> Self {
         Tc {
-            cow: vec![CowCore::default(); cores],
+            caches: (0..cfg.cores).map(|_| TxCache::new(&cfg.txcache)).collect(),
+            probe_lat: cfg.txcache.latency_cycles(cfg.core.freq),
+            dropped_llc_writes: Counter::new(),
+            cow: vec![CowCore::default(); cfg.cores],
             durable_seq: FxHashMap::default(),
             shared_words: layout::shared_pool_base().word().raw()
                 ..layout::extended_heap_base().word().raw(),
+        }
+    }
+
+    /// The LLC-miss probe (§3), broadcast to every core's cache in parallel
+    /// with the NVM read: a hit serves the fill at CAM latency.
+    pub(crate) fn probe(&mut self, line: LineAddr) -> Option<Cycle> {
+        let hit = line.is_persistent() && self.caches.iter_mut().any(|tc| tc.probe(line).is_some());
+        hit.then_some(self.probe_lat)
+    }
+
+    /// Books snoop invalidations: a remote core losing its cache copies of
+    /// a line must *keep* any transaction-cache entry for it — the P/V
+    /// flag lives in the TC, decoupled from the cache states — so only a
+    /// counter moves here.
+    pub(crate) fn note_invalidations(&mut self, invalidated: &[(usize, LineAddr)]) {
+        for &(r, line) in invalidated {
+            if self.caches[r].contains_line(line) {
+                self.caches[r].stats.remote_invalidations.inc();
+            }
         }
     }
 
@@ -115,9 +138,9 @@ impl Tc {
         if self.cow[c].active {
             return true;
         }
-        if sys.tcs[c].overflow_triggered() {
+        if self.caches[c].overflow_triggered() {
             self.overflow(sys, c, tx);
-        } else if sys.tcs[c].is_full() {
+        } else if self.caches[c].is_full() {
             sys.cores[c].begin_stall(StallKind::TxCacheFull);
             // An acknowledgment completion wakes the core.
             sys.push_event(sys.clock + 512, Event::CoreStep(c));
@@ -131,29 +154,29 @@ impl Tc {
         if self.cow[c].active {
             self.cow_write(sys, c, tx, w, v);
         } else {
-            sys.tcs[c]
+            self.caches[c]
                 .insert(tx, w, v)
                 .expect("room checked at admission");
         }
     }
 
-    /// `TX_END`: `tx`'s entries commit and drain, and it retires at once,
-    /// unless it overflowed: then its commit record persists first.
-    pub(crate) fn tx_end(&mut self, sys: &mut System, c: usize, tx: TxId) {
+    /// `TX_END`: `tx`'s entries commit and drain, and it is durable at
+    /// once, unless it overflowed: then its commit record persists first.
+    pub(crate) fn tx_end(&mut self, sys: &mut System, c: usize, tx: TxId) -> bool {
         // The commit order is the journal index `tx` takes: `finish_txend`
         // pushes it within this same event. An overflowed `tx` has no
         // entries left (overflow discarded them); its shadow's order is
         // stamped when its commit record persists.
         let seq = sys.journal.len() as u64 + 1;
-        sys.tcs[c].commit(tx, seq);
+        self.caches[c].commit(tx, seq);
         sys.schedule_wake(Event::TcDrain(c), sys.clock.max(sys.cores[c].time));
-        if self.cow[c].active {
-            sys.cores[c].begin_stall(StallKind::TxCacheFull);
-            self.cow[c].commit = Some(CowCommit::Data);
-            self.resume(sys, c);
-        } else {
-            sys.finish_txend(c);
+        if !self.cow[c].active {
+            return true;
         }
+        sys.cores[c].begin_stall(StallKind::TxCacheFull);
+        self.cow[c].commit = Some(CowCommit::Data);
+        self.resume(sys, c);
+        false
     }
 
     /// The `TcDrain` event: issues the next committed entry, a line a cycle.
@@ -165,7 +188,7 @@ impl Tc {
         if !self.cow[core].installs.is_empty() {
             return; // the last install completion re-arms the drain
         }
-        let Some((slot, entry)) = sys.tcs[core].next_issue() else {
+        let Some((slot, entry)) = self.caches[core].next_issue() else {
             return;
         };
         if !sys.nvm.can_accept(AccessKind::Write) {
@@ -177,9 +200,9 @@ impl Tc {
         let req = |id| MemReq::write(id, entry.line, Some(core), cause).with_tx(entry.tx);
         // Never parks: the queue was checked above.
         sys.issue_write(Origin::Tc(TcWrite::Drain(core, slot)), sys.clock, req);
-        sys.tcs[core].mark_issued(slot);
+        self.caches[core].mark_issued(slot);
         sys.poke_ctrl(MemRegion::Nvm);
-        if sys.tcs[core].next_issue().is_some() {
+        if self.caches[core].next_issue().is_some() {
             sys.schedule_wake(Event::TcDrain(core), sys.clock + 1);
         }
     }
@@ -193,7 +216,7 @@ impl Tc {
                 self.cow[c].commit = Some(CowCommit::Record);
                 self.cow_put(sys, c, tx, 8, TcWrite::CowRecord(c, tx), sys.clock);
             }
-            None if !sys.tcs[c].is_full() => {
+            None if !self.caches[c].is_full() => {
                 let now = sys.clock.max(sys.cores[c].time);
                 sys.cores[c].end_stall(now);
                 sys.push_event(now, Event::CoreStep(c));
@@ -205,15 +228,15 @@ impl Tc {
 
     /// Moves `tx`'s buffered entries to the COW area, for good.
     fn overflow(&mut self, sys: &mut System, c: usize, tx: TxId) {
-        sys.tcs[c].stats.overflows.inc();
+        self.caches[c].stats.overflows.inc();
         self.cow[c].active = true;
-        let moved: Vec<(WordAddr, Word)> = sys.tcs[c]
+        let moved: Vec<(WordAddr, Word)> = self.caches[c]
             .entries_fifo()
             .into_iter()
             .filter(|e| e.tx == tx && e.state == EntryState::Active)
             .flat_map(TcEntry::writes)
             .collect();
-        sys.tcs[c].discard_active(tx);
+        self.caches[c].discard_active(tx);
         for (w, v) in moved {
             self.cow_write(sys, c, tx, w, v);
         }
@@ -251,13 +274,14 @@ impl Tc {
         sys.poke_ctrl(MemRegion::Nvm);
     }
 
-    /// Completes a write issued on one of the TC's own paths.
-    pub(crate) fn write_done(&mut self, sys: &mut System, write: TcWrite, comp: &Completion) {
-        match write {
+    /// Completes, at cycle `at`, a write issued on one of the TC's own
+    /// paths: the core whose overflowed `TX_END` this made durable, if any.
+    pub(crate) fn write_done(&mut self, sys: &mut System, w: TcWrite, at: Cycle) -> Option<usize> {
+        match w {
             TcWrite::Drain(core, slot) => {
                 sys.record_boundary(BoundaryClass::DrainAck);
                 // A committed entry stays as issued until this ack frees it.
-                let entry = sys.tcs[core].ack_slot(slot);
+                let entry = self.caches[core].ack_slot(slot);
                 for (w, v) in entry.writes() {
                     self.durable_write(&mut sys.nvm_backing, w, v, entry.commit_seq);
                 }
@@ -269,13 +293,13 @@ impl Tc {
             TcWrite::CowData(core) => {
                 self.cow[core].pending -= 1;
                 if sys.cores[core].blocked == Some(StallKind::TxCacheFull) {
-                    sys.cores[core].time = sys.cores[core].time.max(comp.done_at);
+                    sys.cores[core].time = sys.cores[core].time.max(at);
                     self.resume(sys, core);
                 }
             }
             TcWrite::CowRecord(core, tx) => {
                 sys.record_boundary(BoundaryClass::CowCommit);
-                // The journal index `tx` takes: `finish_txend` runs below.
+                // The journal index `tx` takes: `finish_txend` runs next.
                 let seq = sys.journal.len() as u64 + 1;
                 let cow = &mut self.cow[core];
                 cow.active = false;
@@ -295,10 +319,9 @@ impl Tc {
                 // One wake-up for the batch: a wake per install would
                 // reorder same-cycle events.
                 sys.poke_ctrl(MemRegion::Nvm);
-                sys.cores[core].time = sys.cores[core].time.max(comp.done_at);
-                sys.cores[core].end_stall(comp.done_at);
-                sys.finish_txend(core);
-                sys.push_event(sys.cores[core].time, Event::CoreStep(core));
+                sys.cores[core].time = sys.cores[core].time.max(at);
+                sys.cores[core].end_stall(at);
+                return Some(core);
             }
             TcWrite::CowInstall(core, tx, i) => {
                 let shadow = self.cow[core].shadows.iter().rev().find(|s| s.tx == tx);
@@ -319,12 +342,13 @@ impl Tc {
                 }
             }
         }
+        None
     }
 
     /// What survives a crash: the STT-RAM arrays and the COW shadows.
-    pub(crate) fn snapshot(&self, tcs: &[TxCache]) -> DurableState {
+    pub(crate) fn snapshot(&self) -> DurableState {
         DurableState::TxCache {
-            txcaches: tcs.iter().map(TxCache::entries_fifo).collect(),
+            txcaches: self.caches.iter().map(TxCache::entries_fifo).collect(),
             cow: self.cow.iter().map(|k| k.shadows.clone()).collect(),
         }
     }

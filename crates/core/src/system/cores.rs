@@ -9,7 +9,7 @@
 use std::collections::VecDeque;
 
 use pmacc_cpu::{CoreStats, Op, StallKind, StoreBuffer, StoreKind, TxRegs};
-use pmacc_types::{Cycle, LineAddr, MachineConfig, TxId, Word, WordAddr};
+use pmacc_types::{Cycle, LineAddr, MachineConfig, TxId, WordAddr};
 
 use super::{Event, System};
 
@@ -35,8 +35,7 @@ pub(crate) struct CoreCtx {
     pub(super) pending_load: Option<(LineAddr, Cycle, Cycle)>,
     // Whether the pending load has been accepted by a memory controller.
     pub(super) load_inflight: bool,
-    // Current-transaction bookkeeping.
-    pub(crate) tx_writes: Vec<(WordAddr, Word)>,
+    /// Lines the current transaction has written, for the conflict gate.
     pub(crate) tx_lines: Vec<LineAddr>,
     /// The transaction whose `TX_END` is in progress.
     pub(crate) txend: Option<TxId>,
@@ -67,7 +66,6 @@ impl CoreCtx {
             stats: CoreStats::new(),
             pending_load: None,
             load_inflight: false,
-            tx_writes: Vec::new(),
             tx_lines: Vec::new(),
             txend: None,
             pin_retries: 0,

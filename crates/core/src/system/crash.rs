@@ -63,6 +63,7 @@ impl System {
             None => logical,
         };
         CrashState {
+            scheme: self.cfg.scheme,
             cycle: self.clock,
             cores: self.cfg.cores,
             nvm,

@@ -71,8 +71,8 @@ impl System {
                 };
                 if out.hit.is_some() {
                     self.finish_load(c, lat, persistent);
-                } else if self.probe_side_path(line) {
-                    self.finish_load(c, lat + self.lat_tc, persistent);
+                } else if let Some(side) = self.probe_side_path(line) {
+                    self.finish_load(c, lat + side, persistent);
                 } else {
                     // Fill from memory.
                     let arrival = t + lat;
@@ -172,8 +172,8 @@ impl System {
                 let llc = self.lat_l2 + self.llc_port_hold(line, t, 1) + self.lat_llc;
                 if hit.is_some() {
                     llc
-                } else if self.probe_side_path(line) {
-                    llc + self.lat_tc
+                } else if let Some(side) = self.probe_side_path(line) {
+                    llc + side
                 } else {
                     llc + self.ctrl(line.region()).read_estimate()
                 }
@@ -204,18 +204,6 @@ impl System {
         }
         self.cores[c].stats.stores.inc();
         self.cores[c].retire(self.cfg.core.issue_width);
-    }
-
-    /// Books the TC-side effect of snoop invalidations: a remote core
-    /// losing its cache copies of a line must *keep* any transaction-
-    /// cache entry for it — the P/V flag lives in the TC, decoupled from
-    /// the cache states — so only a counter moves here.
-    fn note_invalidations(&mut self, invalidated: &[(usize, LineAddr)]) {
-        for &(r, line) in invalidated {
-            if self.tcs[r].contains_line(line) {
-                self.tcs[r].stats.remote_invalidations.inc();
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -411,7 +399,14 @@ impl System {
                     }
                 }
             }
-            Origin::Tc(write) => self.on_tc(|tc, sys| tc.write_done(sys, write, &comp)),
+            Origin::Tc(write) => {
+                // A completion that made an overflowed `TX_END` durable
+                // retires it and wakes its core.
+                if let Some(c) = self.on_tc(|tc, sys| tc.write_done(sys, write, comp.done_at)) {
+                    self.finish_txend(c);
+                    self.push_event(self.cores[c].time, Event::CoreStep(c));
+                }
+            }
         }
     }
 }

@@ -21,6 +21,7 @@ use pmacc_telemetry::Log2Histogram;
 use pmacc_types::{ConfigError, Cycle, SimError};
 
 use super::System;
+use crate::txcache::TxCache;
 
 /// Cycles a deferred request waits before re-testing admission when the
 /// transaction cache or the NVM write queue is saturated (the
@@ -220,9 +221,10 @@ impl System {
         let Some(s) = self.serve.as_ref() else {
             return false;
         };
-        let tc = &self.tcs[c];
-        let tc_hot =
-            tc.capacity() > 0 && tc.occupancy() as f64 >= s.cfg.tc_high * tc.capacity() as f64;
+        // Without a TC the occupancy stays 0 against the configured size.
+        let occupancy = self.scheme.txcaches().get(c).map_or(0, TxCache::occupancy);
+        let capacity = self.cfg.txcache.entries() as f64;
+        let tc_hot = capacity > 0.0 && occupancy as f64 >= s.cfg.tc_high * capacity;
         let wq = self.cfg.nvm.write_queue as f64;
         let nvm_hot = self.nvm.write_queue_len() as f64 >= s.cfg.nvm_write_high * wq;
         tc_hot || nvm_hot

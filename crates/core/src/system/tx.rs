@@ -27,7 +27,7 @@ impl System {
             return;
         }
         self.cores[c].regs.begin();
-        self.clear_tx_writes(c);
+        self.clear_tx_lines(c);
         self.cores[c].retire(self.cfg.core.issue_width);
     }
 
@@ -53,12 +53,11 @@ impl System {
     }
 
     /// Books core `c`'s transactional store of `value` to `addr`: the
-    /// scheme buffers it, and the conflict gate tracks its line through
-    /// the `tx_writers` bitmap (one map lookup on remote cores instead of
-    /// a per-core list scan); NVLLC commits the tracked lines.
+    /// scheme's store hook sees it, and the conflict gate tracks its line
+    /// through the `tx_writers` bitmap (one map lookup on remote cores
+    /// instead of a per-core list scan); NVLLC commits the tracked lines.
     pub(super) fn track_tx_write(&mut self, c: usize, tx: TxId, addr: Addr, value: Word) {
-        self.on_tc(|tc, sys| tc.buffer(sys, c, tx, addr.word(), value));
-        self.cores[c].tx_writes.push((addr.word(), value));
+        self.tx_stored(c, tx, addr.word(), value);
         let e = self.tx_writers.entry(addr.line()).or_insert(0);
         if *e & (1u64 << c) == 0 {
             *e |= 1u64 << c;
@@ -129,11 +128,9 @@ impl System {
         true
     }
 
-    /// Drops core `c`'s transactional write set: empties `tx_writes` and
-    /// `tx_lines` and clears `c`'s bit from every tracked line's writer
-    /// mask.
-    fn clear_tx_writes(&mut self, c: usize) {
-        self.cores[c].tx_writes.clear();
+    /// Drops core `c`'s transactional lines: empties `tx_lines` and
+    /// clears `c`'s bit from every tracked line's writer mask.
+    fn clear_tx_lines(&mut self, c: usize) {
         for line in std::mem::take(&mut self.cores[c].tx_lines) {
             if let Some(e) = self.tx_writers.get_mut(&line) {
                 *e &= !(1u64 << c);
@@ -168,12 +165,15 @@ impl System {
     }
 
     /// `TX_END`: hands the transaction to the scheme's commit hook, and
-    /// retires it on a later step once the scheme has made it durable.
+    /// retires it now if that made it durable; otherwise the scheme's
+    /// completion retires it, or a later step once the core unblocks.
     pub(super) fn do_txend(&mut self, c: usize) {
         if self.cores[c].txend.is_none() {
             let tx = self.cores[c].regs.end();
             self.cores[c].txend = Some(tx);
-            self.tx_end(c, tx);
+            if self.tx_end(c, tx) {
+                self.finish_txend(c);
+            }
         } else if self.cores[c].blocked.is_none() {
             self.finish_txend(c);
         }
@@ -181,10 +181,10 @@ impl System {
 
     /// Retires core `c`'s `TX_END` once its scheme made it durable: the
     /// transaction enters the journal and releases the conflict gate.
-    pub(crate) fn finish_txend(&mut self, c: usize) {
+    pub(super) fn finish_txend(&mut self, c: usize) {
         let tx = self.cores[c].txend.take().expect("txend in progress");
         self.record_boundary(BoundaryClass::TxEnd);
-        self.clear_tx_writes(c);
+        self.clear_tx_lines(c);
         // This retirement is exactly when a remote core stalled on one of
         // this transaction's lines may proceed, so wake Conflict-blocked
         // cores now instead of leaving them to the periodic retry

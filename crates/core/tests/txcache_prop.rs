@@ -199,7 +199,11 @@ impl NaiveTc {
         if self.coalesce {
             let mut i = self.head;
             for _ in 0..self.len {
-                i = if i == 0 { self.entries.len() - 1 } else { i - 1 };
+                i = if i == 0 {
+                    self.entries.len() - 1
+                } else {
+                    i - 1
+                };
                 let e = &mut self.entries[i];
                 if e.state != EntryState::Active || e.tx != tx {
                     break;
@@ -538,6 +542,7 @@ fn heap_word(i: u8) -> WordAddr {
 #[test]
 fn crash_snapshot_recovers_through_ring_wrap_holes() {
     use pmacc::recovery::{check_recovery, recover, CrashState, DurableState, TxRecord};
+    use pmacc_types::SchemeKind;
     use std::sync::Arc;
     pmacc_prop::check("crash_snapshot_recovers_through_ring_wrap_holes", |g| {
         // 2–5 entries: a few hundred ops wrap the ring many times over.
@@ -621,6 +626,7 @@ fn crash_snapshot_recovers_through_ring_wrap_holes() {
                 writes: cur_writes.clone(),
             });
             let state = CrashState {
+                scheme: SchemeKind::TxCache,
                 cycle: step as u64,
                 cores: 1,
                 nvm: nvm.clone(),

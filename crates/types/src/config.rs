@@ -9,8 +9,9 @@ use std::str::FromStr;
 
 use crate::{ConfigError, Freq, LINE_BYTES};
 
-/// Which persistence mechanism the simulated machine uses. These are the
-/// four schemes compared in §5 of the paper.
+/// Which persistence mechanism the simulated machine uses: the four
+/// schemes compared in §5 of the paper, plus the eADR upper bound. Each
+/// is named once, in one row of `SCHEMES`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SchemeKind {
     /// Native execution without any persistence guarantee ("Optimal").
@@ -32,19 +33,39 @@ pub enum SchemeKind {
     Eadr,
 }
 
+/// One row per scheme, in the order the paper's figures present them
+/// (the eADR upper bound last, so earlier report rows stay as they were):
+/// the scheme, its name (printed, and parsed like each alias, in any
+/// case), its figure label and its other accepted names.
+const SCHEMES: [(SchemeKind, &str, &str, &[&str]); 5] = [
+    (SchemeKind::Sp, "sp", "SP", &["log", "software"]),
+    (
+        SchemeKind::TxCache,
+        "tc",
+        "TC (this work)",
+        &["txcache", "tx-cache"],
+    ),
+    (SchemeKind::NvLlc, "nvllc", "NVLLC", &["nv-llc", "kiln"]),
+    (SchemeKind::Optimal, "optimal", "Optimal", &["opt", "none"]),
+    (
+        SchemeKind::Eadr,
+        "eadr",
+        "eADR",
+        &["e-adr", "flush-on-failure"],
+    ),
+];
+
 impl SchemeKind {
-    /// All schemes in the order the paper's figures present them, plus the
-    /// eADR upper bound appended after them (keeps pre-existing report
-    /// rows byte-identical).
+    /// All schemes, in figure order.
     #[must_use]
-    pub fn all() -> [SchemeKind; 5] {
-        [
-            SchemeKind::Sp,
-            SchemeKind::TxCache,
-            SchemeKind::NvLlc,
-            SchemeKind::Optimal,
-            SchemeKind::Eadr,
-        ]
+    pub fn all() -> [SchemeKind; SCHEMES.len()] {
+        SCHEMES.map(|row| row.0)
+    }
+
+    /// The scheme's column label in the figures.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        SCHEMES[self.row()].2
     }
 
     /// Whether the scheme guarantees crash consistency for transactions.
@@ -52,18 +73,17 @@ impl SchemeKind {
     pub fn is_persistent(self) -> bool {
         self != SchemeKind::Optimal
     }
+
+    /// The index of the scheme's row in `SCHEMES`.
+    fn row(self) -> usize {
+        let row = SCHEMES.iter().position(|row| row.0 == self);
+        row.expect("every scheme has a row")
+    }
 }
 
 impl fmt::Display for SchemeKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            SchemeKind::Optimal => "optimal",
-            SchemeKind::Sp => "sp",
-            SchemeKind::TxCache => "tc",
-            SchemeKind::NvLlc => "nvllc",
-            SchemeKind::Eadr => "eadr",
-        };
-        f.write_str(s)
+        f.write_str(SCHEMES[self.row()].1)
     }
 }
 
@@ -71,14 +91,12 @@ impl FromStr for SchemeKind {
     type Err = ConfigError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "optimal" | "opt" | "none" => Ok(SchemeKind::Optimal),
-            "sp" | "log" | "software" => Ok(SchemeKind::Sp),
-            "tc" | "txcache" | "tx-cache" => Ok(SchemeKind::TxCache),
-            "nvllc" | "nv-llc" | "kiln" => Ok(SchemeKind::NvLlc),
-            "eadr" | "e-adr" | "flush-on-failure" => Ok(SchemeKind::Eadr),
-            other => Err(ConfigError::new(format!("unknown scheme `{other}`"))),
-        }
+        let s = s.to_ascii_lowercase();
+        SCHEMES
+            .iter()
+            .find(|(_, name, _, aliases)| *name == s || aliases.contains(&s.as_str()))
+            .map(|row| row.0)
+            .ok_or_else(|| ConfigError::new(format!("unknown scheme `{s}`")))
     }
 }
 
@@ -468,7 +486,9 @@ impl TxCacheConfig {
             return Err(ConfigError::new("txcache: non-positive latency"));
         }
         if !(self.overflow_threshold > 0.0 && self.overflow_threshold <= 1.0) {
-            return Err(ConfigError::new("txcache: overflow threshold not in (0, 1]"));
+            return Err(ConfigError::new(
+                "txcache: overflow threshold not in (0, 1]",
+            ));
         }
         Ok(())
     }
@@ -688,6 +708,37 @@ mod tests {
         }
         assert_eq!("kiln".parse::<SchemeKind>().unwrap(), SchemeKind::NvLlc);
         assert!("bogus".parse::<SchemeKind>().is_err());
+    }
+
+    #[test]
+    fn scheme_names_labels_and_aliases_are_pinned() {
+        let names: Vec<String> = SchemeKind::all().iter().map(|s| s.to_string()).collect();
+        assert_eq!(names, ["sp", "tc", "nvllc", "optimal", "eadr"]);
+        let labels: Vec<&str> = SchemeKind::all().iter().map(|s| s.label()).collect();
+        assert_eq!(labels, ["SP", "TC (this work)", "NVLLC", "Optimal", "eADR"]);
+        let accepted = [
+            ("optimal", SchemeKind::Optimal),
+            ("opt", SchemeKind::Optimal),
+            ("none", SchemeKind::Optimal),
+            ("sp", SchemeKind::Sp),
+            ("log", SchemeKind::Sp),
+            ("software", SchemeKind::Sp),
+            ("tc", SchemeKind::TxCache),
+            ("txcache", SchemeKind::TxCache),
+            ("tx-cache", SchemeKind::TxCache),
+            ("nvllc", SchemeKind::NvLlc),
+            ("nv-llc", SchemeKind::NvLlc),
+            ("kiln", SchemeKind::NvLlc),
+            ("eadr", SchemeKind::Eadr),
+            ("e-adr", SchemeKind::Eadr),
+            ("flush-on-failure", SchemeKind::Eadr),
+            ("Flush-On-Failure", SchemeKind::Eadr),
+        ];
+        for (name, scheme) in accepted {
+            assert_eq!(name.parse::<SchemeKind>().unwrap(), scheme, "{name}");
+        }
+        let err = "Bogus".parse::<SchemeKind>().unwrap_err();
+        assert!(err.to_string().contains("unknown scheme `bogus`"), "{err}");
     }
 
     #[test]

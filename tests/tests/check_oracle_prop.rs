@@ -89,7 +89,9 @@ fn heap_word(g: &mut Gen) -> WordAddr {
 
 /// A word of core 0's log area, below the heap: scheme-private scratch.
 fn log_word(g: &mut Gen) -> WordAddr {
-    layout::log_area_base(0).offset(g.gen_range(0..32u64) * 8).word()
+    layout::log_area_base(0)
+        .offset(g.gen_range(0..32u64) * 8)
+        .word()
 }
 
 /// Small values, zero included: a written zero is still a written word.
@@ -111,60 +113,71 @@ fn record(tx: u64, writes: Vec<(WordAddr, Word)>) -> TxRecord {
 
 #[test]
 fn overlay_checker_matches_the_full_image_oracle_on_random_images() {
-    pmacc_prop::check("overlay_checker_matches_the_full_image_oracle_on_random_images", |g| {
-        let mut init = writes(g, 30);
-        init.extend(g.vec(0..4, |g| (log_word(g), value(g))));
-        let initial: Backing = init.into_iter().collect();
-        let journal: Vec<TxRecord> = (0..g.gen_range(0..6u64))
-            .map(|t| record(t, writes(g, 8)))
-            .collect();
-        let in_flight: Vec<Option<TxRecord>> = (0..g.gen_range(1..4usize))
-            .map(|c| g.gen_bool(0.6).then(|| record(100 + c as u64, writes(g, 6))))
-            .collect();
-        // A recovered image near the committed one: a prefix of the
-        // journal, whole or partial in-flight transactions, stray heap
-        // writes (sometimes enough to pass the first-16 truncation) and
-        // log-area noise.
-        let mut recovered = initial.clone();
-        let replayed = g.gen_range(0..journal.len() + 1);
-        let replayed = if g.gen_bool(0.5) { journal.len() } else { replayed };
-        for rec in &journal[..replayed] {
-            recovered.extend(rec.writes.iter().copied());
-        }
-        for rec in in_flight.iter().flatten() {
-            if g.gen_bool(0.5) {
-                let n = g.gen_range(0..rec.writes.len() + 1);
-                let n = if g.gen_bool(0.5) { rec.writes.len() } else { n };
-                recovered.extend(rec.writes[..n].iter().copied());
+    pmacc_prop::check(
+        "overlay_checker_matches_the_full_image_oracle_on_random_images",
+        |g| {
+            let mut init = writes(g, 30);
+            init.extend(g.vec(0..4, |g| (log_word(g), value(g))));
+            let initial: Backing = init.into_iter().collect();
+            let journal: Vec<TxRecord> = (0..g.gen_range(0..6u64))
+                .map(|t| record(t, writes(g, 8)))
+                .collect();
+            let in_flight: Vec<Option<TxRecord>> = (0..g.gen_range(1..4usize))
+                .map(|c| {
+                    g.gen_bool(0.6)
+                        .then(|| record(100 + c as u64, writes(g, 6)))
+                })
+                .collect();
+            // A recovered image near the committed one: a prefix of the
+            // journal, whole or partial in-flight transactions, stray heap
+            // writes (sometimes enough to pass the first-16 truncation) and
+            // log-area noise.
+            let mut recovered = initial.clone();
+            let replayed = g.gen_range(0..journal.len() + 1);
+            let replayed = if g.gen_bool(0.5) {
+                journal.len()
+            } else {
+                replayed
+            };
+            for rec in &journal[..replayed] {
+                recovered.extend(rec.writes.iter().copied());
             }
-        }
-        if g.gen_bool(0.3) {
-            let stray = writes(g, 40);
-            recovered.extend(stray);
-        }
-        let noise = g.vec(0..8, |g| (log_word(g), value(g)));
-        recovered.extend(noise);
+            for rec in in_flight.iter().flatten() {
+                if g.gen_bool(0.5) {
+                    let n = g.gen_range(0..rec.writes.len() + 1);
+                    let n = if g.gen_bool(0.5) { rec.writes.len() } else { n };
+                    recovered.extend(rec.writes[..n].iter().copied());
+                }
+            }
+            if g.gen_bool(0.3) {
+                let stray = writes(g, 40);
+                recovered.extend(stray);
+            }
+            let noise = g.vec(0..8, |g| (log_word(g), value(g)));
+            recovered.extend(noise);
 
-        let mut committed = initial.base();
-        for rec in &journal {
-            committed.extend(rec.writes.iter().copied());
-        }
-        let state = CrashState {
-            cycle: 0,
-            cores: in_flight.len(),
-            nvm: Backing::new(),
-            wear: None,
-            committed: Arc::new(committed),
-            durable: DurableState::Optimal,
-            in_flight,
-        };
-        let want = oracle_check(&initial, &journal, &state.in_flight, &recovered);
-        assert_eq!(check_recovery(&state, &recovered), want, "shared base");
-        // The same words frozen into a base of their own: the diff then
-        // walks both images whole.
-        let frozen: Backing = recovered.iter().collect();
-        assert_eq!(check_recovery(&state, &frozen), want, "distinct bases");
-    });
+            let mut committed = initial.base();
+            for rec in &journal {
+                committed.extend(rec.writes.iter().copied());
+            }
+            let state = CrashState {
+                scheme: SchemeKind::Optimal,
+                cycle: 0,
+                cores: in_flight.len(),
+                nvm: Backing::new(),
+                wear: None,
+                committed: Arc::new(committed),
+                durable: DurableState::NvmOnly,
+                in_flight,
+            };
+            let want = oracle_check(&initial, &journal, &state.in_flight, &recovered);
+            assert_eq!(check_recovery(&state, &recovered), want, "shared base");
+            // The same words frozen into a base of their own: the diff then
+            // walks both images whole.
+            let frozen: Backing = recovered.iter().collect();
+            assert_eq!(check_recovery(&state, &frozen), want, "distinct bases");
+        },
+    );
 }
 
 /// The crash points of one forward walk: every distinct boundary cycle
