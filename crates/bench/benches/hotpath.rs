@@ -137,7 +137,6 @@ fn bench_memsys(c: &mut Harness) {
                     MemReq::write(
                         ReqId(id),
                         LineAddr::new(Addr::nvm_base().line().raw() + (id + k) % 4096),
-                        None,
                         WriteCause::Eviction,
                     ),
                     t,

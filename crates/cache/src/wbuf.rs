@@ -72,7 +72,7 @@ mod tests {
     use pmacc_types::{LineAddr, ReqId, WriteCause};
 
     fn wb(i: u64) -> MemReq {
-        MemReq::write(ReqId(i), LineAddr::new(i), None, WriteCause::Eviction)
+        MemReq::write(ReqId(i), LineAddr::new(i), WriteCause::Eviction)
     }
 
     #[test]

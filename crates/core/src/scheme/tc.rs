@@ -197,7 +197,7 @@ impl Tc {
             return;
         }
         let cause = WriteCause::TxCacheDrain;
-        let req = |id| MemReq::write(id, entry.line, Some(core), cause).with_tx(entry.tx);
+        let req = |id| MemReq::write(id, entry.line, cause);
         // Never parks: the queue was checked above.
         sys.issue_write(Origin::Tc(TcWrite::Drain(core, slot)), sys.clock, req);
         self.caches[core].mark_issued(slot);
@@ -214,7 +214,7 @@ impl Tc {
                 // All shadow data durable: persist the commit record.
                 let tx = sys.cores[c].txend.expect("TX_END in progress");
                 self.cow[c].commit = Some(CowCommit::Record);
-                self.cow_put(sys, c, tx, 8, TcWrite::CowRecord(c, tx), sys.clock);
+                self.cow_put(sys, c, 8, TcWrite::CowRecord(c, tx), sys.clock);
             }
             None if !self.caches[c].is_full() => {
                 let now = sys.clock.max(sys.cores[c].time);
@@ -259,17 +259,17 @@ impl Tc {
         }
         cow.pending += 1;
         let at = sys.clock.max(sys.cores[c].time);
-        self.cow_put(sys, c, tx, 2, TcWrite::CowData(c), at);
+        self.cow_put(sys, c, 2, TcWrite::CowData(c), at);
     }
 
     /// Writes `n` words at the cursor of core `c`'s COW area.
-    fn cow_put(&mut self, sys: &mut System, c: usize, tx: TxId, n: u64, w: TcWrite, at: Cycle) {
+    fn cow_put(&mut self, sys: &mut System, c: usize, n: u64, w: TcWrite, at: Cycle) {
         let cow = &mut self.cow[c];
         let line = layout::cow_area_base(c)
             .offset(cow.cursor * WORD_BYTES)
             .line();
         cow.cursor += n;
-        let req = |id| MemReq::write(id, line, Some(c), WriteCause::Cow).with_tx(tx);
+        let req = |id| MemReq::write(id, line, WriteCause::Cow);
         sys.issue_write(Origin::Tc(w), at, req);
         sys.poke_ctrl(MemRegion::Nvm);
     }
@@ -312,7 +312,7 @@ impl Tc {
                 // Install the copies at home; the last install frees the shadow.
                 cow.installs.insert(tx, shadow.records.len());
                 for (i, &(word, _)) in shadow.records.iter().enumerate() {
-                    let req = |id| MemReq::write(id, word.line(), Some(core), WriteCause::Cow);
+                    let req = |id| MemReq::write(id, word.line(), WriteCause::Cow);
                     let write = TcWrite::CowInstall(core, tx, i);
                     sys.issue_write(Origin::Tc(write), sys.clock, req);
                 }

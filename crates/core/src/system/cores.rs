@@ -6,8 +6,6 @@
 //! The context's fields are `pub(super)`: the engine and its seams read
 //! them, and nothing outside the engine does.
 
-use std::collections::VecDeque;
-
 use pmacc_cpu::{CoreStats, Op, StallKind, StoreBuffer, StoreKind, TxRegs};
 use pmacc_types::{Cycle, LineAddr, MachineConfig, TxId, WordAddr};
 
@@ -24,7 +22,6 @@ pub(crate) struct CoreCtx {
     slot_accum: u32,
     pub(crate) regs: TxRegs,
     pub(super) sb: StoreBuffer,
-    pub(super) sb_times: VecDeque<Cycle>,
     pub(super) last_drain: Cycle,
     pub(super) pending_flushes: usize,
     pub(crate) blocked: Option<StallKind>,
@@ -57,7 +54,6 @@ impl CoreCtx {
             slot_accum: 0,
             regs: TxRegs::new(core as u8),
             sb: StoreBuffer::new(cfg.core.store_buffer),
-            sb_times: VecDeque::new(),
             last_drain: 0,
             pending_flushes: 0,
             blocked: None,
@@ -90,14 +86,7 @@ impl CoreCtx {
 
     /// Pops store-buffer entries that have drained by `self.time`.
     pub(super) fn drain_sb(&mut self) {
-        while let Some(&t) = self.sb_times.front() {
-            if t <= self.time {
-                self.sb_times.pop_front();
-                self.sb.pop();
-            } else {
-                break;
-            }
-        }
+        self.sb.drain(self.time);
     }
 
     pub(crate) fn begin_stall(&mut self, kind: StallKind) {

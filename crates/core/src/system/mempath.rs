@@ -3,7 +3,7 @@
 //! the memory-controller queues and their completions.
 
 use pmacc_cache::{Access, Eviction, Level};
-use pmacc_cpu::{PendingStore, StallKind, StoreKind};
+use pmacc_cpu::{StallKind, StoreKind};
 use pmacc_mem::{Completion, MemController};
 use pmacc_types::{AccessKind, Addr, Cycle, LineAddr, MemRegion, MemReq, ReqId, Word, WriteCause};
 
@@ -45,7 +45,7 @@ impl System {
         self.cores[c].stats.loads.inc();
 
         // Store-to-load forwarding.
-        if self.cores[c].sb.forward(addr).is_some() {
+        if self.cores[c].sb.holds(addr) {
             self.cores[c].charge(1, self.cfg.core.issue_width);
             self.record_load_latency(c, 1, persistent);
             self.cores[c].idx += 1;
@@ -93,7 +93,7 @@ impl System {
                 Ok(true) => {
                     let id = self.req_id();
                     self.origins.insert(id, Origin::LoadFill);
-                    let req = MemReq::read(id, line, Some(c));
+                    let req = MemReq::read(id, line);
                     self.ctrl(region)
                         .enqueue(req, arrival)
                         .expect("checked can_accept");
@@ -182,7 +182,7 @@ impl System {
         self.cores[c].drain_sb();
         if !self.cores[c].sb.has_room() {
             // Stall until the oldest entry drains.
-            let until = *self.cores[c].sb_times.front().expect("sb entries exist");
+            let until = self.cores[c].sb.oldest().expect("sb entries exist");
             let t0 = self.cores[c].time;
             self.cores[c]
                 .stats
@@ -192,13 +192,7 @@ impl System {
         }
         let drain_at = self.cores[c].last_drain.max(self.cores[c].time) + cost;
         self.cores[c].last_drain = drain_at;
-        self.cores[c].sb.push(PendingStore {
-            addr,
-            value,
-            kind,
-            tx,
-        });
-        self.cores[c].sb_times.push_back(drain_at);
+        self.cores[c].sb.push(drain_at, addr);
         if let Some(tx) = tx_data {
             self.track_tx_write(c, tx, addr, value);
         }
@@ -237,7 +231,7 @@ impl System {
     pub(super) fn try_finish_fence(&mut self, c: usize) {
         let now = self.clock.max(self.cores[c].time);
         // Store buffer must drain.
-        if let Some(&back) = self.cores[c].sb_times.back() {
+        if let Some(back) = self.cores[c].sb.youngest() {
             if back > now {
                 self.push_event(back, Event::CoreStep(c));
                 return;
@@ -284,7 +278,7 @@ impl System {
     }
 
     pub(super) fn post_write(&mut self, line: LineAddr, cause: WriteCause, origin: Origin) {
-        let req = |id| MemReq::write(id, line, None, cause);
+        let req = |id| MemReq::write(id, line, cause);
         self.issue_write(origin, self.clock, req);
         self.poke_ctrl(line.region());
     }

@@ -134,7 +134,7 @@ pub struct EngineStats {
 struct Sampler {
     rec: Option<pmacc_telemetry::SeriesRecorder>,
     next: Cycle,
-    prev_stalls: [u64; 7],
+    prev_stalls: [Cycle; StallKind::COUNT],
 }
 
 impl Sampler {
@@ -154,7 +154,7 @@ impl Sampler {
         Sampler {
             rec,
             next: period.max(1),
-            prev_stalls: [0; 7],
+            prev_stalls: [0; StallKind::COUNT],
         }
     }
 
@@ -661,7 +661,7 @@ impl System {
         self.scheme.reset_stats();
         // Stall totals just reset, so the sampler's deltas must restart
         // from zero too (the series itself keeps its pre-warm-up tail).
-        self.sampler.prev_stalls = [0; 7];
+        self.sampler.prev_stalls = [0; StallKind::COUNT];
     }
 }
 

@@ -16,7 +16,7 @@
 //! exactly as before (closed loop). This file is the only one that reads
 //! the service-mode state.
 
-use pmacc_cpu::{CoreStats, StallKind};
+use pmacc_cpu::StallKind;
 use pmacc_telemetry::Log2Histogram;
 use pmacc_types::{ConfigError, Cycle, SimError};
 
@@ -93,19 +93,12 @@ pub struct ServeCoreStats {
     pub backpressure_cycles: u64,
 }
 
-/// Snapshot of a core's per-kind stall totals, in [`StallKind::all`]
-/// order.
-fn stall_snapshot(stats: &CoreStats) -> [u64; 7] {
-    let mut out = [0u64; 7];
-    for (slot, kind) in out.iter_mut().zip(StallKind::all()) {
-        *slot = stats.stall(kind);
-    }
-    out
-}
-
 /// Splits a completed request's stall-cycle deltas into the persist-path
 /// share (`tc`) and the memory-queue share (`nvm`).
-fn attribute_stalls(start: &[u64; 7], end: &[u64; 7]) -> (u64, u64) {
+fn attribute_stalls(
+    start: &[Cycle; StallKind::COUNT],
+    end: &[Cycle; StallKind::COUNT],
+) -> (u64, u64) {
     let mut tc = 0u64;
     let mut nvm = 0u64;
     for (i, kind) in StallKind::all().iter().enumerate() {
@@ -126,7 +119,7 @@ fn attribute_stalls(start: &[u64; 7], end: &[u64; 7]) -> (u64, u64) {
 struct ReqTiming {
     arrival: Cycle,
     admitted: Cycle,
-    stalls: [u64; 7],
+    stalls: [Cycle; StallKind::COUNT],
 }
 
 /// Service-mode state for one core.
@@ -281,7 +274,7 @@ impl System {
         sc.cur = Some(ReqTiming {
             arrival,
             admitted: now,
-            stalls: stall_snapshot(&core.stats),
+            stalls: core.stats.stalls(),
         });
         sc.next_req += 1;
         false
@@ -297,7 +290,7 @@ impl System {
             return;
         };
         let now = self.cores[c].time;
-        let end_stalls = stall_snapshot(&self.cores[c].stats);
+        let end_stalls = self.cores[c].stats.stalls();
         let st = &mut sc.stats;
         st.completed += 1;
         st.latency.record(now.saturating_sub(req.arrival));

@@ -166,15 +166,12 @@ impl System {
 
     /// `TX_END`: hands the transaction to the scheme's commit hook, and
     /// retires it now if that made it durable; otherwise the scheme's
-    /// completion retires it, or a later step once the core unblocks.
+    /// completion retires it.
     pub(super) fn do_txend(&mut self, c: usize) {
-        if self.cores[c].txend.is_none() {
-            let tx = self.cores[c].regs.end();
-            self.cores[c].txend = Some(tx);
-            if self.tx_end(c, tx) {
-                self.finish_txend(c);
-            }
-        } else if self.cores[c].blocked.is_none() {
+        debug_assert!(self.cores[c].txend.is_none());
+        let tx = self.cores[c].regs.end();
+        self.cores[c].txend = Some(tx);
+        if self.tx_end(c, tx) {
             self.finish_txend(c);
         }
     }

@@ -37,5 +37,5 @@ mod trace;
 pub use op::Op;
 pub use regs::TxRegs;
 pub use stats::{CoreStats, StallKind};
-pub use store_buffer::{PendingStore, StoreBuffer, StoreKind};
+pub use store_buffer::{StoreBuffer, StoreKind};
 pub use trace::{Trace, TraceError};

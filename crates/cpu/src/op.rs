@@ -130,7 +130,12 @@ mod tests {
         assert!(Op::load(a).is_memory());
         assert!(!Op::load(a).is_store());
         assert!(Op::store(a, 1).is_store());
-        assert!(Op::LogStore { addr: a, meta: 0, value: 1 }.is_store());
+        assert!(Op::LogStore {
+            addr: a,
+            meta: 0,
+            value: 1
+        }
+        .is_store());
         assert!(Op::Flush { addr: a }.is_memory());
         assert!(!Op::TxBegin.is_memory());
     }

@@ -29,9 +29,12 @@ pub enum StallKind {
 }
 
 impl StallKind {
-    /// All stall kinds, in display order.
+    /// The number of stall kinds.
+    pub const COUNT: usize = 7;
+
+    /// All stall kinds, in display order (which is discriminant order).
     #[must_use]
-    pub fn all() -> [StallKind; 7] {
+    pub fn all() -> [StallKind; StallKind::COUNT] {
         [
             StallKind::Load,
             StallKind::StoreBufferFull,
@@ -41,13 +44,6 @@ impl StallKind {
             StallKind::PinBlocked,
             StallKind::Conflict,
         ]
-    }
-
-    fn index(self) -> usize {
-        StallKind::all()
-            .iter()
-            .position(|k| *k == self)
-            .expect("kind is in all()")
     }
 }
 
@@ -89,7 +85,7 @@ pub struct CoreStats {
     /// index mutually blocked core proceeds).
     pub conflict_overrides: Counter,
     /// Cycles lost to each stall source.
-    stall_cycles: [u64; 7],
+    stall_cycles: [Cycle; StallKind::COUNT],
     /// Total cycles the core was executing (set once at the end of a run).
     pub cycles: Cycle,
 }
@@ -103,13 +99,19 @@ impl CoreStats {
 
     /// Adds `n` cycles of stall of the given kind.
     pub fn add_stall(&mut self, kind: StallKind, n: Cycle) {
-        self.stall_cycles[kind.index()] += n;
+        self.stall_cycles[kind as usize] += n;
     }
 
     /// Cycles lost to `kind`.
     #[must_use]
     pub fn stall(&self, kind: StallKind) -> Cycle {
-        self.stall_cycles[kind.index()]
+        self.stall_cycles[kind as usize]
+    }
+
+    /// Cycles lost to each stall kind, in [`StallKind::all`] order.
+    #[must_use]
+    pub fn stalls(&self) -> [Cycle; StallKind::COUNT] {
+        self.stall_cycles
     }
 
     /// Total stall cycles across all kinds.
@@ -174,7 +176,10 @@ impl ToJson for CoreStats {
             ("ipc", self.ipc().to_json()),
             ("tx_throughput", self.tx_throughput().to_json()),
             ("load_latency", self.load_latency.to_json()),
-            ("persistent_load_latency", self.persistent_load_latency.to_json()),
+            (
+                "persistent_load_latency",
+                self.persistent_load_latency.to_json(),
+            ),
             ("tx_conflicts", self.tx_conflicts.to_json()),
             ("conflict_overrides", self.conflict_overrides.to_json()),
             ("stall_cycles", stalls),
@@ -195,6 +200,11 @@ mod tests {
         s.add_stall(StallKind::Load, 1);
         assert_eq!(s.stall(StallKind::Fence), 15);
         assert_eq!(s.total_stalls(), 16);
+        // `stalls()` is indexed by discriminant and read in `all()` order.
+        for (i, kind) in StallKind::all().into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind}");
+            assert_eq!(s.stalls()[i], s.stall(kind));
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use pmacc_types::{Addr, TxId, Word};
+use pmacc_types::{Addr, Cycle};
 
 /// What kind of store a buffered entry is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,23 +18,11 @@ pub enum StoreKind {
     Log,
 }
 
-/// One buffered store awaiting drain into the L1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingStore {
-    /// Target address.
-    pub addr: Addr,
-    /// Value stored.
-    pub value: Word,
-    /// Data or log store.
-    pub kind: StoreKind,
-    /// Transaction the store was issued in, if any.
-    pub tx: Option<TxId>,
-}
-
-/// A finite FIFO of pending stores.
+/// A finite FIFO of pending stores: each entry is the cycle its store
+/// drains into the L1 and the store's address, oldest first.
 #[derive(Debug, Clone)]
 pub struct StoreBuffer {
-    entries: VecDeque<PendingStore>,
+    entries: VecDeque<(Cycle, Addr)>,
     capacity: usize,
 }
 
@@ -77,37 +65,42 @@ impl StoreBuffer {
         self.capacity
     }
 
-    /// Buffers a store.
+    /// Buffers a store to `addr` that drains at cycle `drain_at`.
     ///
     /// # Panics
     ///
     /// Panics when full — the core must stall instead (check
     /// [`StoreBuffer::has_room`] first).
-    pub fn push(&mut self, store: PendingStore) {
+    pub fn push(&mut self, drain_at: Cycle, addr: Addr) {
         assert!(self.has_room(), "store buffer overflow");
-        self.entries.push_back(store);
+        self.entries.push_back((drain_at, addr));
     }
 
-    /// The oldest store, without removing it.
+    /// Removes every store that has drained by cycle `now`.
+    pub fn drain(&mut self, now: Cycle) {
+        while self.entries.front().is_some_and(|&(t, _)| t <= now) {
+            self.entries.pop_front();
+        }
+    }
+
+    /// The drain cycle of the oldest store, if any.
     #[must_use]
-    pub fn peek(&self) -> Option<&PendingStore> {
-        self.entries.front()
+    pub fn oldest(&self) -> Option<Cycle> {
+        self.entries.front().map(|&(t, _)| t)
     }
 
-    /// Removes and returns the oldest store (it drains into the L1).
-    pub fn pop(&mut self) -> Option<PendingStore> {
-        self.entries.pop_front()
-    }
-
-    /// Store-to-load forwarding: the youngest buffered value for `addr`,
-    /// if any (a load that hits the store buffer needs no cache access).
+    /// The drain cycle of the youngest store, if any: the buffer is empty
+    /// from then on unless more stores arrive.
     #[must_use]
-    pub fn forward(&self, addr: Addr) -> Option<Word> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|s| s.addr == addr)
-            .map(|s| s.value)
+    pub fn youngest(&self) -> Option<Cycle> {
+        self.entries.back().map(|&(t, _)| t)
+    }
+
+    /// Whether a store to `addr` is buffered (a load that hits the store
+    /// buffer is forwarded and needs no cache access).
+    #[must_use]
+    pub fn holds(&self, addr: Addr) -> bool {
+        self.entries.iter().any(|&(_, a)| a == addr)
     }
 }
 
@@ -115,30 +108,31 @@ impl StoreBuffer {
 mod tests {
     use super::*;
 
-    fn st(addr: u64, value: Word) -> PendingStore {
-        PendingStore {
-            addr: Addr::new(addr),
-            value,
-            kind: StoreKind::Data,
-            tx: None,
-        }
+    fn st(sb: &mut StoreBuffer, drain_at: Cycle, addr: u64) {
+        sb.push(drain_at, Addr::new(addr));
     }
 
     #[test]
     fn fifo_drain_order() {
         let mut sb = StoreBuffer::new(4);
-        sb.push(st(0, 1));
-        sb.push(st(8, 2));
+        st(&mut sb, 10, 0);
+        st(&mut sb, 20, 8);
         assert_eq!(sb.len(), 2);
-        assert_eq!(sb.pop().unwrap().value, 1);
-        assert_eq!(sb.pop().unwrap().value, 2);
+        assert_eq!((sb.oldest(), sb.youngest()), (Some(10), Some(20)));
+        sb.drain(9);
+        assert_eq!(sb.len(), 2, "nothing has drained before cycle 10");
+        sb.drain(10);
+        assert_eq!((sb.oldest(), sb.youngest()), (Some(20), Some(20)));
+        assert!(!sb.holds(Addr::new(0)) && sb.holds(Addr::new(8)));
+        sb.drain(25);
         assert!(sb.is_empty());
+        assert_eq!((sb.oldest(), sb.youngest()), (None, None));
     }
 
     #[test]
     fn capacity_enforced() {
         let mut sb = StoreBuffer::new(1);
-        sb.push(st(0, 1));
+        st(&mut sb, 1, 0);
         assert!(!sb.has_room());
     }
 
@@ -146,19 +140,26 @@ mod tests {
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
         let mut sb = StoreBuffer::new(1);
-        sb.push(st(0, 1));
-        sb.push(st(8, 2));
+        st(&mut sb, 1, 0);
+        st(&mut sb, 2, 8);
     }
 
     #[test]
     fn forwarding_returns_youngest() {
         let mut sb = StoreBuffer::new(4);
-        sb.push(st(16, 1));
-        sb.push(st(16, 2));
-        sb.push(st(24, 3));
-        assert_eq!(sb.forward(Addr::new(16)), Some(2));
-        assert_eq!(sb.forward(Addr::new(24)), Some(3));
-        assert_eq!(sb.forward(Addr::new(32)), None);
+        st(&mut sb, 1, 16);
+        st(&mut sb, 2, 16);
+        st(&mut sb, 3, 24);
+        assert!(sb.holds(Addr::new(16)));
+        assert!(sb.holds(Addr::new(24)));
+        assert!(!sb.holds(Addr::new(32)));
+        // The older store to 16 drains first; the younger one still
+        // forwards.
+        sb.drain(1);
+        assert!(sb.holds(Addr::new(16)));
+        sb.drain(2);
+        assert!(!sb.holds(Addr::new(16)));
+        assert_eq!(sb.youngest(), Some(3));
     }
 
     #[test]

@@ -423,8 +423,7 @@ mod tests {
     #[test]
     fn read_completes_with_device_latency() {
         let mut c = ctrl();
-        c.enqueue(MemReq::read(ReqId(1), nvm_line(0), Some(0)), 0)
-            .unwrap();
+        c.enqueue(MemReq::read(ReqId(1), nvm_line(0)), 0).unwrap();
         let done = c.advance(1_000);
         assert_eq!(done.len(), 1);
         // Row miss: 65 ns at 2 GHz = 130 cycles.
@@ -434,11 +433,10 @@ mod tests {
     #[test]
     fn row_hit_is_faster() {
         let mut c = ctrl();
-        c.enqueue(MemReq::read(ReqId(1), nvm_line(0), Some(0)), 0)
-            .unwrap();
+        c.enqueue(MemReq::read(ReqId(1), nvm_line(0)), 0).unwrap();
         let first = c.advance(10_000)[0].done_at;
         // Same bank, same row.
-        c.enqueue(MemReq::read(ReqId(2), nvm_line(32), Some(0)), 10_000)
+        c.enqueue(MemReq::read(ReqId(2), nvm_line(32)), 10_000)
             .unwrap();
         let second = c.advance(20_000)[0].done_at - 10_000;
         assert_eq!(first, 130);
@@ -449,12 +447,11 @@ mod tests {
     fn reads_have_priority_over_writes() {
         let mut c = ctrl();
         c.enqueue(
-            MemReq::write(ReqId(1), nvm_line(0), None, WriteCause::Eviction),
+            MemReq::write(ReqId(1), nvm_line(0), WriteCause::Eviction),
             0,
         )
         .unwrap();
-        c.enqueue(MemReq::read(ReqId(2), nvm_line(1), Some(0)), 0)
-            .unwrap();
+        c.enqueue(MemReq::read(ReqId(2), nvm_line(1)), 0).unwrap();
         let done = c.advance(10_000);
         // Read issues first (read-first policy), so it completes first:
         // different banks, both row misses, read is 130, write issued one
@@ -469,14 +466,14 @@ mod tests {
         let mut c = ctrl();
         for i in 0..64 {
             c.enqueue(
-                MemReq::write(ReqId(i), nvm_line(i), None, WriteCause::Eviction),
+                MemReq::write(ReqId(i), nvm_line(i), WriteCause::Eviction),
                 0,
             )
             .unwrap();
         }
         let err = c
             .enqueue(
-                MemReq::write(ReqId(99), nvm_line(99), None, WriteCause::Eviction),
+                MemReq::write(ReqId(99), nvm_line(99), WriteCause::Eviction),
                 0,
             )
             .unwrap_err();
@@ -490,12 +487,12 @@ mod tests {
         // Fill the write queue past the 80% watermark (52 of 64).
         for i in 0..52 {
             c.enqueue(
-                MemReq::write(ReqId(i), nvm_line(i), None, WriteCause::Eviction),
+                MemReq::write(ReqId(i), nvm_line(i), WriteCause::Eviction),
                 0,
             )
             .unwrap();
         }
-        c.enqueue(MemReq::read(ReqId(100), nvm_line(100), Some(0)), 0)
+        c.enqueue(MemReq::read(ReqId(100), nvm_line(100)), 0)
             .unwrap();
         // Advance a little: the first issued request must be a write.
         let done = c.advance(200);
@@ -509,7 +506,7 @@ mod tests {
         let mut c = ctrl();
         for i in 0..52 {
             c.enqueue(
-                MemReq::write(ReqId(i), nvm_line(i), None, WriteCause::Eviction),
+                MemReq::write(ReqId(i), nvm_line(i), WriteCause::Eviction),
                 0,
             )
             .unwrap();
@@ -522,7 +519,7 @@ mod tests {
             t += 200;
             let _ = c.advance(t);
         }
-        c.enqueue(MemReq::read(ReqId(900), nvm_line(901), Some(0)), t)
+        c.enqueue(MemReq::read(ReqId(900), nvm_line(901)), t)
             .unwrap();
         let done = c.advance(t + 400);
         let read_pos = done.iter().position(|d| !d.req.is_write());
@@ -534,10 +531,8 @@ mod tests {
         let mut c = ctrl();
         // Two reads to different banks overlap: both finish well before
         // 2 * 130 cycles.
-        c.enqueue(MemReq::read(ReqId(1), nvm_line(0), Some(0)), 0)
-            .unwrap();
-        c.enqueue(MemReq::read(ReqId(2), nvm_line(1), Some(0)), 0)
-            .unwrap();
+        c.enqueue(MemReq::read(ReqId(1), nvm_line(0)), 0).unwrap();
+        c.enqueue(MemReq::read(ReqId(2), nvm_line(1)), 0).unwrap();
         let done = c.advance(10_000);
         assert_eq!(done.len(), 2);
         let last = done.iter().map(|d| d.done_at).max().unwrap();
@@ -547,10 +542,9 @@ mod tests {
     #[test]
     fn same_bank_requests_serialize() {
         let mut c = ctrl();
-        c.enqueue(MemReq::read(ReqId(1), nvm_line(0), Some(0)), 0)
-            .unwrap();
+        c.enqueue(MemReq::read(ReqId(1), nvm_line(0)), 0).unwrap();
         // Same bank (0), different row -> serialized behind the first.
-        c.enqueue(MemReq::read(ReqId(2), nvm_line(32 * 32), Some(0)), 0)
+        c.enqueue(MemReq::read(ReqId(2), nvm_line(32 * 32)), 0)
             .unwrap();
         let done = c.advance(10_000);
         assert_eq!(done.len(), 2);
@@ -562,8 +556,7 @@ mod tests {
     fn next_wake_reports_progress_points() {
         let mut c = ctrl();
         assert_eq!(c.next_wake(), None);
-        c.enqueue(MemReq::read(ReqId(1), nvm_line(0), Some(0)), 5)
-            .unwrap();
+        c.enqueue(MemReq::read(ReqId(1), nvm_line(0)), 5).unwrap();
         // Nothing issued yet; wake at bus_free (0 -> issue immediately).
         assert!(c.next_wake().is_some());
         let done = c.advance(5);
@@ -589,7 +582,7 @@ mod tests {
         // row taking all 40 writes.
         for i in 0..40u64 {
             c.enqueue(
-                MemReq::write(ReqId(i), nvm_line(0), None, WriteCause::Eviction),
+                MemReq::write(ReqId(i), nvm_line(0), WriteCause::Eviction),
                 i * 1_000,
             )
             .unwrap();
@@ -618,7 +611,7 @@ mod tests {
     #[test]
     fn completions_preserve_request_metadata() {
         let mut c = ctrl();
-        let req = MemReq::write(ReqId(7), nvm_line(3), Some(2), WriteCause::TxCacheDrain);
+        let req = MemReq::write(ReqId(7), nvm_line(3), WriteCause::TxCacheDrain);
         c.enqueue(req, 0).unwrap();
         let done = c.advance(10_000);
         assert_eq!(done[0].req, req);

@@ -23,7 +23,7 @@
 //! use pmacc_types::{LineAddr, MemConfig, MemRegion, MemReq, ReqId};
 //!
 //! let mut ctrl = MemController::new(MemRegion::Nvm, MemConfig::nvm_dac17());
-//! ctrl.enqueue(MemReq::read(ReqId(1), LineAddr::new(0x8000_0000 / 64), Some(0)), 0)
+//! ctrl.enqueue(MemReq::read(ReqId(1), LineAddr::new(0x8000_0000 / 64)), 0)
 //!     .expect("queue has room");
 //! // Poke far in the future: the read has certainly completed.
 //! let done = ctrl.advance(10_000);

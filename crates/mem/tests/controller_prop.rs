@@ -34,9 +34,9 @@ fn conservation_and_monotonic_time() {
             now += gap;
             next_id += 1;
             let req = if is_write {
-                MemReq::write(ReqId(next_id), line(line_no), None, WriteCause::Eviction)
+                MemReq::write(ReqId(next_id), line(line_no), WriteCause::Eviction)
             } else {
-                MemReq::read(ReqId(next_id), line(line_no), Some(0))
+                MemReq::read(ReqId(next_id), line(line_no))
             };
             if ctrl.enqueue(req, now).is_ok() {
                 accepted.insert(next_id);
@@ -71,7 +71,7 @@ fn coalesced_writes_complete() {
         let n = g.gen_range(2usize..20);
         let mut ctrl = MemController::new(MemRegion::Nvm, MemConfig::nvm_dac17());
         for i in 0..n as u64 {
-            ctrl.enqueue(MemReq::write(ReqId(i), line(0), None, WriteCause::Flush), 0)
+            ctrl.enqueue(MemReq::write(ReqId(i), line(0), WriteCause::Flush), 0)
                 .expect("same-line writes coalesce, never overflow");
         }
         let done = ctrl.advance(1_000_000);

@@ -39,7 +39,7 @@ pub use config::{CacheConfig, CoreConfig, MachineConfig, MemConfig, NvLlcConfig,
 pub use cycle::{Cycle, Freq};
 pub use error::{ConfigError, SimError};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use request::{AccessKind, CoreId, MemReq, ReqId, WriteCause};
+pub use request::{AccessKind, MemReq, ReqId, WriteCause};
 pub use rng::Rng;
 pub use stats::{Counter, Histogram, Ratio};
 pub use txid::TxId;

@@ -3,10 +3,7 @@
 
 use core::fmt;
 
-use crate::{LineAddr, TxId};
-
-/// Index of a CPU core.
-pub type CoreId = usize;
+use crate::LineAddr;
 
 /// Unique identifier of an in-flight memory request, used to match
 /// completions (including the NVM controller's acknowledgment messages to
@@ -96,11 +93,6 @@ pub struct MemReq {
     pub addr: LineAddr,
     /// Read or write.
     pub kind: AccessKind,
-    /// Issuing core (for per-core statistics); `None` for requests issued
-    /// by the transaction cache itself.
-    pub core: Option<CoreId>,
-    /// Transaction the request belongs to, if any.
-    pub tx: Option<TxId>,
     /// Why a write happened (ignored for reads).
     pub cause: Option<WriteCause>,
 }
@@ -108,35 +100,24 @@ pub struct MemReq {
 impl MemReq {
     /// Creates a read request.
     #[must_use]
-    pub fn read(id: ReqId, addr: LineAddr, core: Option<CoreId>) -> Self {
+    pub fn read(id: ReqId, addr: LineAddr) -> Self {
         MemReq {
             id,
             addr,
             kind: AccessKind::Read,
-            core,
-            tx: None,
             cause: None,
         }
     }
 
     /// Creates a write request with an attributed cause.
     #[must_use]
-    pub fn write(id: ReqId, addr: LineAddr, core: Option<CoreId>, cause: WriteCause) -> Self {
+    pub fn write(id: ReqId, addr: LineAddr, cause: WriteCause) -> Self {
         MemReq {
             id,
             addr,
             kind: AccessKind::Write,
-            core,
-            tx: None,
             cause: Some(cause),
         }
-    }
-
-    /// Attaches a transaction id to the request.
-    #[must_use]
-    pub fn with_tx(mut self, tx: TxId) -> Self {
-        self.tx = Some(tx);
-        self
     }
 
     /// Whether the request is a write.
@@ -152,15 +133,13 @@ mod tests {
 
     #[test]
     fn constructors() {
-        let r = MemReq::read(ReqId(1), LineAddr::new(5), Some(0));
+        let r = MemReq::read(ReqId(1), LineAddr::new(5));
         assert!(!r.is_write());
         assert_eq!(r.cause, None);
 
-        let w = MemReq::write(ReqId(2), LineAddr::new(6), None, WriteCause::TxCacheDrain)
-            .with_tx(TxId::new(0, 1));
+        let w = MemReq::write(ReqId(2), LineAddr::new(6), WriteCause::TxCacheDrain);
         assert!(w.is_write());
         assert_eq!(w.cause, Some(WriteCause::TxCacheDrain));
-        assert_eq!(w.tx, Some(TxId::new(0, 1)));
     }
 
     #[test]

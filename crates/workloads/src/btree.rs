@@ -7,7 +7,7 @@
 
 use pmacc_types::{Addr, Word, WORD_BYTES};
 
-use crate::session::MemSession;
+use crate::{MemSession, WorkloadParams};
 
 const NODE_WORDS: u64 = 16; // two cache lines
 const MAX_KEYS: u64 = 7;
@@ -57,12 +57,7 @@ impl BPlusTree {
 
     /// Recursive insert; returns `(separator, new right sibling)` when the
     /// node split.
-    fn insert_rec(
-        s: &mut MemSession,
-        node: Word,
-        key: Word,
-        value: Word,
-    ) -> Option<(Word, Word)> {
+    fn insert_rec(s: &mut MemSession, node: Word, key: Word, value: Word) -> Option<(Word, Word)> {
         let hdr = s.read(f(node, H_HDR));
         let count = hdr & !LEAF_BIT;
         if hdr & LEAF_BIT != 0 {
@@ -366,6 +361,20 @@ impl BPlusTree {
         }
         Ok(depth.expect("internal node has children") + 1)
     }
+}
+
+/// The `btree` workload: `setup_items` unrecorded inserts, then
+/// `num_ops` recorded operations at the configured insert ratio.
+pub(crate) fn generate(s: &mut MemSession, p: &WorkloadParams) {
+    let t = BPlusTree::create(s);
+    for _ in 0..p.setup_items {
+        t.random_op(s, p.key_space, 100);
+    }
+    s.start_recording();
+    for _ in 0..p.num_ops {
+        t.random_op(s, p.key_space, p.insert_ratio);
+    }
+    t.check_invariants(s).expect("btree invariants");
 }
 
 #[cfg(test)]

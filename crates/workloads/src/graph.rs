@@ -7,7 +7,7 @@
 
 use pmacc_types::{Addr, Word, WORD_BYTES};
 
-use crate::session::MemSession;
+use crate::{MemSession, WorkloadParams};
 
 const EDGE_WORDS: u64 = 8; // one cache line per edge node
 const F_TO: u64 = 0;
@@ -31,12 +31,6 @@ impl AdjacencyGraph {
             s.write(heads.offset(i * WORD_BYTES), 0);
         }
         AdjacencyGraph { heads, n_vertices }
-    }
-
-    /// Number of vertices.
-    #[must_use]
-    pub fn vertices(&self) -> u64 {
-        self.n_vertices
     }
 
     fn head_slot(&self, u: u64) -> Addr {
@@ -113,6 +107,22 @@ impl AdjacencyGraph {
     }
 }
 
+/// The `graph` workload: random edges into a graph of `setup_items / 8`
+/// vertices, unrecorded, then `num_ops` recorded edge inserts.
+pub(crate) fn generate(s: &mut MemSession, p: &WorkloadParams) {
+    // The vertex-head array is the hot set; edge nodes go cold.
+    let vertices = (p.setup_items as u64 / 8).max(4);
+    let g = AdjacencyGraph::create(s, vertices);
+    for _ in 0..p.setup_items {
+        g.insert_random_edge(s);
+    }
+    s.start_recording();
+    for _ in 0..p.num_ops {
+        g.insert_random_edge(s);
+    }
+    g.check(s).expect("graph invariants");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,7 +158,11 @@ mod tests {
             })
             .collect();
         assert_eq!(stores.len(), 4);
-        assert_eq!(*stores.last().unwrap(), slot_addr, "head pointer written last");
+        assert_eq!(
+            *stores.last().unwrap(),
+            slot_addr,
+            "head pointer written last"
+        );
     }
 
     #[test]

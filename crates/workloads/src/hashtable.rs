@@ -3,7 +3,7 @@
 
 use pmacc_types::{Addr, Word, WORD_BYTES};
 
-use crate::session::MemSession;
+use crate::{MemSession, WorkloadParams};
 
 const NODE_WORDS: u64 = 8; // one cache line per node
 const F_KEY: u64 = 0;
@@ -25,7 +25,10 @@ impl HashTable {
     /// Panics unless `n_buckets` is a power of two.
     #[must_use]
     pub fn create(s: &mut MemSession, n_buckets: u64) -> Self {
-        assert!(n_buckets.is_power_of_two(), "bucket count must be a power of two");
+        assert!(
+            n_buckets.is_power_of_two(),
+            "bucket count must be a power of two"
+        );
         let buckets = s.alloc_p(n_buckets);
         for i in 0..n_buckets {
             s.write(buckets.offset(i * WORD_BYTES), 0);
@@ -125,6 +128,30 @@ impl HashTable {
         }
         Ok(())
     }
+}
+
+/// The `hashtable` workload: `setup_items` unrecorded random inserts,
+/// then `num_ops` recorded inserts or searches at the insert ratio.
+pub(crate) fn generate(s: &mut MemSession, p: &WorkloadParams) {
+    let buckets = (p.setup_items as u64 / 4).max(16).next_power_of_two();
+    let t = HashTable::create(s, buckets);
+    for _ in 0..p.setup_items {
+        let k = s.rng().gen_range(0..p.key_space);
+        let v = s.rng().gen::<Word>();
+        t.insert(s, k, v);
+    }
+    s.start_recording();
+    for _ in 0..p.num_ops {
+        let k = s.rng().gen_range(0..p.key_space);
+        let roll: u32 = s.rng().gen_range(0..100);
+        if roll < p.insert_ratio {
+            let v = s.rng().gen::<Word>();
+            t.insert(s, k, v);
+        } else {
+            let _ = t.search(s, k);
+        }
+    }
+    t.check(s).expect("hashtable invariants");
 }
 
 #[cfg(test)]

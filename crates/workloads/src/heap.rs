@@ -39,7 +39,10 @@ impl Heap {
     /// two.
     #[must_use]
     pub fn alloc_words(&mut self, words: u64, align_words: u64) -> Addr {
-        assert!(align_words.is_power_of_two(), "alignment must be a power of two");
+        assert!(
+            align_words.is_power_of_two(),
+            "alignment must be a power of two"
+        );
         let align = align_words * WORD_BYTES;
         let base = (self.next + align - 1) & !(align - 1);
         let end = base + words * WORD_BYTES;

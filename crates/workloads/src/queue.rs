@@ -11,7 +11,7 @@
 
 use pmacc_types::{Addr, Word, WORD_BYTES};
 
-use crate::session::MemSession;
+use crate::{MemSession, WorkloadParams};
 
 const NODE_WORDS: u64 = 8;
 const F_VALUE: u64 = 0;
@@ -156,6 +156,26 @@ impl PersistentQueue {
         }
         Ok(())
     }
+}
+
+/// The `queue` workload: `setup_items` unrecorded enqueues, then
+/// `num_ops` recorded enqueues or dequeues.
+pub(crate) fn generate(s: &mut MemSession, p: &WorkloadParams) {
+    let q = PersistentQueue::create(s);
+    for i in 0..p.setup_items as u64 {
+        q.enqueue(s, i);
+    }
+    s.start_recording();
+    for _ in 0..p.num_ops {
+        // A 0.55 enqueue share makes the queue grow slowly on average.
+        if s.rng().gen_bool(0.55) {
+            let v = s.rng().gen::<Word>();
+            q.enqueue(s, v);
+        } else {
+            let _ = q.dequeue(s);
+        }
+    }
+    q.check(s).expect("queue invariants");
 }
 
 #[cfg(test)]

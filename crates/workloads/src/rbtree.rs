@@ -7,7 +7,7 @@
 
 use pmacc_types::{Addr, Word, WORD_BYTES};
 
-use crate::session::MemSession;
+use crate::{MemSession, WorkloadParams};
 
 const NODE_WORDS: u64 = 8; // one cache line per node
 const F_KEY: u64 = 0;
@@ -302,6 +302,20 @@ impl RbTree {
     }
 }
 
+/// The `rbtree` workload: `setup_items` unrecorded inserts, then
+/// `num_ops` recorded operations at the configured insert ratio.
+pub(crate) fn generate(s: &mut MemSession, p: &WorkloadParams) {
+    let t = RbTree::create(s);
+    for _ in 0..p.setup_items {
+        t.random_op(s, p.key_space, 100);
+    }
+    s.start_recording();
+    for _ in 0..p.num_ops {
+        t.random_op(s, p.key_space, p.insert_ratio);
+    }
+    t.check_invariants(s).expect("rbtree invariants");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,7 +362,11 @@ mod tests {
         s.start_recording();
         assert_eq!(t.search(&mut s, 1), Some(2));
         assert_eq!(s.trace().transactions(), 1);
-        assert!(!s.trace().ops().iter().any(|o| matches!(o, Op::Store { .. })));
+        assert!(!s
+            .trace()
+            .ops()
+            .iter()
+            .any(|o| matches!(o, Op::Store { .. })));
     }
 
     #[test]

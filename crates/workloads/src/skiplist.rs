@@ -8,7 +8,7 @@
 
 use pmacc_types::{Addr, Word, WORD_BYTES};
 
-use crate::session::MemSession;
+use crate::{MemSession, WorkloadParams};
 
 /// Maximum tower height (forward pointers per node).
 pub const MAX_LEVEL: usize = 4;
@@ -162,7 +162,10 @@ impl SkipList {
             }
             let lv = s.peek(f(cur, F_LEVEL));
             if lv != level_of(k) {
-                return Err(format!("key {k}: stored level {lv} != level_of {}", level_of(k)));
+                return Err(format!(
+                    "key {k}: stored level {lv} != level_of {}",
+                    level_of(k)
+                ));
             }
             keys.push(k);
             prev = Some(k);
@@ -203,6 +206,20 @@ impl SkipList {
         }
         n
     }
+}
+
+/// The `skiplist` workload: `setup_items` unrecorded inserts, then
+/// `num_ops` recorded operations at the configured insert ratio.
+pub(crate) fn generate(s: &mut MemSession, p: &WorkloadParams) {
+    let sl = SkipList::create(s);
+    for _ in 0..p.setup_items {
+        sl.random_op(s, p.key_space, 100);
+    }
+    s.start_recording();
+    for _ in 0..p.num_ops {
+        sl.random_op(s, p.key_space, p.insert_ratio);
+    }
+    sl.check_invariants(s).expect("skiplist invariants");
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use pmacc_types::{Addr, Word, WORD_BYTES};
 
-use crate::session::MemSession;
+use crate::{MemSession, WorkloadParams};
 
 /// A persistent array of 64-bit elements supporting transactional swaps.
 #[derive(Debug, Clone)]
@@ -109,6 +109,22 @@ impl SwapArray {
     }
 }
 
+/// The `sps` workload: an array of `setup_items / 6` elements, then
+/// `num_ops` recorded random swaps.
+pub(crate) fn generate(s: &mut MemSession, p: &WorkloadParams) {
+    // A largely cache-resident array keeps the swap rate — and so the
+    // store pressure on the transaction cache — high: sps is the workload
+    // the paper reports stalling the TC (§5.2). In our shorter runs the
+    // stall cliff sits around 1-2 KB instead of the paper's 4 KB (see
+    // ablation A).
+    let a = SwapArray::create(s, (p.setup_items as u64 / 6).max(2));
+    s.start_recording();
+    for _ in 0..p.num_ops {
+        a.swap_random(s);
+    }
+    a.check_permutation(s).expect("sps permutation");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,12 +158,7 @@ mod tests {
         let a = SwapArray::create(&mut s, 4);
         s.start_recording();
         a.swap(&mut s, 0, 1);
-        let stores = s
-            .trace()
-            .ops()
-            .iter()
-            .filter(|o| o.is_store())
-            .count();
+        let stores = s.trace().ops().iter().filter(|o| o.is_store()).count();
         assert_eq!(stores, 2);
         assert_eq!(s.trace().transactions(), 1);
     }

@@ -9,88 +9,119 @@ use pmacc_cpu::{Op, Trace};
 use pmacc_types::rng::{splitmix64, stream_seed};
 use pmacc_types::{layout, Addr, ConfigError, FxHashMap, Word, WordAddr, LINE_BYTES};
 
-use crate::btree::BPlusTree;
-use crate::graph::AdjacencyGraph;
-use crate::hashtable::HashTable;
-use crate::rbtree::RbTree;
 use crate::session::MemSession;
-use crate::sps::SwapArray;
+use crate::{btree, graph, hashtable, queue, rbtree, skiplist, sps};
 
-/// The five benchmarks of Table 3, plus two extension structures.
+/// The five benchmarks of Table 3, plus two extension structures. Each is
+/// named once, in its row of `WORKLOADS`.
+///
+/// The discriminants are fixed because each is the kind's generation
+/// stream id, its sharing salt and its row in `WORKLOADS`: reordering the
+/// variants would change every trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WorkloadKind {
     /// Insert in an adjacency-list graph.
-    Graph,
+    Graph = 0,
     /// Search/insert nodes in a red-black tree.
-    Rbtree,
+    Rbtree = 1,
     /// Randomly swap elements in an array.
-    Sps,
+    Sps = 2,
     /// Search/insert nodes in a B+tree.
-    Btree,
+    Btree = 3,
     /// Search/insert a key-value pair in a hashtable.
-    Hashtable,
+    Hashtable = 4,
     /// Enqueue/dequeue on a persistent linked-list FIFO (extension; the
     /// paper's introduction scenario).
-    Queue,
+    Queue = 5,
     /// Search/insert nodes in a persistent skiplist (extension).
-    Skiplist,
+    Skiplist = 6,
 }
+
+/// A workload's generation recipe: the unrecorded set-up, then
+/// [`MemSession::start_recording`], the recorded operations and the
+/// structure's invariant check.
+type Generate = fn(&mut MemSession, &WorkloadParams);
+
+/// One row per workload, in discriminant order, Table 3's five first: the
+/// kind, its name (printed, and parsed like each alias, in any case), its
+/// other accepted names, its description (Table 3's, or the extension's
+/// summary) and its generation recipe.
+const WORKLOADS: &[(WorkloadKind, &str, &[&str], &str, Generate)] = &[
+    (
+        WorkloadKind::Graph,
+        "graph",
+        &[],
+        "Insert in an adjacency list graph.",
+        graph::generate,
+    ),
+    (
+        WorkloadKind::Rbtree,
+        "rbtree",
+        &[],
+        "Search/Insert nodes in a red-black tree.",
+        rbtree::generate,
+    ),
+    (
+        WorkloadKind::Sps,
+        "sps",
+        &[],
+        "Randomly swap elements in an array.",
+        sps::generate,
+    ),
+    (
+        WorkloadKind::Btree,
+        "btree",
+        &[],
+        "Search/Insert nodes in a B+tree.",
+        btree::generate,
+    ),
+    (
+        WorkloadKind::Hashtable,
+        "hashtable",
+        &["hash"],
+        "Search/Insert a key-value pair in a hashtable.",
+        hashtable::generate,
+    ),
+    (
+        WorkloadKind::Queue,
+        "queue",
+        &["fifo"],
+        "Enqueue/dequeue on a persistent FIFO (extension).",
+        queue::generate,
+    ),
+    (
+        WorkloadKind::Skiplist,
+        "skiplist",
+        &[],
+        "Search/Insert nodes in a skiplist (extension).",
+        skiplist::generate,
+    ),
+];
 
 impl WorkloadKind {
     /// The Table 3 workloads, in the paper's figure order (the extension
     /// structures are not part of the reproduction grid).
     #[must_use]
     pub fn all() -> [WorkloadKind; 5] {
-        [
-            WorkloadKind::Graph,
-            WorkloadKind::Rbtree,
-            WorkloadKind::Sps,
-            WorkloadKind::Btree,
-            WorkloadKind::Hashtable,
-        ]
+        core::array::from_fn(|i| WORKLOADS[i].0)
     }
 
     /// Every buildable workload, including the extension structures.
     #[must_use]
-    pub fn extended() -> [WorkloadKind; 7] {
-        [
-            WorkloadKind::Graph,
-            WorkloadKind::Rbtree,
-            WorkloadKind::Sps,
-            WorkloadKind::Btree,
-            WorkloadKind::Hashtable,
-            WorkloadKind::Queue,
-            WorkloadKind::Skiplist,
-        ]
+    pub fn extended() -> [WorkloadKind; WORKLOADS.len()] {
+        core::array::from_fn(|i| WORKLOADS[i].0)
     }
 
     /// The Table 3 description (or the extension's summary).
     #[must_use]
     pub fn description(self) -> &'static str {
-        match self {
-            WorkloadKind::Graph => "Insert in an adjacency list graph.",
-            WorkloadKind::Rbtree => "Search/Insert nodes in a red-black tree.",
-            WorkloadKind::Sps => "Randomly swap elements in an array.",
-            WorkloadKind::Btree => "Search/Insert nodes in a B+tree.",
-            WorkloadKind::Hashtable => "Search/Insert a key-value pair in a hashtable.",
-            WorkloadKind::Queue => "Enqueue/dequeue on a persistent FIFO (extension).",
-            WorkloadKind::Skiplist => "Search/Insert nodes in a skiplist (extension).",
-        }
+        WORKLOADS[self as usize].3
     }
 }
 
 impl fmt::Display for WorkloadKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            WorkloadKind::Graph => "graph",
-            WorkloadKind::Rbtree => "rbtree",
-            WorkloadKind::Sps => "sps",
-            WorkloadKind::Btree => "btree",
-            WorkloadKind::Hashtable => "hashtable",
-            WorkloadKind::Queue => "queue",
-            WorkloadKind::Skiplist => "skiplist",
-        };
-        f.write_str(s)
+        f.write_str(WORKLOADS[*self as usize].1)
     }
 }
 
@@ -98,16 +129,12 @@ impl FromStr for WorkloadKind {
     type Err = ConfigError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "graph" => Ok(WorkloadKind::Graph),
-            "rbtree" => Ok(WorkloadKind::Rbtree),
-            "sps" => Ok(WorkloadKind::Sps),
-            "btree" => Ok(WorkloadKind::Btree),
-            "hashtable" | "hash" => Ok(WorkloadKind::Hashtable),
-            "queue" | "fifo" => Ok(WorkloadKind::Queue),
-            "skiplist" => Ok(WorkloadKind::Skiplist),
-            other => Err(ConfigError::new(format!("unknown workload `{other}`"))),
-        }
+        let s = s.to_ascii_lowercase();
+        WORKLOADS
+            .iter()
+            .find(|(_, name, aliases, ..)| *name == s || aliases.contains(&s.as_str()))
+            .map(|row| row.0)
+            .ok_or_else(|| ConfigError::new(format!("unknown workload `{s}`")))
     }
 }
 
@@ -214,25 +241,11 @@ pub struct WorkloadTrace {
 pub fn build(kind: WorkloadKind, params: &WorkloadParams) -> WorkloadTrace {
     let (trace, initial) = generate(kind, params).into_recording();
     trace.validate().expect("generated trace is well formed");
+    let w = WorkloadTrace { trace, initial };
     if params.sharing == 0 {
-        return WorkloadTrace { trace, initial };
+        return w;
     }
-    share_lines(kind, params, trace, map_order(initial))
-}
-
-/// The initial image in the order [`share_lines`] resolves pool
-/// collisions by: an `FxHashMap`'s iteration order after inserting the
-/// words one at a time in first-write order. The session kept its memory
-/// in such a map before it kept dense heaps, and the sharing baselines
-/// pin which colliding word won. One insert at a time matters:
-/// `collect`/`extend` may reserve up front and so lay the table out, and
-/// iterate it, differently.
-fn map_order(initial: Vec<(WordAddr, Word)>) -> Vec<(WordAddr, Word)> {
-    let mut map = FxHashMap::default();
-    for (w, v) in initial {
-        map.insert(w, v);
-    }
-    map.into_iter().collect()
+    share_lines(kind, params, w)
 }
 
 /// Runs one benchmark instance: set-up unrecorded, operations recorded.
@@ -242,104 +255,7 @@ fn generate(kind: WorkloadKind, params: &WorkloadParams) -> MemSession {
     // the low 16 bits, so seed pairs that differed in exactly those bits
     // could make two kinds (or two seeds of one kind) share a stream.
     let mut s = MemSession::new(stream_seed(params.seed, kind as u64));
-    match kind {
-        WorkloadKind::Graph => {
-            // The vertex-head array is the hot set; edge nodes go cold.
-            let vertices = (params.setup_items as u64 / 8).max(4);
-            let g = AdjacencyGraph::create(&mut s, vertices);
-            for _ in 0..params.setup_items {
-                g.insert_random_edge(&mut s);
-            }
-            s.start_recording();
-            for _ in 0..params.num_ops {
-                g.insert_random_edge(&mut s);
-            }
-            g.check(&s).expect("graph invariants");
-        }
-        WorkloadKind::Rbtree => {
-            let t = RbTree::create(&mut s);
-            for _ in 0..params.setup_items {
-                t.random_op(&mut s, params.key_space, 100);
-            }
-            s.start_recording();
-            for _ in 0..params.num_ops {
-                t.random_op(&mut s, params.key_space, params.insert_ratio);
-            }
-            t.check_invariants(&s).expect("rbtree invariants");
-        }
-        WorkloadKind::Sps => {
-            // A largely cache-resident array keeps the swap rate — and so
-            // the store pressure on the transaction cache — high: sps is
-            // the workload the paper reports stalling the TC (§5.2). In
-            // our shorter runs the stall cliff sits around 1-2 KB instead
-            // of the paper's 4 KB (see ablation A).
-            let a = SwapArray::create(&mut s, (params.setup_items as u64 / 6).max(2));
-            s.start_recording();
-            for _ in 0..params.num_ops {
-                a.swap_random(&mut s);
-            }
-            a.check_permutation(&s).expect("sps permutation");
-        }
-        WorkloadKind::Btree => {
-            let t = BPlusTree::create(&mut s);
-            for _ in 0..params.setup_items {
-                t.random_op(&mut s, params.key_space, 100);
-            }
-            s.start_recording();
-            for _ in 0..params.num_ops {
-                t.random_op(&mut s, params.key_space, params.insert_ratio);
-            }
-            t.check_invariants(&s).expect("btree invariants");
-        }
-        WorkloadKind::Queue => {
-            let q = crate::queue::PersistentQueue::create(&mut s);
-            for i in 0..params.setup_items as u64 {
-                q.enqueue(&mut s, i);
-            }
-            s.start_recording();
-            for _ in 0..params.num_ops {
-                if s.rng().gen_bool(0.55) {
-                    let v = s.rng().gen::<Word>();
-                    q.enqueue(&mut s, v);
-                } else {
-                    let _ = q.dequeue(&mut s);
-                }
-            }
-            q.check(&s).expect("queue invariants");
-        }
-        WorkloadKind::Skiplist => {
-            let sl = crate::skiplist::SkipList::create(&mut s);
-            for _ in 0..params.setup_items {
-                sl.random_op(&mut s, params.key_space, 100);
-            }
-            s.start_recording();
-            for _ in 0..params.num_ops {
-                sl.random_op(&mut s, params.key_space, params.insert_ratio);
-            }
-            sl.check_invariants(&s).expect("skiplist invariants");
-        }
-        WorkloadKind::Hashtable => {
-            let buckets = (params.setup_items as u64 / 4).max(16).next_power_of_two();
-            let t = HashTable::create(&mut s, buckets);
-            for _ in 0..params.setup_items {
-                let k = s.rng().gen_range(0..params.key_space);
-                let v = s.rng().gen::<Word>();
-                t.insert(&mut s, k, v);
-            }
-            s.start_recording();
-            for _ in 0..params.num_ops {
-                let k = s.rng().gen_range(0..params.key_space);
-                let roll: u32 = s.rng().gen_range(0..100);
-                if roll < params.insert_ratio {
-                    let v = s.rng().gen::<Word>();
-                    t.insert(&mut s, k, v);
-                } else {
-                    let _ = t.search(&mut s, k);
-                }
-            }
-            t.check(&s).expect("hashtable invariants");
-        }
-    }
+    (WORKLOADS[kind as usize].4)(&mut s, params);
     s
 }
 
@@ -348,10 +264,8 @@ fn generate(kind: WorkloadKind, params: &WorkloadParams) -> MemSession {
 /// revisit without letting a long multi-experiment run hoard images.
 const BUILD_CACHE_CAP: usize = 64;
 
-type BuildCache = Mutex<(
-    FxHashMap<(WorkloadKind, WorkloadParams), Arc<WorkloadTrace>>,
-    VecDeque<(WorkloadKind, WorkloadParams)>,
-)>;
+type BuildKey = (WorkloadKind, WorkloadParams);
+type BuildCache = Mutex<(FxHashMap<BuildKey, Arc<WorkloadTrace>>, VecDeque<BuildKey>)>;
 
 static BUILD_CACHE: OnceLock<BuildCache> = OnceLock::new();
 
@@ -392,38 +306,40 @@ pub fn build_shared(kind: WorkloadKind, params: &WorkloadParams) -> Arc<Workload
 /// heap cache lines, in the trace and the initial image alike, into the
 /// shared window. Distinct heap lines can land on the same pool slot
 /// (that collision is the point of the knob); the initial image keeps
-/// their words in order, so the last one wins. Runs after generation
-/// (and after the structure invariant checks), so the remap cannot
-/// perturb *what* the workload does — only where its lines live in the
-/// simulated address space.
-fn share_lines(
-    kind: WorkloadKind,
-    params: &WorkloadParams,
-    trace: Trace,
-    initial: Vec<(WordAddr, Word)>,
-) -> WorkloadTrace {
-    // Streams 0..7 seed the per-kind generators; offset by 64 to keep the
-    // remap hash independent of every generation stream.
+/// their words in first-write order, so the last of them wins. Runs
+/// after generation (and after the structure invariant checks), so the
+/// remap cannot perturb *what* the workload does — only where its lines
+/// live in the simulated address space.
+fn share_lines(kind: WorkloadKind, params: &WorkloadParams, mut w: WorkloadTrace) -> WorkloadTrace {
+    // The kinds' discriminants seed their generators; offset by 64 to
+    // keep the remap hash independent of every generation stream.
     let salt = stream_seed(params.seed, 64 + kind as u64);
     let pool_lines = (params.setup_items as u64 / 4).max(64);
     let remap = |addr: Addr| share_addr(addr, salt, params.sharing, pool_lines);
-    let trace: Trace = trace
+    w.trace = w
+        .trace
         .ops()
         .iter()
         .map(|op| match *op {
             Op::Load { addr } => Op::Load { addr: remap(addr) },
-            Op::Store { addr, value } => Op::Store { addr: remap(addr), value },
-            Op::LogStore { addr, meta, value } => Op::LogStore { addr: remap(addr), meta, value },
+            Op::Store { addr, value } => Op::Store {
+                addr: remap(addr),
+                value,
+            },
+            Op::LogStore { addr, meta, value } => Op::LogStore {
+                addr: remap(addr),
+                meta,
+                value,
+            },
             Op::Flush { addr } => Op::Flush { addr: remap(addr) },
             other => other,
         })
         .collect();
-    let initial: Vec<(WordAddr, Word)> = initial
-        .into_iter()
-        .map(|(w, v)| (remap(w.to_addr()).word(), v))
-        .collect();
-    trace.validate().expect("remapped trace is well formed");
-    WorkloadTrace { trace, initial }
+    for (word, _) in &mut w.initial {
+        *word = remap(word.to_addr()).word();
+    }
+    w.trace.validate().expect("remapped trace is well formed");
+    w
 }
 
 /// Remaps one address under the sharing knob: a persistent-heap address
@@ -535,8 +451,9 @@ mod tests {
     /// The dense session against the map-backed oracle it replaced (run
     /// beside it in test builds): every read agrees, so the program, and
     /// the trace it records, is the one the map gives; the initial image
-    /// holds the same words; the sharing remap resolves collisions in the
-    /// map's order; and the final images match.
+    /// holds the same words; the final images match; and the sharing
+    /// remap moves the same words as it does over the map's image, with
+    /// collisions resolved in the session's first-write order.
     #[test]
     fn dense_session_matches_the_map_oracle() {
         // The harness's quick scale (`Scale::Quick` in pmacc-bench).
@@ -559,34 +476,36 @@ mod tests {
             assert_eq!(initial.len(), oracle.initial.len(), "{case}");
             assert_eq!(set(&initial), set(&oracle.initial), "{case}: initial image");
             assert_eq!(final_image, oracle.mem, "{case}: final image");
-            assert_eq!(map_order(initial), oracle.initial, "{case}: map order");
+            let addrs = |v: &[(WordAddr, Word)]| {
+                let mut a: Vec<WordAddr> = v.iter().map(|&(w, _)| w).collect();
+                a.sort_unstable();
+                a
+            };
             for sharing in [2, 4, 8] {
                 let p = WorkloadParams { sharing, ..params };
                 let built = build(kind, &p);
-                let old = share_lines(kind, &p, trace.clone(), oracle.initial.clone());
+                let remap = |initial: &[(WordAddr, Word)]| {
+                    let trace = trace.clone();
+                    share_lines(
+                        kind,
+                        &p,
+                        WorkloadTrace {
+                            trace,
+                            initial: initial.to_vec(),
+                        },
+                    )
+                };
+                let old = remap(&oracle.initial);
                 assert_eq!(built.trace, old.trace, "{case} sharing {sharing}");
-                assert_eq!(built.initial, old.initial, "{case} sharing {sharing}");
+                let own = remap(&initial);
+                assert_eq!(built.initial, own.initial, "{case} sharing {sharing}");
+                assert_eq!(
+                    addrs(&built.initial),
+                    addrs(&old.initial),
+                    "{case} sharing {sharing}: remapped addresses"
+                );
             }
         }
-    }
-
-    /// Words first written in scattered order, across both heaps and
-    /// outside them, collide in the map's table; only inserting them one
-    /// at a time, in first-write order, lays it out as the session's map
-    /// did.
-    #[test]
-    fn map_order_replays_scattered_first_writes() {
-        let mut s = MemSession::new(3);
-        let heaps = [s.alloc_p(4096), s.alloc_v(4096), layout::shared_pool_base()];
-        for v in 0..1_500 {
-            let heap = heaps[s.rng().gen_range(0..3)];
-            let w = s.rng().gen_range(0..4096u64);
-            s.write(heap.offset(8 * w), v);
-        }
-        s.start_recording();
-        let oracle = s.oracle.clone();
-        let (_, initial, _) = s.finish();
-        assert_eq!(map_order(initial), oracle.initial);
     }
 
     #[test]
@@ -598,7 +517,11 @@ mod tests {
             st / w.trace.op_count() as f64
         };
         let sps = stores(WorkloadKind::Sps);
-        for k in [WorkloadKind::Rbtree, WorkloadKind::Btree, WorkloadKind::Hashtable] {
+        for k in [
+            WorkloadKind::Rbtree,
+            WorkloadKind::Btree,
+            WorkloadKind::Hashtable,
+        ] {
             assert!(sps > stores(k), "sps should out-write {k:?}");
         }
     }
@@ -674,5 +597,70 @@ mod tests {
             assert_eq!(k.to_string().parse::<WorkloadKind>().unwrap(), k);
         }
         assert!("nope".parse::<WorkloadKind>().is_err());
+    }
+
+    #[test]
+    fn workload_names_aliases_and_descriptions_are_pinned() {
+        use WorkloadKind::*;
+        for (i, row) in WORKLOADS.iter().enumerate() {
+            assert_eq!(row.0 as usize, i, "{:?} is not in its row", row.0);
+        }
+        let pinned: [(WorkloadKind, &str, &[&str], &str); 7] = [
+            (Graph, "graph", &[], "Insert in an adjacency list graph."),
+            (
+                Rbtree,
+                "rbtree",
+                &[],
+                "Search/Insert nodes in a red-black tree.",
+            ),
+            (Sps, "sps", &[], "Randomly swap elements in an array."),
+            (Btree, "btree", &[], "Search/Insert nodes in a B+tree."),
+            (
+                Hashtable,
+                "hashtable",
+                &["hash"],
+                "Search/Insert a key-value pair in a hashtable.",
+            ),
+            (
+                Queue,
+                "queue",
+                &["fifo"],
+                "Enqueue/dequeue on a persistent FIFO (extension).",
+            ),
+            (
+                Skiplist,
+                "skiplist",
+                &[],
+                "Search/Insert nodes in a skiplist (extension).",
+            ),
+        ];
+        for (i, (kind, name, aliases, description)) in pinned.into_iter().enumerate() {
+            assert_eq!(WorkloadKind::extended()[i], kind);
+            assert_eq!(kind.to_string(), name);
+            assert_eq!(WORKLOADS[kind as usize].2, aliases, "{name}");
+            assert_eq!(kind.description(), description, "{name}");
+        }
+        let table3 = ["graph", "rbtree", "sps", "btree", "hashtable"];
+        assert_eq!(WorkloadKind::all().map(|k| k.to_string()), table3);
+        let accepted = [
+            ("graph", Graph),
+            ("RBTree", Rbtree),
+            ("sps", Sps),
+            ("btree", Btree),
+            ("hashtable", Hashtable),
+            ("hash", Hashtable),
+            ("HashTable", Hashtable),
+            ("queue", Queue),
+            ("FIFO", Queue),
+            ("skiplist", Skiplist),
+        ];
+        for (name, kind) in accepted {
+            assert_eq!(name.parse::<WorkloadKind>().unwrap(), kind, "{name}");
+        }
+        let err = "Bogus".parse::<WorkloadKind>().unwrap_err();
+        assert!(
+            err.to_string().contains("unknown workload `bogus`"),
+            "{err}"
+        );
     }
 }
