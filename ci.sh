@@ -39,15 +39,14 @@ exits() {
         || { echo "$* exited with status $status, expected $want" >&2; return 1; }
 }
 
-# Formatting gate, first slices: the engine module, the scheme module,
-# recovery, the machine configuration, the figures, the crash campaign,
-# the bench harness, the cache, cpu and workloads crates and three
-# property tests (rustfmt follows child modules). The rest of the tree is
-# not rustfmt-clean yet, so it is left out until it is formatted on its
-# own.
-echo "==> rustfmt --check (engine, schemes, recovery, config, figures, crashgrid, harness, cache, cpu, workloads)"
-rustfmt --check --edition 2021 crates/core/src/system/mod.rs crates/core/src/scheme/mod.rs \
-    crates/core/src/recovery.rs crates/types/src/config.rs crates/bench/src/figures.rs \
+# Formatting gate, first slices: the core, types and mem crates, the
+# figures, the crash campaign, the bench harness, the cache, cpu and
+# workloads crates and three property tests (rustfmt follows child
+# modules). The rest of the tree is not rustfmt-clean yet, so it is left
+# out until it is formatted on its own.
+echo "==> rustfmt --check (core, types, mem, figures, crashgrid, harness, cache, cpu, workloads)"
+rustfmt --check --edition 2021 crates/core/src/lib.rs crates/types/src/lib.rs \
+    crates/mem/src/lib.rs crates/bench/src/figures.rs \
     crates/bench/src/crashgrid.rs crates/bench/src/harness.rs crates/cache/src/lib.rs \
     crates/cpu/src/lib.rs crates/workloads/src/lib.rs \
     crates/cache/tests/hierarchy_prop.rs crates/core/tests/txcache_prop.rs \

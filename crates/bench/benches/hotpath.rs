@@ -18,7 +18,7 @@ use pmacc::TxCache;
 use pmacc_cache::{Access, Hierarchy, HierarchyOpts};
 use pmacc_mem::{Backing, MemController};
 use pmacc_types::{
-    Addr, CacheConfig, FxHashMap, LineAddr, MemConfig, MemRegion, MemReq, ReqId, SchemeKind,
+    Addr, CacheConfig, FxHashMap, LineAddr, MemConfig, MemReq, ReqId, SchemeKind,
     TxCacheConfig, TxId, WriteCause,
 };
 use pmacc_workloads::{build, WorkloadKind};
@@ -127,7 +127,7 @@ fn bench_memsys(c: &mut Harness) {
         });
     });
     g.bench_function("ctrl_enqueue_advance", |b| {
-        let mut ctrl = MemController::new(MemRegion::Nvm, MemConfig::nvm_dac17());
+        let mut ctrl = MemController::new(MemConfig::nvm_dac17());
         let mut t = 0u64;
         let mut id = 0u64;
         b.iter(|| {

@@ -10,10 +10,9 @@
 use pmacc::energy::{energy_of, EnergyParams};
 use pmacc::hwcost::HwOverhead;
 use pmacc::recovery::{check_recovery, recover, recovery_cost};
-use pmacc::scheme::sp::{self, SpMode};
 use pmacc::{RunConfig, RunReport, System};
 use pmacc_cpu::{Op, StallKind};
-use pmacc_types::{MachineConfig, MemConfig, SchemeKind, SimError, WriteCause};
+use pmacc_types::{MachineConfig, MemConfig, SchemeKind, SimError, SpMode, WriteCause};
 use pmacc_workloads::{build, WorkloadKind};
 
 use crate::grid::{run_cell, run_grid_opts, sweep, GridResults, Scale};
@@ -1104,7 +1103,7 @@ pub fn ablation_sp_fencing(scale: Scale, seed: u64, opts: &Options) -> Result<Fi
         "Ablation E",
         "SP write-order control: strict vs batched fencing (sps)",
         "Batched = the Figure 3(a) listing (default SP); strict = clwb+\
-         sfence per record plus post-commit data flushing (Figure 2(b)).",
+         sfence per record, commit and data stores as batched (Figure 2(b)).",
         vec![
             "fencing".into(),
             "IPC (vs Optimal)".into(),
@@ -1112,10 +1111,8 @@ pub fn ablation_sp_fencing(scale: Scale, seed: u64, opts: &Options) -> Result<Fi
             "NVM writes (vs Optimal)".into(),
         ],
     );
-    // Keys are (scheme, strict fencing): the Optimal baseline and the
-    // default (batched) SP row are plain grid cells; the strict row
-    // instruments the same raw per-core traces with the Figure 2(b)
-    // fence placement.
+    // Keys are (scheme, strict fencing): the strict row is the SP cell
+    // with the Figure 2(b) fence placement.
     let keys = [
         (SchemeKind::Optimal, false),
         (SchemeKind::Sp, false),
@@ -1130,18 +1127,11 @@ pub fn ablation_sp_fencing(scale: Scale, seed: u64, opts: &Options) -> Result<Fi
             format!("sp-fencing {scheme}{mode}/sps")
         },
         move |&(scheme, strict)| {
-            let machine = scale.machine().with_scheme(scheme);
-            if !strict {
-                return run_cell(machine, WorkloadKind::Sps, scale, seed);
+            let mut machine = scale.machine().with_scheme(scheme);
+            if strict {
+                machine.sp_mode = SpMode::Strict;
             }
-            let kinds = vec![WorkloadKind::Sps; machine.cores];
-            let (raw, initial) = pmacc::strided_workloads(&kinds, &scale.params(seed))?;
-            let traces = raw
-                .iter()
-                .enumerate()
-                .map(|(core, trace)| sp::instrument_with(core, trace, SpMode::Strict))
-                .collect();
-            System::new_instrumented(machine, traces, &initial, &RunConfig::default())?.run()
+            run_cell(machine, WorkloadKind::Sps, scale, seed)
         },
     )?;
     let opt = &reports[&(SchemeKind::Optimal, false)];

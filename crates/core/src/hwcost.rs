@@ -74,8 +74,7 @@ impl HwOverhead {
         // TxID must number every in-flight transaction; the paper uses 16
         // bits for the 4 KB / 64-entry case.
         let txid_bits = 16;
-        let hierarchy_lines =
-            cores * (cfg.l1.lines() + cfg.l2.lines()) + cfg.llc.lines();
+        let hierarchy_lines = cores * (cfg.l1.lines() + cfg.l2.lines()) + cfg.llc.lines();
         let rows = vec![
             OverheadRow {
                 component: "CPU TxID/Mode register",
@@ -142,7 +141,12 @@ impl HwOverhead {
     pub fn bits_per_tc_line(&self) -> u64 {
         self.rows
             .iter()
-            .filter(|r| matches!(r.component, "TxID in TC data array" | "State in TC data array"))
+            .filter(|r| {
+                matches!(
+                    r.component,
+                    "TxID in TC data array" | "State in TC data array"
+                )
+            })
             .map(|r| r.bits_per_instance)
             .sum()
     }

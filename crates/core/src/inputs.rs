@@ -22,7 +22,7 @@ use pmacc_cpu::{Op, Trace};
 use pmacc_mem::Backing;
 use pmacc_types::layout::{self, MAX_STRIDED_CORES};
 use pmacc_types::rng::stream_seed;
-use pmacc_types::{Addr, ConfigError, SchemeKind, SimError, Word, WordAddr};
+use pmacc_types::{Addr, ConfigError, MachineConfig, SimError, Word, WordAddr};
 use pmacc_workloads::{build_shared, WorkloadKind, WorkloadParams, WorkloadTrace};
 
 use crate::scheme;
@@ -119,8 +119,8 @@ static MEMO: Mutex<Memo> = Mutex::new(Memo {
     last: None,
 });
 
-/// The traces and shared inputs of a multiprogrammed run of `scheme`:
-/// core `c` fetches its instance of `kinds[c]` strided, or runs it
+/// The traces and shared inputs of a multiprogrammed run on `cfg`: core
+/// `c` fetches its instance of `kinds[c]` strided, or runs it
 /// instrumented under SP. The inputs come from the memo; a miss builds
 /// them under its lock, so concurrent misses on one key build once.
 ///
@@ -129,7 +129,7 @@ static MEMO: Mutex<Memo> = Mutex::new(Memo {
 /// Returns a configuration error for more kinds than the striding scheme
 /// supports.
 pub(crate) fn prepare(
-    scheme: SchemeKind,
+    cfg: &MachineConfig,
     kinds: &[WorkloadKind],
     params: &WorkloadParams,
 ) -> Result<(Vec<CoreTrace>, Arc<RunInputs>), SimError> {
@@ -148,7 +148,7 @@ pub(crate) fn prepare(
     let instrumented: Option<Vec<CoreTrace>> = traces
         .iter()
         .enumerate()
-        .map(|(core, t)| scheme::instrument_ops(scheme, core, t.ops()).map(CoreTrace::Owned))
+        .map(|(core, t)| scheme::instrument_ops(cfg, core, t.ops()).map(CoreTrace::Owned))
         .collect();
     Ok((instrumented.unwrap_or(traces), inputs))
 }
@@ -215,35 +215,6 @@ fn tx_writes_of(ops: impl IntoIterator<Item = Op>) -> Vec<Vec<(WordAddr, Word)>>
     out
 }
 
-/// A memory image as (word, value) pairs.
-type InitialImage = Vec<(WordAddr, Word)>;
-
-/// The raw (uninstrumented) per-core traces and the initial memory image
-/// of a multiprogrammed run: core `c` runs an instance of `kinds[c]`
-/// built from its own seed stream and shifted into its private heap
-/// slice. [`crate::System::for_workload_mix`] runs the same instances
-/// without copying them; harnesses that pre-instrument traces (e.g. the
-/// SP-fencing ablation) start from this.
-///
-/// # Errors
-///
-/// Returns a configuration error for invalid parameters or more kinds
-/// than the striding scheme supports
-/// ([`pmacc_types::layout::MAX_STRIDED_CORES`]).
-pub fn strided_workloads(
-    kinds: &[WorkloadKind],
-    params: &WorkloadParams,
-) -> Result<(Vec<Trace>, InitialImage), SimError> {
-    params.validate()?;
-    let raws = core_workloads(kinds, params)?;
-    let traces = raws
-        .iter()
-        .enumerate()
-        .map(|(core, w)| stride_trace(&w.trace, core))
-        .collect();
-    Ok((traces, strided_initial(&raws).collect()))
-}
-
 /// Core `c`'s unstrided instance of `kinds[c]`, from its own seed stream:
 /// the one place per-core seeds are derived.
 fn core_workloads(
@@ -273,15 +244,6 @@ fn strided_initial(raws: &[Arc<WorkloadTrace>]) -> impl Iterator<Item = (WordAdd
             .iter()
             .map(move |&(a, v)| (stride.addr(a.to_addr()).word(), v))
     })
-}
-
-/// Shifts a trace's heap addresses into `core`'s private 1 GiB slice —
-/// the transformation [`strided_workloads`] applies so per-core
-/// workload instances stay disjoint.
-#[must_use]
-pub(crate) fn stride_trace(trace: &Trace, core: usize) -> Trace {
-    let stride = Stride::of(core);
-    trace.ops().iter().map(|&op| stride.op(op)).collect()
 }
 
 /// What striding adds to one core's volatile-heap and persistent-heap
@@ -353,7 +315,30 @@ mod tests {
     use crate::{RunConfig, System};
     use pmacc_telemetry::ToJson;
     use pmacc_types::layout::CORE_STRIDE;
-    use pmacc_types::{Cycle, MachineConfig};
+    use pmacc_types::{Cycle, SchemeKind, SpMode};
+
+    /// Oracle: a copy of `trace` with its heap addresses shifted into
+    /// `core`'s private slice, which a strided core must fetch op for op.
+    fn stride_trace(trace: &Trace, core: usize) -> Trace {
+        let stride = Stride::of(core);
+        trace.ops().iter().map(|&op| stride.op(op)).collect()
+    }
+
+    /// Oracle: copies of the strided per-core traces and the initial image
+    /// of a multiprogrammed run, the inputs of an owned-trace
+    /// [`System::new`] run.
+    fn strided_workloads(
+        kinds: &[WorkloadKind],
+        params: &WorkloadParams,
+    ) -> (Vec<Trace>, Vec<(WordAddr, Word)>) {
+        let raws = core_workloads(kinds, params).unwrap();
+        let traces = raws
+            .iter()
+            .enumerate()
+            .map(|(core, w)| stride_trace(&w.trace, core))
+            .collect();
+        (traces, strided_initial(&raws).collect())
+    }
 
     #[test]
     fn striding_keeps_cores_disjoint_and_leaves_scratch_areas() {
@@ -463,12 +448,33 @@ mod tests {
                 let strided = stride_trace(&build_shared(kind, &params).trace, 2);
                 let table = tx_writes_of(strided.ops().iter().copied());
                 assert!(table.iter().any(|tx| !tx.is_empty()), "{kind}");
-                for mode in [sp::SpMode::Batched, sp::SpMode::Strict] {
-                    let sp = sp::instrument_with(2, &strided, mode);
+                for mode in [SpMode::Batched, SpMode::Strict] {
+                    let sp = sp::instrument_ops(2, strided.ops().iter().copied(), mode);
                     let sp_table = tx_writes_of(sp.ops().iter().copied());
                     assert_eq!(sp_table, table, "{kind}, sharing {sharing}, {mode:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_strict_sp_core_fetches_the_strict_instrumentation() {
+        let kinds = [WorkloadKind::Sps, WorkloadKind::Hashtable];
+        let params = WorkloadParams::tiny(0x1707);
+        let mut cfg = MachineConfig::small().with_scheme(SchemeKind::Sp);
+        cfg.sp_mode = SpMode::Strict;
+        let sys = System::for_workload_mix(cfg, &kinds, &params, &RunConfig::default()).unwrap();
+        let (strided, _) = strided_workloads(&kinds, &params);
+        for (core, trace) in strided.iter().enumerate() {
+            let ops = || trace.ops().iter().copied();
+            let strict = sp::instrument_ops(core, ops(), SpMode::Strict);
+            assert_eq!(
+                sys.traces[core].ops().collect::<Trace>(),
+                strict,
+                "core {core}"
+            );
+            let batched = sp::instrument_ops(core, ops(), SpMode::Batched);
+            assert_ne!(strict, batched, "core {core}: strict adds fences");
         }
     }
 
@@ -577,7 +583,7 @@ mod tests {
                 let mut cfg = MachineConfig::small().with_scheme(scheme);
                 cfg.cores = kinds.len();
                 let owned = || {
-                    let (traces, initial) = strided_workloads(kinds, params).unwrap();
+                    let (traces, initial) = strided_workloads(kinds, params);
                     System::new(cfg.clone(), traces, &initial, &rc).unwrap()
                 };
                 let cycles = owned().run().unwrap().cycles;
@@ -585,7 +591,7 @@ mod tests {
                 let crash_at = cycles / 2;
                 let reference = outcome(owned(), crash_at);
 
-                prepare(SchemeKind::Optimal, &another.0, &another.1).unwrap();
+                prepare(&MachineConfig::small(), &another.0, &another.1).unwrap();
                 assert!(!memoized_now(kinds, params), "{scheme}: expected a miss");
                 let miss = System::for_workload_mix(cfg.clone(), kinds, params, &rc).unwrap();
                 assert!(memoized_now(kinds, params), "{scheme}: expected a hit");

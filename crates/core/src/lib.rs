@@ -49,6 +49,5 @@ mod system;
 mod txcache;
 
 pub use metrics::RunReport;
-pub use inputs::strided_workloads;
 pub use system::{BoundaryClass, EngineStats, RunConfig, ServeConfig, ServeCoreStats, System};
 pub use txcache::{EntryState, TcEntry, TcFullError, TcStats, TxCache};

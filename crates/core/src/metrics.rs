@@ -5,7 +5,7 @@ use core::fmt;
 use pmacc_cache::HierarchyStats;
 use pmacc_cpu::{CoreStats, StallKind};
 use pmacc_mem::MemStats;
-use pmacc_telemetry::{Json, SeriesReport, ToJson};
+use pmacc_telemetry::{Json, Log2Histogram, SeriesReport, ToJson};
 use pmacc_types::{Cycle, SchemeKind, WriteCause};
 
 use crate::system::EngineStats;
@@ -99,7 +99,7 @@ impl RunReport {
     /// Mean latency of loads to the persistent region (Figure 10).
     #[must_use]
     pub fn persistent_load_latency(&self) -> f64 {
-        let mut h = pmacc_types::Histogram::new();
+        let mut h = Log2Histogram::new();
         for c in &self.cores {
             h.merge(&c.persistent_load_latency);
         }
@@ -114,7 +114,11 @@ impl RunReport {
         if self.cores.is_empty() {
             return 0.0;
         }
-        self.cores.iter().map(|c| c.stall_fraction(kind)).sum::<f64>() / self.cores.len() as f64
+        self.cores
+            .iter()
+            .map(|c| c.stall_fraction(kind))
+            .sum::<f64>()
+            / self.cores.len() as f64
     }
 
     /// Total transaction-cache overflow (COW fall-back) events.
@@ -161,11 +165,17 @@ impl ToJson for RunReport {
             ("tx_committed", self.total_committed().to_json()),
             ("llc_miss_rate", self.llc_miss_rate().to_json()),
             ("nvm_write_traffic", self.nvm_write_traffic().to_json()),
-            ("nvm_completed_writes", self.nvm_completed_writes().to_json()),
+            (
+                "nvm_completed_writes",
+                self.nvm_completed_writes().to_json(),
+            ),
             ("residual_nvm_lines", self.residual_nvm_lines.to_json()),
             ("dropped_llc_writes", self.dropped_llc_writes.to_json()),
             ("tc_overflows", self.tc_overflows().to_json()),
-            ("persistent_load_latency_mean", self.persistent_load_latency().to_json()),
+            (
+                "persistent_load_latency_mean",
+                self.persistent_load_latency().to_json(),
+            ),
             ("stall_fractions", stall_fractions),
             ("cores", self.cores.to_json()),
             ("hierarchy", self.hierarchy.to_json()),
@@ -274,9 +284,18 @@ mod tests {
         assert_eq!(j.get("scheme").and_then(Json::as_str), Some("optimal"));
         assert_eq!(j.get("cycles"), Some(&Json::Int(100)));
         assert!((j.get("ipc").and_then(Json::as_f64).unwrap() - 0.5).abs() < 1e-12);
-        assert_eq!(j.get("cores").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
-        assert!(j.get("stall_fractions").and_then(|s| s.get("txcache-full")).is_some());
-        assert!(j.get("nvm").and_then(|n| n.get("writes_by_cause")).is_some());
+        assert_eq!(
+            j.get("cores").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(1)
+        );
+        assert!(j
+            .get("stall_fractions")
+            .and_then(|s| s.get("txcache-full"))
+            .is_some());
+        assert!(j
+            .get("nvm")
+            .and_then(|n| n.get("writes_by_cause"))
+            .is_some());
         assert!(j.get("series").and_then(|s| s.get("samples")).is_some());
         // The document survives a serialize/parse round trip.
         let parsed = Json::parse(&j.to_pretty()).expect("valid JSON");

@@ -36,15 +36,15 @@ use crate::System;
 pub use tc::CowTxShadow;
 pub(crate) use tc::TcWrite;
 
-/// Applies the scheme's software instrumentation to a core's trace.
-/// Hardware schemes return the trace unchanged, without copying it.
+/// Applies the machine's scheme's software instrumentation to a core's
+/// trace. Hardware schemes return the trace unchanged, without copying it.
 ///
 /// # Example
 ///
 /// ```
 /// use pmacc::scheme::instrument;
 /// use pmacc_cpu::{Op, Trace};
-/// use pmacc_types::{Addr, SchemeKind};
+/// use pmacc_types::{Addr, MachineConfig, SchemeKind};
 ///
 /// let mut t = Trace::new();
 /// t.push(Op::TxBegin);
@@ -52,25 +52,27 @@ pub(crate) use tc::TcWrite;
 /// t.push(Op::TxEnd);
 ///
 /// // Hardware schemes leave the trace alone.
-/// assert_eq!(instrument(SchemeKind::TxCache, 0, t.clone()), t);
+/// let tc = MachineConfig::small().with_scheme(SchemeKind::TxCache);
+/// assert_eq!(instrument(&tc, 0, t.clone()), t);
 /// // Software logging makes it much longer.
-/// assert!(instrument(SchemeKind::Sp, 0, t.clone()).len() > t.len());
+/// let sp = MachineConfig::small().with_scheme(SchemeKind::Sp);
+/// assert!(instrument(&sp, 0, t.clone()).len() > t.len());
 /// ```
 #[must_use]
-pub fn instrument(scheme: SchemeKind, core: usize, trace: Trace) -> Trace {
-    instrument_ops(scheme, core, trace.ops().iter().copied()).unwrap_or(trace)
+pub fn instrument(cfg: &MachineConfig, core: usize, trace: Trace) -> Trace {
+    instrument_ops(cfg, core, trace.ops().iter().copied()).unwrap_or(trace)
 }
 
-/// The scheme's instrumentation of a core's raw op stream: the one place
+/// The machine's instrumentation of a core's raw op stream: the one place
 /// that decides which schemes instrument. `None` means the scheme runs
 /// the raw trace as it is.
 pub(crate) fn instrument_ops(
-    scheme: SchemeKind,
+    cfg: &MachineConfig,
     core: usize,
     ops: impl IntoIterator<Item = Op>,
 ) -> Option<Trace> {
-    match scheme {
-        SchemeKind::Sp => Some(sp::instrument_ops(core, ops, sp::SpMode::Batched)),
+    match cfg.scheme {
+        SchemeKind::Sp => Some(sp::instrument_ops(core, ops, cfg.sp_mode)),
         _ => None,
     }
 }

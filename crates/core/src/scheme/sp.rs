@@ -25,7 +25,7 @@
 
 use pmacc_cpu::{Op, Trace};
 use pmacc_mem::Backing;
-use pmacc_types::{layout, Addr, FxHashSet, Word, WordAddr, WORD_BYTES};
+use pmacc_types::{layout, Addr, FxHashSet, SpMode, Word, WordAddr, WORD_BYTES};
 
 use crate::recovery::RecoveryCost;
 
@@ -129,30 +129,8 @@ pub(crate) fn recover(cores: usize, nvm: &mut Backing) -> RecoveryCost {
     cost
 }
 
-/// Fence placement for the SP instrumentation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpMode {
-    /// The Figure 3(a) listing verbatim: `clwb` per log record, one
-    /// `sfence` before and one after the `pcommit` (commit marker), and
-    /// in-place data stores afterwards with no extra flushing. This is
-    /// the default SP configuration.
-    #[default]
-    Batched,
-    /// Pessimistic write-order control, as Figure 2(b) depicts: every log
-    /// record is made durable (`clwb` + `sfence`) before execution
-    /// proceeds. Commit and the in-place data stores are as in
-    /// [`SpMode::Batched`]. Used by the SP-fencing ablation.
-    Strict,
-}
-
-/// Rewrites a raw transactional trace into the SP form with the given
-/// fence placement.
-#[must_use]
-pub fn instrument_with(core: usize, trace: &Trace, mode: SpMode) -> Trace {
-    instrument_ops(core, trace.ops().iter().copied(), mode)
-}
-
-/// [`instrument_with`] over a stream of raw ops.
+/// Rewrites a core's raw transactional op stream into the SP form with
+/// the given fence placement.
 pub(crate) fn instrument_ops(
     core: usize,
     ops: impl IntoIterator<Item = Op>,
@@ -251,7 +229,7 @@ mod tests {
 
     #[test]
     fn instrumented_trace_is_valid_and_larger() {
-        let t = instrument_with(0, &raw_tx(), SpMode::Batched);
+        let t = instrument_ops(0, raw_tx().ops().iter().copied(), SpMode::Batched);
         t.validate().unwrap();
         assert!(t.len() > raw_tx().len() * 2);
         assert_eq!(t.transactions(), 1);
@@ -260,14 +238,14 @@ mod tests {
         let pcommits = t.ops().iter().filter(|o| **o == Op::PCommit).count();
         assert_eq!((fences, pcommits), (1, 1));
         // Strict mode adds one fence per record (two stores here).
-        let st = instrument_with(0, &raw_tx(), SpMode::Strict);
+        let st = instrument_ops(0, raw_tx().ops().iter().copied(), SpMode::Strict);
         let fences_s = st.ops().iter().filter(|o| **o == Op::Fence).count();
         assert_eq!(fences_s, 1 + 2);
     }
 
     #[test]
     fn data_stores_follow_the_commit_marker() {
-        let t = instrument_with(0, &raw_tx(), SpMode::Batched);
+        let t = instrument_ops(0, raw_tx().ops().iter().copied(), SpMode::Batched);
         let marker_pos = t
             .ops()
             .iter()
@@ -287,7 +265,7 @@ mod tests {
         raw.push(Op::TxBegin);
         raw.push(Op::store(Addr::new(64), 1)); // DRAM region
         raw.push(Op::TxEnd);
-        let t = instrument_with(0, &raw, SpMode::Batched);
+        let t = instrument_ops(0, raw.ops().iter().copied(), SpMode::Batched);
         assert!(t
             .ops()
             .iter()
@@ -306,7 +284,7 @@ mod tests {
     fn log_replay_reconstructs_transaction_writes() {
         // Execute the instrumented trace's log stores into a fake NVM and
         // parse it back.
-        let t = instrument_with(2, &raw_tx(), SpMode::Batched);
+        let t = instrument_ops(2, raw_tx().ops().iter().copied(), SpMode::Batched);
         let nvm = log_image(&t);
         let elems = parse_log(2, &|w| nvm.read_word(w));
         assert_eq!(elems.len(), 3); // two records + one commit
@@ -330,7 +308,7 @@ mod tests {
         let data = Addr::nvm_base().offset(1 << 20);
         raw.push(Op::store(data, 7));
         raw.push(Op::TxEnd);
-        let t = instrument_with(0, &raw, SpMode::Batched);
+        let t = instrument_ops(0, raw.ops().iter().copied(), SpMode::Batched);
         let log0 = layout::log_area_base(0);
         let expected = vec![
             Op::TxBegin,
@@ -437,7 +415,7 @@ mod tests {
         let mut raw = raw_tx();
         let more = raw_tx();
         raw.extend_ops(more.ops().iter().copied());
-        let t = instrument_with(1, &raw, SpMode::Batched);
+        let t = instrument_ops(1, raw.ops().iter().copied(), SpMode::Batched);
         let nvm = log_image(&t);
         let elems = parse_log(1, &|w| nvm.read_word(w));
         let commits: Vec<u64> = elems

@@ -214,7 +214,7 @@ pub(crate) enum Origin {
 #[derive(Debug)]
 pub struct System {
     cfg: MachineConfig,
-    traces: Vec<CoreTrace>,
+    pub(crate) traces: Vec<CoreTrace>,
     pub(crate) cores: Vec<CoreCtx>,
     pub(crate) hier: Hierarchy,
     pub(crate) nvm: MemController,
@@ -274,42 +274,26 @@ pub struct System {
 
 impl System {
     /// Builds a system executing the given *raw* per-core traces (the
-    /// scheme's instrumentation is applied here) over the given initial
+    /// machine's instrumentation is applied here) over the given initial
     /// memory image. Only its persistent words are kept: DRAM contents
     /// are not modeled.
     ///
     /// # Errors
     ///
-    /// Returns a configuration error if the machine is invalid or has more
-    /// cores than traces/striding support.
+    /// Returns a configuration error if the machine is invalid, the trace
+    /// count does not match the core count or an instrumented trace is
+    /// malformed.
     pub fn new(
         cfg: MachineConfig,
         raw_traces: Vec<Trace>,
         initial: &[(WordAddr, Word)],
         run_cfg: &RunConfig,
     ) -> Result<Self, SimError> {
-        let traces: Vec<Trace> = raw_traces
+        let traces: Vec<CoreTrace> = raw_traces
             .into_iter()
             .enumerate()
-            .map(|(c, t)| scheme::instrument(cfg.scheme, c, t))
+            .map(|(c, t)| CoreTrace::Owned(scheme::instrument(&cfg, c, t)))
             .collect();
-        System::new_instrumented(cfg, traces, initial, run_cfg)
-    }
-
-    /// Like [`System::new`] but the traces are taken as already
-    /// instrumented (used by the SP-fencing ablation, which wants the
-    /// [`crate::scheme::sp::SpMode::Strict`] variant).
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error if the machine is invalid or the
-    /// trace count does not match the core count.
-    pub fn new_instrumented(
-        cfg: MachineConfig,
-        traces: Vec<Trace>,
-        initial: &[(WordAddr, Word)],
-        run_cfg: &RunConfig,
-    ) -> Result<Self, SimError> {
         cfg.validate()?;
         if traces.len() != cfg.cores {
             return Err(ConfigError::new(format!(
@@ -320,10 +304,10 @@ impl System {
             .into());
         }
         for t in &traces {
-            t.validate()
+            t.stored()
+                .validate()
                 .map_err(|e| ConfigError::new(format!("bad trace: {e}")))?;
         }
-        let traces: Vec<CoreTrace> = traces.into_iter().map(CoreTrace::Owned).collect();
         let inputs = Arc::new(RunInputs::new(initial.iter().copied(), &traces));
         Ok(System::assemble(cfg, traces, inputs, run_cfg))
     }
@@ -342,8 +326,8 @@ impl System {
         let mut system = System {
             cores: (0..cfg.cores).map(|c| CoreCtx::new(c, &cfg)).collect(),
             hier: Hierarchy::new(cfg.cores, cfg.l1, cfg.l2, cfg.llc, opts),
-            nvm: MemController::new(MemRegion::Nvm, cfg.nvm),
-            dram: MemController::new(MemRegion::Dram, cfg.dram),
+            nvm: MemController::new(cfg.nvm),
+            dram: MemController::new(cfg.dram),
             nvm_backing: inputs.initial.base(),
             arch_image: inputs.initial.base(),
             committed: RefCell::new((Arc::new(inputs.initial.base()), 0)),
@@ -430,7 +414,7 @@ impl System {
             ))
             .into());
         }
-        let (traces, inputs) = inputs::prepare(cfg.scheme, kinds, params)?;
+        let (traces, inputs) = inputs::prepare(&cfg, kinds, params)?;
         Ok(System::assemble(cfg, traces, inputs, run_cfg))
     }
 
@@ -1192,9 +1176,9 @@ mod tests {
         let sys =
             System::for_workload(cfg, WorkloadKind::Sps, &params, &RunConfig::default()).unwrap();
         let base = build(WorkloadKind::Sps, &params);
-        let strided_base = inputs::stride_trace(&base.trace, 0);
+        // Core 0's heap slice is the unshifted one.
         assert!(
-            !sys.traces[0].ops().eq(strided_base.ops().iter().copied()),
+            !sys.traces[0].ops().eq(base.trace.ops().iter().copied()),
             "core 0 must get its own seed stream, not the base seed"
         );
         // And the two cores run distinct instances: an sps trace is all

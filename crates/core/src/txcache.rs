@@ -200,7 +200,8 @@ impl TxCache {
     /// Panics on an invalid configuration (validate it first).
     #[must_use]
     pub fn new(cfg: &TxCacheConfig) -> Self {
-        cfg.validate().expect("valid transaction-cache configuration");
+        cfg.validate()
+            .expect("valid transaction-cache configuration");
         TxCache {
             entries: vec![TcEntry::empty(); cfg.entries()],
             head: 0,
@@ -594,10 +595,7 @@ mod tests {
             order.push(e.line);
             tc.mark_issued(i);
         }
-        assert_eq!(
-            order,
-            (0..4).map(|i| word(i).line()).collect::<Vec<_>>()
-        );
+        assert_eq!(order, (0..4).map(|i| word(i).line()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use core::fmt;
 
-use pmacc_telemetry::{Json, ToJson};
-use pmacc_types::{Counter, Cycle, Histogram};
+use pmacc_telemetry::{Json, Log2Histogram, ToJson};
+use pmacc_types::{Counter, Cycle};
 
 /// Why a core was unable to issue in a given cycle. The breakdown
 /// distinguishes the stall sources the paper discusses: SP's fences, the
@@ -75,9 +75,9 @@ pub struct CoreStats {
     /// Stores executed (data + log).
     pub stores: Counter,
     /// Latency of every demand load, in cycles.
-    pub load_latency: Histogram,
+    pub load_latency: Log2Histogram,
     /// Latency of loads to the persistent (NVM) region — Figure 10.
-    pub persistent_load_latency: Histogram,
+    pub persistent_load_latency: Log2Histogram,
     /// Transactional stores that found a remote core's active transaction
     /// holding the same line (each begins a conflict-serialization stall).
     pub tx_conflicts: Counter,

@@ -162,9 +162,8 @@ impl Backing {
     #[must_use]
     pub fn diff(&self, other: &Backing, from: WordAddr) -> Vec<(WordAddr, Word, Word)> {
         let whole = !Arc::ptr_eq(&self.base, &other.base);
-        let held_here = |l: &LineAddr| {
-            self.lines.contains_key(l) || (whole && self.base.lines.contains_key(l))
-        };
+        let held_here =
+            |l: &LineAddr| self.lines.contains_key(l) || (whole && self.base.lines.contains_key(l));
         let theirs = other.cells(whole).filter(|(l, _)| !held_here(l));
         let mut out = Vec::new();
         for (&line, _) in self.cells(whole).chain(theirs) {
@@ -340,7 +339,11 @@ mod tests {
         // The same words, each image frozen into a base of its own.
         let (fa, fb): (Backing, Backing) = (a.iter().collect(), b.iter().collect());
         assert_eq!(fa.diff(&fb, WordAddr::new(0)), want, "distinct bases");
-        assert_eq!(fa.diff(&b, WordAddr::new(0)), want, "one frozen, one overlay");
+        assert_eq!(
+            fa.diff(&b, WordAddr::new(0)),
+            want,
+            "one frozen, one overlay"
+        );
         let flipped: Vec<_> = want.iter().map(|&(w, x, y)| (w, y, x)).collect();
         assert_eq!(b.diff(&a, WordAddr::new(0)), flipped);
         assert!(a.diff(&a.clone(), WordAddr::new(0)).is_empty());

@@ -4,7 +4,7 @@ use core::fmt;
 use std::collections::{BinaryHeap, VecDeque};
 use std::error::Error;
 
-use pmacc_types::{AccessKind, Cycle, Freq, FxHashMap, MemConfig, MemRegion, MemReq, ReqId};
+use pmacc_types::{AccessKind, Cycle, Freq, FxHashMap, MemConfig, MemReq, ReqId};
 
 use crate::bank::{AddressMap, BankState};
 use crate::scheduler;
@@ -67,7 +67,6 @@ impl PartialOrd for Pending {
 /// to be poked.
 #[derive(Debug)]
 pub struct MemController {
-    region: MemRegion,
     cfg: MemConfig,
     map: AddressMap,
     banks: Vec<BankState>,
@@ -86,8 +85,6 @@ pub struct MemController {
     writes_accepted: u64,
     writes_durable: u64,
     seq: u64,
-    read_ns: f64,
-    write_ns: f64,
     /// Statistics (public so the system layer can fold them into reports).
     pub stats: MemStats,
     freq: Freq,
@@ -103,10 +100,9 @@ pub struct MemController {
 impl MemController {
     /// Creates a controller for one channel.
     #[must_use]
-    pub fn new(region: MemRegion, cfg: MemConfig) -> Self {
+    pub fn new(cfg: MemConfig) -> Self {
         let map = AddressMap::new(&cfg);
         MemController {
-            region,
             map,
             banks: vec![BankState::new(); cfg.banks() as usize],
             read_q: VecDeque::with_capacity(cfg.read_queue),
@@ -119,8 +115,6 @@ impl MemController {
             writes_accepted: 0,
             writes_durable: 0,
             seq: 0,
-            read_ns: cfg.read_ns,
-            write_ns: cfg.write_ns,
             stats: MemStats::new(),
             wear: if cfg.wear.leveling {
                 Some(WearMap::new(&cfg.wear))
@@ -138,12 +132,6 @@ impl MemController {
     #[must_use]
     pub fn wear_snapshot(&self) -> Option<WearSnapshot> {
         self.wear.as_ref().map(WearMap::snapshot)
-    }
-
-    /// The memory region this channel backs.
-    #[must_use]
-    pub fn region(&self) -> MemRegion {
-        self.region
     }
 
     /// Whether a request of `kind` can be accepted right now.
@@ -256,7 +244,9 @@ impl MemController {
     pub fn advance(&mut self, now: Cycle) -> Vec<Completion> {
         // Issue loop: one request per bus slot while the bus is free.
         while self.bus_free <= now {
-            let Some(kind) = self.choose_kind() else { break };
+            let Some(kind) = self.choose_kind() else {
+                break;
+            };
             let issued = self.issue_one(kind, now);
             if !issued {
                 break;
@@ -335,8 +325,8 @@ impl MemController {
             self.cfg.row_hit_ns
         } else {
             match kind {
-                AccessKind::Read => self.read_ns,
-                AccessKind::Write => self.write_ns,
+                AccessKind::Read => self.cfg.read_ns,
+                AccessKind::Write => self.cfg.write_ns,
             }
         };
         // Issue as soon as the request has arrived and the bus is free; a
@@ -394,7 +384,7 @@ impl MemController {
     /// (used for quick latency walks in tests).
     #[must_use]
     pub fn unloaded_read_cycles(&self) -> Cycle {
-        self.freq.ns_to_cycles(self.read_ns)
+        self.freq.ns_to_cycles(self.cfg.read_ns)
     }
 
     /// A cheap occupancy-aware estimate of read service latency, used by
@@ -403,7 +393,8 @@ impl MemController {
     #[must_use]
     pub fn read_estimate(&self) -> Cycle {
         let bus = self.freq.ns_to_cycles(self.cfg.bus_ns);
-        self.unloaded_read_cycles() + (self.read_q.len() as Cycle + self.pending.len() as Cycle) * bus
+        self.unloaded_read_cycles()
+            + (self.read_q.len() as Cycle + self.pending.len() as Cycle) * bus
     }
 }
 
@@ -417,7 +408,7 @@ mod tests {
     }
 
     fn ctrl() -> MemController {
-        MemController::new(MemRegion::Nvm, MemConfig::nvm_dac17())
+        MemController::new(MemConfig::nvm_dac17())
     }
 
     #[test]
@@ -523,7 +514,10 @@ mod tests {
             .unwrap();
         let done = c.advance(t + 400);
         let read_pos = done.iter().position(|d| !d.req.is_write());
-        assert!(read_pos.is_some(), "read completes promptly after drain ends");
+        assert!(
+            read_pos.is_some(),
+            "read completes promptly after drain ends"
+        );
     }
 
     #[test]
@@ -577,7 +571,7 @@ mod tests {
             gap_write_interval: 2,
             cell_write_budget: 1_000,
         };
-        let mut c = MemController::new(MemRegion::Nvm, cfg);
+        let mut c = MemController::new(cfg);
         // Hammer one logical line; without leveling this is one device
         // row taking all 40 writes.
         for i in 0..40u64 {

@@ -20,9 +20,9 @@
 //!
 //! ```
 //! use pmacc_mem::MemController;
-//! use pmacc_types::{LineAddr, MemConfig, MemRegion, MemReq, ReqId};
+//! use pmacc_types::{LineAddr, MemConfig, MemReq, ReqId};
 //!
-//! let mut ctrl = MemController::new(MemRegion::Nvm, MemConfig::nvm_dac17());
+//! let mut ctrl = MemController::new(MemConfig::nvm_dac17());
 //! ctrl.enqueue(MemReq::read(ReqId(1), LineAddr::new(0x8000_0000 / 64)), 0)
 //!     .expect("queue has room");
 //! // Poke far in the future: the read has certainly completed.

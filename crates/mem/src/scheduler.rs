@@ -53,7 +53,10 @@ mod tests {
     }
 
     fn write(id: u64, line: u64) -> (u64, MemReq) {
-        (0, MemReq::write(ReqId(id), LineAddr::new(line), WriteCause::Eviction))
+        (
+            0,
+            MemReq::write(ReqId(id), LineAddr::new(line), WriteCause::Eviction),
+        )
     }
 
     #[test]

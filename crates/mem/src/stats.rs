@@ -1,7 +1,7 @@
 //! Per-channel statistics.
 
 use pmacc_telemetry::{Json, Log2Histogram, ToJson};
-use pmacc_types::{Counter, FxHashMap, Histogram, LineAddr, Ratio, WriteCause};
+use pmacc_types::{Counter, FxHashMap, LineAddr, Ratio, WriteCause};
 
 /// Largest per-line wear map serialized in full. Above this the report
 /// carries only the log2 histogram and summary stats — a long `--full`
@@ -19,9 +19,9 @@ pub struct MemStats {
     /// Row-buffer hit ratio across all accesses.
     pub row_hits: Ratio,
     /// Queueing + service latency of reads, in cycles.
-    pub read_latency: Histogram,
+    pub read_latency: Log2Histogram,
     /// Queueing + service latency of writes, in cycles.
-    pub write_latency: Histogram,
+    pub write_latency: Log2Histogram,
     /// Number of scheduling decisions taken while in write-drain mode.
     pub drain_issues: Counter,
     /// Enqueue attempts rejected because a queue was full.
@@ -163,10 +163,19 @@ impl ToJson for MemStats {
         );
         let mut endurance = vec![
             ("lines_written", self.writes_per_line.len().to_json()),
-            ("hottest_line", self.hottest_line().map(|(l, _)| l.raw()).to_json()),
-            ("hottest_line_writes", self.hottest_line().map_or(0, |(_, n)| n).to_json()),
+            (
+                "hottest_line",
+                self.hottest_line().map(|(l, _)| l.raw()).to_json(),
+            ),
+            (
+                "hottest_line_writes",
+                self.hottest_line().map_or(0, |(_, n)| n).to_json(),
+            ),
             ("max_writes_per_line", self.max_writes_per_line().to_json()),
-            ("mean_writes_per_line", self.mean_writes_per_line().to_json()),
+            (
+                "mean_writes_per_line",
+                self.mean_writes_per_line().to_json(),
+            ),
             ("p99_writes_per_line", self.p99_writes_per_line().to_json()),
             ("imbalance", self.wear_imbalance().to_json()),
             ("histogram", self.wear_histogram().to_json()),
@@ -259,8 +268,7 @@ mod tests {
         }
         let has_lines = |s: &MemStats| match s.to_json() {
             Json::Obj(fields) => fields.iter().any(|(k, v)| {
-                k == "endurance"
-                    && matches!(v, Json::Obj(e) if e.iter().any(|(k, _)| k == "lines"))
+                k == "endurance" && matches!(v, Json::Obj(e) if e.iter().any(|(k, _)| k == "lines"))
             }),
             _ => false,
         };

@@ -251,7 +251,10 @@ impl WearSnapshot {
     /// crash snapshot stores when leveling is enabled.
     #[must_use]
     pub fn to_device(&self, logical: &Backing) -> Backing {
-        logical.iter().map(|(w, v)| (self.device_word(w), v)).collect()
+        logical
+            .iter()
+            .map(|(w, v)| (self.device_word(w), v))
+            .collect()
     }
 
     /// Reconstructs the logical image from a device image — the first
@@ -336,8 +339,9 @@ mod tests {
         for step in 0..(3 * (n + 1) * n) {
             let line = LineAddr::new(step % n);
             m.record_write(line);
-            let rows: HashSet<u64> =
-                (0..n).map(|i| m.device_line(LineAddr::new(i)).raw()).collect();
+            let rows: HashSet<u64> = (0..n)
+                .map(|i| m.device_line(LineAddr::new(i)).raw())
+                .collect();
             assert_eq!(rows.len(), n as usize, "collision after step {step}");
             assert!(rows.iter().all(|r| *r <= n), "row out of range");
         }
@@ -349,14 +353,14 @@ mod tests {
         let n = 8;
         let mut m = WearMap::new(&cfg(n, 1));
         for step in 0..50u64 {
-            let before: Vec<u64> =
-                (0..n).map(|i| m.device_line(LineAddr::new(i)).raw()).collect();
-            let out = m.record_write(LineAddr::new(step % n));
-            let after: Vec<u64> =
-                (0..n).map(|i| m.device_line(LineAddr::new(i)).raw()).collect();
-            let moved: Vec<usize> = (0..n as usize)
-                .filter(|&i| before[i] != after[i])
+            let before: Vec<u64> = (0..n)
+                .map(|i| m.device_line(LineAddr::new(i)).raw())
                 .collect();
+            let out = m.record_write(LineAddr::new(step % n));
+            let after: Vec<u64> = (0..n)
+                .map(|i| m.device_line(LineAddr::new(i)).raw())
+                .collect();
+            let moved: Vec<usize> = (0..n as usize).filter(|&i| before[i] != after[i]).collect();
             assert_eq!(moved.len(), 1, "exactly one line moves per rotation");
             // The moved line lands on the row the rotation rewrote.
             assert_eq!(after[moved[0]], out.relocated.expect("rotated").raw());

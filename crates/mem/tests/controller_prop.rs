@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 
 use pmacc_mem::MemController;
-use pmacc_types::{Addr, LineAddr, MemConfig, MemRegion, MemReq, ReqId, WriteCause};
+use pmacc_types::{Addr, LineAddr, MemConfig, MemReq, ReqId, WriteCause};
 
 fn line(i: u64) -> LineAddr {
     LineAddr::new(Addr::nvm_base().line().raw() + i)
@@ -22,7 +22,7 @@ fn conservation_and_monotonic_time() {
                 g.gen_range(0u64..50),
             )
         });
-        let mut ctrl = MemController::new(MemRegion::Nvm, MemConfig::nvm_dac17());
+        let mut ctrl = MemController::new(MemConfig::nvm_dac17());
         let mut now = 0u64;
         let mut accepted: HashSet<u64> = HashSet::new();
         let mut arrivals: std::collections::HashMap<u64, u64> = Default::default();
@@ -69,7 +69,7 @@ fn conservation_and_monotonic_time() {
 fn coalesced_writes_complete() {
     pmacc_prop::check("coalesced_writes_complete", |g| {
         let n = g.gen_range(2usize..20);
-        let mut ctrl = MemController::new(MemRegion::Nvm, MemConfig::nvm_dac17());
+        let mut ctrl = MemController::new(MemConfig::nvm_dac17());
         for i in 0..n as u64 {
             ctrl.enqueue(MemReq::write(ReqId(i), line(0), WriteCause::Flush), 0)
                 .expect("same-line writes coalesce, never overflow");

@@ -356,6 +356,28 @@ mod tests {
     }
 
     #[test]
+    fn histogram_zero_bucket() {
+        let mut h = Log2Histogram::new();
+        h.record(0);
+        assert_eq!(h.percentile(1.0), 0);
+    }
+
+    #[test]
+    fn histogram_json_lists_buckets_as_bit_length_count_pairs() {
+        let mut h = Log2Histogram::new();
+        h.record(3);
+        h.record(3);
+        let j = h.to_json();
+        assert_eq!(j.get("count"), Some(&Json::Int(2)));
+        assert_eq!(j.get("sum"), Some(&Json::Int(6)));
+        // 3 has bit length 2: one bucket entry [2, 2].
+        assert_eq!(
+            j.get("buckets"),
+            Some(&Json::Arr(vec![Json::Arr(vec![Json::Int(2), Json::Int(2)])]))
+        );
+    }
+
+    #[test]
     fn merge_adds_counts_and_keeps_extremes() {
         let mut a = Log2Histogram::new();
         let mut b = Log2Histogram::new();

@@ -100,6 +100,21 @@ impl FromStr for SchemeKind {
     }
 }
 
+/// Fence placement of SP's write-ahead logging.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpMode {
+    /// The Figure 3(a) listing verbatim: `clwb` per log record, one
+    /// `sfence` before and one after the `pcommit` (commit marker), and
+    /// in-place data stores afterwards with no extra flushing. Every
+    /// preset machine uses it.
+    Batched,
+    /// Pessimistic write-order control, as Figure 2(b) depicts: every log
+    /// record is made durable (`clwb` + `sfence`) before execution
+    /// proceeds. Commit and the in-place data stores are as in
+    /// [`SpMode::Batched`]. Used by the SP-fencing ablation.
+    Strict,
+}
+
 /// Geometry and latency of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
@@ -555,6 +570,9 @@ pub struct MachineConfig {
     pub dram: MemConfig,
     /// Persistence scheme under evaluation.
     pub scheme: SchemeKind,
+    /// Fence placement of SP's instrumentation, read only when `scheme`
+    /// is [`SchemeKind::Sp`] (ablation E).
+    pub sp_mode: SpMode,
 }
 
 impl MachineConfig {
@@ -572,6 +590,7 @@ impl MachineConfig {
             nvm: MemConfig::nvm_dac17(),
             dram: MemConfig::dram_dac17(),
             scheme: SchemeKind::TxCache,
+            sp_mode: SpMode::Batched,
         }
     }
 
@@ -598,6 +617,7 @@ impl MachineConfig {
             nvm: MemConfig::nvm_dac17(),
             dram: MemConfig::dram_dac17(),
             scheme: SchemeKind::TxCache,
+            sp_mode: SpMode::Batched,
         }
     }
 
@@ -620,6 +640,7 @@ impl MachineConfig {
             nvm: MemConfig::nvm_dac17(),
             dram: MemConfig::dram_dac17(),
             scheme: SchemeKind::TxCache,
+            sp_mode: SpMode::Batched,
         }
     }
 

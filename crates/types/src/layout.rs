@@ -168,8 +168,7 @@ mod tests {
         // The last dense heap image ends exactly where the shared
         // window begins, and the shared window ends exactly where the
         // extended bank begins.
-        let heap_end =
-            persistent_heap_base().raw() + BASE_STRIDED_CORES as u64 * CORE_STRIDE;
+        let heap_end = persistent_heap_base().raw() + BASE_STRIDED_CORES as u64 * CORE_STRIDE;
         assert_eq!(heap_end, shared_pool_base().raw());
         assert_eq!(
             shared_pool_base().raw() + SHARED_POOL_BYTES,

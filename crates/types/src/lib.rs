@@ -5,7 +5,7 @@
 //! workspace: physical [`Addr`]esses and cache-[`LineAddr`]esses, simulated
 //! [`Cycle`] time, transaction identity ([`TxId`]), memory [`MemReq`]uests,
 //! the [`MachineConfig`] tree describing the simulated machine, and small
-//! statistics helpers ([`Counter`], [`Histogram`]).
+//! statistics helpers ([`Counter`], [`Ratio`]).
 //!
 //! # Example
 //!
@@ -35,12 +35,15 @@ mod value;
 pub use addr::{
     Addr, LineAddr, MemRegion, WordAddr, ADDR_SPACE_BYTES, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES,
 };
-pub use config::{CacheConfig, CoreConfig, MachineConfig, MemConfig, NvLlcConfig, SchemeKind, TxCacheConfig, WearConfig};
+pub use config::{
+    CacheConfig, CoreConfig, MachineConfig, MemConfig, NvLlcConfig, SchemeKind, SpMode,
+    TxCacheConfig, WearConfig,
+};
 pub use cycle::{Cycle, Freq};
 pub use error::{ConfigError, SimError};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use request::{AccessKind, MemReq, ReqId, WriteCause};
 pub use rng::Rng;
-pub use stats::{Counter, Histogram, Ratio};
+pub use stats::{Counter, Ratio};
 pub use txid::TxId;
 pub use value::Word;

@@ -112,7 +112,13 @@ impl Ratio {
 
 impl fmt::Display for Ratio {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{} ({:.2}%)", self.hits, self.total, self.fraction() * 100.0)
+        write!(
+            f,
+            "{}/{} ({:.2}%)",
+            self.hits,
+            self.total,
+            self.fraction() * 100.0
+        )
     }
 }
 
@@ -124,160 +130,6 @@ impl ToJson for Ratio {
             ("total", self.total.to_json()),
             ("fraction", self.fraction().to_json()),
         ])
-    }
-}
-
-/// A latency histogram with power-of-two buckets plus exact sum/count/max,
-/// cheap enough to record every load.
-///
-/// # Example
-///
-/// ```
-/// use pmacc_types::Histogram;
-/// let mut h = Histogram::new();
-/// h.record(1);
-/// h.record(130);
-/// assert_eq!(h.count(), 2);
-/// assert_eq!(h.max(), 130);
-/// assert!((h.mean() - 65.5).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; Histogram::BUCKETS],
-    sum: u64,
-    count: u64,
-    max: u64,
-}
-
-impl Histogram {
-    const BUCKETS: usize = 32;
-
-    /// Creates an empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Histogram {
-            buckets: [0; Histogram::BUCKETS],
-            sum: 0,
-            count: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let b = (64 - value.leading_zeros()) as usize; // bucket = bit length
-        let b = b.min(Histogram::BUCKETS - 1);
-        self.buckets[b] += 1;
-        self.sum += value;
-        self.count += 1;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest recorded sample, or 0 when empty.
-    #[must_use]
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Arithmetic mean, or `0.0` when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate `q`-quantile (0.0..=1.0) using bucket upper bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `0.0..=1.0`.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in 0..=1");
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target.max(1) {
-                // Upper bound of bucket i is 2^i - 1 (bucket 0 holds value 0).
-                return if i == 0 { 0 } else { (1u64 << i) - 1 };
-            }
-        }
-        self.max
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.sum += other.sum;
-        self.count += other.count;
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl ToJson for Histogram {
-    /// Summary statistics plus the non-empty power-of-two buckets as
-    /// `[bit_length, count]` pairs.
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("count", self.count.to_json()),
-            ("sum", self.sum.to_json()),
-            ("max", self.max.to_json()),
-            ("mean", self.mean().to_json()),
-            ("p50", self.quantile(0.5).to_json()),
-            ("p99", self.quantile(0.99).to_json()),
-            (
-                "buckets",
-                Json::Arr(
-                    self.buckets
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &n)| n > 0)
-                        .map(|(i, &n)| Json::Arr(vec![i.to_json(), n.to_json()]))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.1} p50={} p99={} max={}",
-            self.count,
-            self.mean(),
-            self.quantile(0.5),
-            self.quantile(0.99),
-            self.max
-        )
     }
 }
 
@@ -309,50 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_mean_and_max() {
-        let mut h = Histogram::new();
-        for v in [1u64, 2, 3, 4] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 10);
-        assert_eq!(h.max(), 4);
-        assert!((h.mean() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_quantiles_monotone() {
-        let mut h = Histogram::new();
-        for v in 0..1000u64 {
-            h.record(v);
-        }
-        let p50 = h.quantile(0.5);
-        let p90 = h.quantile(0.9);
-        let p100 = h.quantile(1.0);
-        assert!(p50 <= p90 && p90 <= p100);
-        assert!((255..=1023).contains(&p50));
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        a.record(10);
-        let mut b = Histogram::new();
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), 1000);
-        assert_eq!(a.sum(), 1010);
-    }
-
-    #[test]
-    fn histogram_zero_bucket() {
-        let mut h = Histogram::new();
-        h.record(0);
-        assert_eq!(h.quantile(1.0), 0);
-    }
-
-    #[test]
     fn json_renderings() {
         let mut c = Counter::new();
         c.add(7);
@@ -364,17 +172,5 @@ mod tests {
         let j = r.to_json();
         assert_eq!(j.get("hits"), Some(&Json::Int(1)));
         assert_eq!(j.get("fraction").and_then(Json::as_f64), Some(0.5));
-
-        let mut h = Histogram::new();
-        h.record(3);
-        h.record(3);
-        let j = h.to_json();
-        assert_eq!(j.get("count"), Some(&Json::Int(2)));
-        assert_eq!(j.get("sum"), Some(&Json::Int(6)));
-        // 3 has bit length 2: one bucket entry [2, 2].
-        assert_eq!(
-            j.get("buckets"),
-            Some(&Json::Arr(vec![Json::Arr(vec![Json::Int(2), Json::Int(2)])]))
-        );
     }
 }

@@ -69,8 +69,6 @@ cores[].load_latency.buckets
 cores[].load_latency.count
 cores[].load_latency.max
 cores[].load_latency.mean
-cores[].load_latency.p50
-cores[].load_latency.p99
 cores[].load_latency.sum
 cores[].loads
 cores[].ops
@@ -79,8 +77,6 @@ cores[].persistent_load_latency.buckets
 cores[].persistent_load_latency.count
 cores[].persistent_load_latency.max
 cores[].persistent_load_latency.mean
-cores[].persistent_load_latency.p50
-cores[].persistent_load_latency.p99
 cores[].persistent_load_latency.sum
 cores[].stall_cycles
 cores[].stall_cycles.commit-flush
@@ -128,8 +124,6 @@ dram.read_latency.buckets
 dram.read_latency.count
 dram.read_latency.max
 dram.read_latency.mean
-dram.read_latency.p50
-dram.read_latency.p99
 dram.read_latency.sum
 dram.reads
 dram.rejected
@@ -142,8 +136,6 @@ dram.write_latency.buckets
 dram.write_latency.count
 dram.write_latency.max
 dram.write_latency.mean
-dram.write_latency.p50
-dram.write_latency.p99
 dram.write_latency.sum
 dram.writes
 dram.writes_by_cause
@@ -228,8 +220,6 @@ nvm.read_latency.buckets
 nvm.read_latency.count
 nvm.read_latency.max
 nvm.read_latency.mean
-nvm.read_latency.p50
-nvm.read_latency.p99
 nvm.read_latency.sum
 nvm.reads
 nvm.rejected
@@ -242,8 +232,6 @@ nvm.write_latency.buckets
 nvm.write_latency.count
 nvm.write_latency.max
 nvm.write_latency.mean
-nvm.write_latency.p50
-nvm.write_latency.p99
 nvm.write_latency.sum
 nvm.writes
 nvm.writes_by_cause

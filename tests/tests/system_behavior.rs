@@ -128,7 +128,8 @@ fn sp_log_lives_in_its_own_area() {
     // And the log area boundaries hold: instrumented traces only touch
     // the owning core's area.
     let raw = build(WorkloadKind::Graph, &WorkloadParams::tiny(4));
-    let t = pmacc::scheme::instrument(SchemeKind::Sp, 1, raw.trace);
+    let sp = MachineConfig::small().with_scheme(SchemeKind::Sp);
+    let t = pmacc::scheme::instrument(&sp, 1, raw.trace);
     for op in t.ops() {
         if let Op::LogStore { addr, .. } = op {
             let base = layout::log_area_base(1).raw();
